@@ -242,12 +242,31 @@ fn main() {
             [untestable.len() as u64, dominated, simulated_groups],
         )
     };
-    // Bit-identity first, then the timing samples.
+    // Bit-identity first, then the timing samples. The reference run
+    // also reads the engine's work counters: gate evaluations per
+    // simulated situation is an exact count (the fanout-cone passes
+    // plus nothing else), so `bench_check` can hold it under a tight
+    // ceiling that host noise cannot trip.
+    let fir_recorder = Arc::new(Recorder::new());
     let reference = EngineCampaign::over(&fir_engine, fir_groups.clone())
         .plan(fir_plan)
         .threads(1)
+        .recorder(Arc::clone(&fir_recorder))
         .run()
         .per_fault;
+    let fir_telemetry = fir_recorder.snapshot();
+    let gate_evals_per_situation = fir_telemetry.counter("engine.gate_evals").unwrap_or(0) as f64
+        / fir_telemetry
+            .counter("engine.situations")
+            .unwrap_or(1)
+            .max(1) as f64;
+    eprintln!(
+        "w8 FIR cone passes: {gate_evals_per_situation:.3} gate evals per situation \
+         ({} gates, full pass {:.3})",
+        fir_engine.net_count(),
+        fir_engine.net_count() as f64 / 64.0
+    );
+    bench.metric("gate_evals_per_situation", gate_evals_per_situation);
     let (pruned_outcomes, [deduce_untestable, deduce_dominated, deduce_simulated]) =
         pruned_fir_run();
     assert_eq!(

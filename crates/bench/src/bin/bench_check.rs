@@ -12,11 +12,12 @@
 //!   that ran `cargo bench` with `BENCH_DIR=fresh`);
 //! * `--tolerance F` — relative median/metric tolerance (default 0.30
 //!   = ±30%). The hard floor — `speedup_1thread_vs_scalar` ≥ 100× —
-//!   applies regardless of tolerance;
+//!   and the hard ceiling — `gate_evals_per_situation` ≤ 1.35 —
+//!   apply regardless of tolerance;
 //! * `--cross-machine` — the baseline was recorded on a different
 //!   machine: absolute-median slowdowns demote to warnings, while the
-//!   machine-relative ratio metrics (`speedup_*`) and the hard floors
-//!   keep failing. Use on CI runners comparing against committed
+//!   machine-relative ratio metrics (`speedup_*`), the exact work
+//!   counts and the hard floors and ceiling keep failing. Use on CI runners comparing against committed
 //!   baselines.
 //!
 //! Exit status: 0 when the gate passes (warnings allowed), 1 on any

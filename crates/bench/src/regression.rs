@@ -12,6 +12,9 @@
 //! * a **hard floor** violation — `speedup_1thread_vs_scalar` below
 //!   100× is a failure regardless of tolerance (the engine's headline
 //!   acceptance),
+//! * a **hard ceiling** violation on an exact work count —
+//!   `gate_evals_per_situation` above its ceiling means the engine's
+//!   faulty passes grew past their fanout cones,
 //! * baseline ids or files missing from the fresh run.
 //!
 //! Improvements beyond the tolerance are reported as warnings (the
@@ -169,6 +172,9 @@ pub struct CheckConfig {
     /// Hard floors on derived metrics, checked on the *fresh* file
     /// regardless of tolerance.
     pub metric_floors: Vec<(String, f64)>,
+    /// Hard ceilings on lower-is-better metrics, checked on the
+    /// *fresh* file regardless of tolerance.
+    pub metric_ceilings: Vec<(String, f64)>,
 }
 
 impl Default for CheckConfig {
@@ -180,7 +186,10 @@ impl Default for CheckConfig {
     /// and the wide-word engine with ≥ 4 SIMD lanes (64-bit limbs).
     /// The pool's *scaling ratio* floor (`parallel_speedup_w8` ≥ 3×)
     /// is machine-conditional and added by `bench_check` only on
-    /// runners with ≥ 4 physical cores.
+    /// runners with ≥ 4 physical cores. One ceiling: the w8 FIR line
+    /// universe's `gate_evals_per_situation` ≤ 1.35 (measured 1.294;
+    /// a full faulty pass per batch would be 2,814 / 64 ≈ 44). It is an
+    /// exact count, so host noise cannot trip it.
     fn default() -> Self {
         Self {
             tolerance: 0.30,
@@ -193,8 +202,15 @@ impl Default for CheckConfig {
                 ("parallel_threads".to_string(), 4.0),
                 ("simd_lanes".to_string(), 4.0),
             ],
+            metric_ceilings: vec![("gate_evals_per_situation".to_string(), 1.35)],
         }
     }
+}
+
+/// `true` for metrics counting work per unit of output (e.g.
+/// `gate_evals_per_situation`): for them a *rise* is the decay.
+fn lower_is_better(id: &str) -> bool {
+    id.ends_with("_per_situation")
 }
 
 /// `true` for metrics carrying machine-absolute throughput or
@@ -261,7 +277,11 @@ pub fn check(baseline: &BenchFile, fresh: &BenchFile, cfg: &CheckConfig) -> Vec<
                 m.id
             ))),
             Some(fresh_v) if m.value > 0.0 => {
-                let ratio = fresh_v / m.value;
+                let ratio = if lower_is_better(&m.id) {
+                    m.value / fresh_v
+                } else {
+                    fresh_v / m.value
+                };
                 if ratio < 1.0 - cfg.tolerance {
                     let message = format!(
                         "{group}/{}: metric decayed {:.2} -> {:.2} \
@@ -292,6 +312,15 @@ pub fn check(baseline: &BenchFile, fresh: &BenchFile, cfg: &CheckConfig) -> Vec<
             if v < *floor {
                 findings.push(Finding::fail(format!(
                     "{group}/{id}: {v:.1} below the hard floor {floor:.1}"
+                )));
+            }
+        }
+    }
+    for (id, ceiling) in &cfg.metric_ceilings {
+        if let Some(v) = fresh.metric_of(id) {
+            if v > *ceiling {
+                findings.push(Finding::fail(format!(
+                    "{group}/{id}: {v:.3} above the hard ceiling {ceiling:.3}"
                 )));
             }
         }
@@ -540,6 +569,31 @@ mod tests {
         let regressed = file(&[("a", 200.0)], &[("speedup_1thread_vs_scalar", 75.0)]);
         let findings = check(&base, &regressed, &cfg);
         assert!(fails(&findings) >= 2, "{findings:?}");
+    }
+
+    #[test]
+    fn gate_eval_ceiling_catches_full_passes_in_any_mode() {
+        let base = file(&[], &[("gate_evals_per_situation", 1.294)]);
+        let cross = CheckConfig {
+            medians_fail: false,
+            ..CheckConfig::default()
+        };
+        // Back to full faulty passes: the count rises ~34x — a decay
+        // and a ceiling breach, in same- and cross-machine mode.
+        let full_passes = file(&[], &[("gate_evals_per_situation", 43.97)]);
+        for cfg in [CheckConfig::default(), cross] {
+            let findings = check(&base, &full_passes, &cfg);
+            assert_eq!(fails(&findings), 2, "{findings:?}");
+            assert!(findings.iter().any(|f| f.message.contains("hard ceiling")));
+        }
+        // Fewer evaluations is an improvement: a warning at most.
+        let smaller = file(&[], &[("gate_evals_per_situation", 0.8)]);
+        let findings = check(&base, &smaller, &CheckConfig::default());
+        assert_eq!(fails(&findings), 0, "{findings:?}");
+        assert!(findings[0].message.contains("improved"));
+        // Within the tolerance but over the ceiling still fails.
+        let creeping = file(&[], &[("gate_evals_per_situation", 1.4)]);
+        assert_eq!(fails(&check(&base, &creeping, &CheckConfig::default())), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Parallel gate-level campaign driver with fault dropping.
 
 use crate::batch::InputPlan;
-use crate::engine::Engine;
+use crate::engine::{Cones, Engine};
 use crate::error::SimError;
 use crate::par::{self, PoolStats};
 use crate::words::{LaneWord, Lanes};
@@ -85,13 +85,16 @@ impl CampaignSummary {
 /// correlated copies of one local site across unit instances), an input
 /// plan, a drop policy and a lane width.
 ///
-/// The driver splits the universe into small fault blocks scheduled by
-/// the work-stealing pool ([`par::run_blocks`]); every block
-/// re-generates the same deterministic batch stream, simulates the good
-/// machine once per (wide) batch, then replays each of its live faults
-/// against the batch, consuming verdicts one 64-lane limb at a time.
-/// Results are therefore independent of the worker count, the
-/// scheduling order *and* the lane width.
+/// The driver splits the universe into fault blocks scheduled by the
+/// work-stealing pool ([`par::run_blocks`]). Every block builds the
+/// fanout cone of each of its groups once, re-generates the same
+/// deterministic batch stream and simulates the good machine once per
+/// (wide) batch. It then replays each live group against the batch by
+/// re-evaluating only that group's cone, overlaid on the good
+/// machine's values, and consumes the verdict one 64-lane limb at a
+/// time. Results are therefore independent of the worker count, the
+/// scheduling order *and* the lane width, and bit-identical to full
+/// faulty passes.
 #[derive(Clone, Debug)]
 pub struct EngineCampaign<'a> {
     engine: &'a Engine,
@@ -201,10 +204,12 @@ impl<'a> EngineCampaign<'a> {
     }
 
     /// Attaches a telemetry recorder. The driver then counts fault
-    /// groups, per-fault batch evaluations, dropped faults and
-    /// simulated situations under `engine.*` (all thread-count and
-    /// shard invariant), plus per-worker busy time under
-    /// `engine.busy_ns`.
+    /// groups, per-fault batch evaluations, faulty-pass gate
+    /// evaluations, dropped faults and simulated situations under
+    /// `engine.*` (all thread-count and shard invariant), plus
+    /// per-worker busy time under `engine.busy_ns` and good-machine
+    /// batch evaluations under `pool.good_evals` (which depend on the
+    /// block geometry).
     #[must_use]
     pub fn recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
@@ -278,29 +283,29 @@ impl<'a> EngineCampaign<'a> {
             }
         }
         let block = par::auto_block(scoped.len(), self.threads);
-        let batch_evals = AtomicU64::new(0);
+        let work = WorkCounters::default();
         // One fault-free probe stands in for every skipped group; its
-        // limbs count toward `batch_evals` exactly like a simulated
+        // limbs count toward `fault_batches` exactly like a simulated
         // group's, keeping the counter deterministic.
         let probe = [Vec::new()];
         let baseline: Option<FaultOutcome> = skip_mask.contains(&true).then(|| {
             match self.lanes.limbs() {
-                1 => self.run_chunk::<1>(&probe, &[false], &batch_evals),
-                4 => self.run_chunk::<4>(&probe, &[false], &batch_evals),
-                _ => self.run_chunk::<8>(&probe, &[false], &batch_evals),
+                1 => self.run_chunk::<1>(&probe, &[false], &work),
+                4 => self.run_chunk::<4>(&probe, &[false], &work),
+                _ => self.run_chunk::<8>(&probe, &[false], &work),
             }
             .pop()
             .expect("probe chunk yields one outcome")
         });
         let (mut per_fault, stats) = match self.lanes.limbs() {
             1 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
+                self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &work)
             })?,
             4 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<4>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
+                self.run_chunk::<4>(&scoped[r.clone()], &skip_mask[r], &work)
             })?,
             _ => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<8>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
+                self.run_chunk::<8>(&scoped[r.clone()], &skip_mask[r], &work)
             })?,
         };
         if let Some(b) = &baseline {
@@ -315,9 +320,11 @@ impl<'a> EngineCampaign<'a> {
                 rec,
                 "engine",
                 &per_fault,
-                batch_evals.load(Ordering::Relaxed),
+                work.fault_batches.load(Ordering::Relaxed),
                 &stats,
             );
+            rec.add("engine.gate_evals", work.gate_evals.load(Ordering::Relaxed));
+            rec.add("pool.good_evals", work.good_evals.load(Ordering::Relaxed));
         }
         let mut tally = TechTally::default();
         let mut simulated = 0u64;
@@ -336,41 +343,53 @@ impl<'a> EngineCampaign<'a> {
     /// Simulates one block of the fault universe on the calling worker
     /// (PPSFP inner loop, `64 * L` situations per gate operation).
     ///
-    /// Wide verdicts are consumed one limb at a time in scalar-batch
-    /// order — tallies, drop points and `batch_evals` (limbs tallied,
-    /// the scalar path's per-batch count) are lane-width invariant.
+    /// The block's cones are built once into one arena; per wide batch
+    /// the good machine runs once over the whole netlist, and each live
+    /// group costs one pass over its own cone. Wide verdicts are
+    /// consumed one limb at a time in scalar-batch order — tallies,
+    /// drop points, `fault_batches` (limbs tallied, the scalar path's
+    /// per-batch count) and `gate_evals` (cone gates × limbs tallied)
+    /// are lane-width invariant.
     fn run_chunk<const L: usize>(
         &self,
         chunk: &[Vec<StuckAtLine>],
         skip: &[bool],
-        batch_evals: &AtomicU64,
+        work: &WorkCounters,
     ) -> Vec<FaultOutcome> {
         let engine = self.engine;
         let mut outcomes: Vec<FaultOutcome> = vec![FaultOutcome::default(); chunk.len()];
         let mut live: Vec<usize> = (0..chunk.len())
             .filter(|&k| !skip.get(k).copied().unwrap_or(false))
             .collect();
+        let mut cones = Cones::default();
+        for (k, group) in chunk.iter().enumerate() {
+            let skipped = skip.get(k).copied().unwrap_or(false);
+            engine.push_cone(if skipped { &[] } else { group }, &mut cones);
+        }
         let mut good = Vec::new();
         let mut faulty = Vec::new();
-        let mut evals = 0u64;
+        let (mut evals, mut gate_evals, mut good_evals) = (0u64, 0u64, 0u64);
         for wide in self.plan.wide_stream::<L>(engine.input_bits()) {
             if live.is_empty() {
                 break;
             }
             engine.eval_wide_into(&wide, &[], &mut good);
+            good_evals += wide.limbs as u64;
             debug_assert!(
                 engine.compare_wide(&good, &good, wide.mask).alarm.is_zero(),
                 "good machine must be alarm-free"
             );
+            faulty.clone_from(&good);
             let drop = self.drop;
             live.retain(|&k| {
-                engine.eval_wide_into(&wide, &chunk[k], &mut faulty);
-                let v = engine.compare_wide(&good, &faulty, wide.mask);
+                let cone = cones.get(k);
+                let v = engine.eval_cone_wide(&good, &mut faulty, cone, &chunk[k], wide.mask);
                 let o = &mut outcomes[k];
                 let mut decided = false;
                 for limb in 0..wide.limbs {
                     let (cs, cd, ed, eu) = v.limb(limb).counts();
                     evals += 1;
+                    gate_evals += cone.len() as u64;
                     o.tally.correct_silent += cs;
                     o.tally.correct_detected += cd;
                     o.tally.error_detected += ed;
@@ -390,9 +409,26 @@ impl<'a> EngineCampaign<'a> {
                 !decided
             });
         }
-        batch_evals.fetch_add(evals, Ordering::Relaxed);
+        work.fault_batches.fetch_add(evals, Ordering::Relaxed);
+        work.gate_evals.fetch_add(gate_evals, Ordering::Relaxed);
+        work.good_evals.fetch_add(good_evals, Ordering::Relaxed);
         outcomes
     }
+}
+
+/// The work counters the blocks of one campaign add into, flushed once
+/// per campaign.
+#[derive(Debug, Default)]
+struct WorkCounters {
+    /// Limbs tallied across every fault: the scalar path's per-fault
+    /// batch count.
+    fault_batches: AtomicU64,
+    /// Gates evaluated in faulty passes, times the limbs tallied from
+    /// each pass.
+    gate_evals: AtomicU64,
+    /// Good-machine batch evaluations, in limbs: one pass per block per
+    /// batch, so it depends on the block geometry.
+    good_evals: AtomicU64,
 }
 
 /// Flushes one campaign's telemetry into `rec` under the `prefix.*`
@@ -613,6 +649,31 @@ mod tests {
             t1.counter("engine.fault_batches").unwrap() > 0,
             "batch evaluations recorded"
         );
+        // Faulty passes cover only fanout cones: never more than a full
+        // pass per tallied limb, and the same count at any thread count.
+        let gate_evals = t1
+            .counter("engine.gate_evals")
+            .expect("gate evals recorded");
+        assert_eq!(t4.counter("engine.gate_evals"), Some(gate_evals));
+        assert!(gate_evals > 0);
+        assert!(
+            gate_evals < t1.counter("engine.fault_batches").unwrap() * engine.net_count() as u64,
+            "cone passes must be cheaper than full passes"
+        );
+        // Good-machine passes follow the block geometry: one per block
+        // per batch, so `pool.*` and outside the deterministic filter.
+        let batches = InputPlan::Exhaustive
+            .vector_count(engine.input_bits())
+            .div_ceil(64);
+        for (t, threads) in [(&t1, 1), (&t4, 4)] {
+            let blocks = par::auto_block(groups.len(), threads);
+            let good = t.counter("pool.good_evals").expect("good evals recorded");
+            assert!(good > 0 && good <= groups.len().div_ceil(blocks) as u64 * batches);
+            assert!(t
+                .deterministic_counters()
+                .iter()
+                .all(|c| c.name != "pool.good_evals"));
+        }
     }
 
     #[test]

@@ -3,7 +3,12 @@
 //! Evaluation is generic over [`LaneWord`]: the same forward pass runs
 //! on single `u64` words (64 vectors per gate op, the public
 //! differential-test path) or on [`Words<L>`] wide words (256/512
-//! vectors per gate op, the campaign hot path).
+//! vectors per gate op, the good-machine pass of the campaigns).
+//!
+//! Campaign faulty passes do not re-run the whole netlist: a fault can
+//! only change the gates in the transitive fanout of its sites, so the
+//! driver evaluates just that **cone**, overlaid on a copy of the good
+//! machine's values ([`Engine::eval_cone_wide`]).
 
 use crate::batch::{InputBatch, WideBatch};
 use crate::error::SimError;
@@ -16,12 +21,17 @@ use scdp_netlist::{GateKind, Netlist, StuckAtLine};
 /// (kind / input-a / input-b as parallel `Vec`s) and resolves the
 /// output roles: every bus named `error` is an *alarm* bus, every other
 /// output bus is part of the *result*. Netlists are already stored in
-/// topological order, so evaluation is one forward pass.
+/// topological order, so evaluation is one forward pass. Construction
+/// also builds the fanout table the campaign driver's cone passes walk.
 #[derive(Clone, Debug)]
 pub struct Engine {
     kinds: Vec<GateKind>,
     a: Vec<u32>,
     b: Vec<u32>,
+    /// Fanout in CSR form: the gates reading net `i` are
+    /// `fanout[fanout_off[i]..fanout_off[i + 1]]`, ascending.
+    fanout_off: Vec<u32>,
+    fanout: Vec<u32>,
     input_bits: usize,
     result_nets: Vec<u32>,
     alarm_nets: Vec<u32>,
@@ -110,6 +120,7 @@ impl Engine {
             a.push(g.a.map_or(0, |n| n.index() as u32));
             b.push(g.b.map_or(0, |n| n.index() as u32));
         }
+        let (fanout_off, fanout) = fanout_table(&kinds, &a, &b);
         let mut result_nets = Vec::new();
         let mut alarm_nets = Vec::new();
         for (name, bus) in netlist.outputs() {
@@ -124,6 +135,8 @@ impl Engine {
             kinds,
             a,
             b,
+            fanout_off,
+            fanout,
             input_bits: netlist.input_bits(),
             result_nets,
             alarm_nets,
@@ -167,10 +180,12 @@ impl Engine {
     ///
     /// `faults` must be sorted by gate index (fault groups produced by
     /// [`crate::EngineCampaign`] are; assert-checked in debug builds).
-    /// The fault-free fast path costs one table-dispatched bitwise op
-    /// per gate per 64 vectors; faulted gates take a slow path that
-    /// applies pin overrides before and the stem override after the
-    /// gate function.
+    /// This is a full forward pass over every gate: the good-machine
+    /// evaluator of the campaign driver, and the reference its cone
+    /// passes are tested against. The fault-free fast path costs one
+    /// table-dispatched bitwise op per gate per 64 vectors; faulted
+    /// gates take a slow path that applies pin overrides before and the
+    /// stem override after the gate function.
     ///
     /// # Panics
     ///
@@ -221,39 +236,15 @@ impl Engine {
         for i in 0..n {
             let out = if i == fault_gate {
                 // Slow path: apply every fault attached to this gate.
-                let mut pin0 = None;
-                let mut pin1 = None;
-                let mut stem = None;
-                while fi < faults.len() && faults[fi].site.gate == i {
-                    match faults[fi].site.pin {
-                        Some(0) => pin0 = Some(faults[fi].value),
-                        Some(1) => pin1 = Some(faults[fi].value),
-                        // Rejected by `check_faults`; ignored here so a
-                        // line smuggled past validation through the raw
-                        // batch API cannot abort a campaign.
-                        Some(_) => {}
-                        None => stem = Some(faults[fi].value),
-                    }
-                    fi += 1;
-                }
+                let [pin0, pin1, stem] = overrides(faults, &mut fi, i);
                 fault_gate = faults.get(fi).map_or(usize::MAX, |f| f.site.gate);
-                let read = |pin: Option<bool>, net: u32, values: &[W]| -> W {
-                    pin.map_or(values[net as usize], W::splat)
-                };
                 let out = match self.kinds[i] {
                     GateKind::Input => {
                         let v = bits[next_input];
                         next_input += 1;
                         v
                     }
-                    GateKind::Const(c) => W::splat(c),
-                    GateKind::Not => !read(pin0, self.a[i], values),
-                    GateKind::Buf => read(pin0, self.a[i], values),
-                    kind => {
-                        let va = read(pin0, self.a[i], values);
-                        let vb = read(pin1, self.b[i], values);
-                        apply2(kind, va, vb)
-                    }
+                    _ => self.logic(i, pin0, pin1, values),
                 };
                 stem.map_or(out, W::splat)
             } else {
@@ -263,16 +254,116 @@ impl Engine {
                         next_input += 1;
                         v
                     }
-                    GateKind::Const(c) => W::splat(c),
-                    GateKind::Not => !values[self.a[i] as usize],
-                    GateKind::Buf => values[self.a[i] as usize],
-                    kind => apply2(kind, values[self.a[i] as usize], values[self.b[i] as usize]),
+                    _ => self.logic(i, None, None, values),
                 }
             };
             // Lanes beyond the batch length hold junk; harmless, masked
             // later.
             values[i] = out;
         }
+    }
+
+    /// Evaluates the faulty machine of `faults` over `cone` only — the
+    /// gates its sites' stems and pins can reach, ascending (see
+    /// [`Cones`]) — overlaid on the good machine, and compares it
+    /// against `good` exactly as [`Engine::compare_wide`] compares a
+    /// full faulty pass.
+    ///
+    /// `values` must hold the good machine's values of this batch on
+    /// entry and holds them again on return: every gate outside the
+    /// cone is unaffected by the faults, so its good value *is* its
+    /// faulty value, and the cone is copied back from `good` after the
+    /// comparison. Same fault semantics and sort requirement as
+    /// [`Engine::eval_wide_into`].
+    pub(crate) fn eval_cone_wide<const L: usize>(
+        &self,
+        good: &[Words<L>],
+        values: &mut [Words<L>],
+        cone: &[u32],
+        faults: &[StuckAtLine],
+        mask: Words<L>,
+    ) -> WideOutcome<L> {
+        let mut fi = 0usize;
+        let mut fault_gate = faults.first().map_or(usize::MAX, |f| f.site.gate);
+        for &g in cone {
+            let i = g as usize;
+            values[i] = if i == fault_gate {
+                let [pin0, pin1, stem] = overrides(faults, &mut fi, i);
+                fault_gate = faults.get(fi).map_or(usize::MAX, |f| f.site.gate);
+                stem.map_or_else(|| self.logic(i, pin0, pin1, values), Words::splat)
+            } else {
+                self.logic(i, None, None, values)
+            };
+        }
+        let outcome = self.compare_wide(good, values, mask);
+        for &g in cone {
+            values[g as usize] = good[g as usize];
+        }
+        outcome
+    }
+
+    /// Gate `i`'s function over the current `values`, with optional
+    /// stuck values on its input pins. An input gate keeps the value it
+    /// already holds (cone passes start from the good machine's).
+    #[inline(always)]
+    fn logic<W: LaneWord>(
+        &self,
+        i: usize,
+        pin0: Option<bool>,
+        pin1: Option<bool>,
+        values: &[W],
+    ) -> W {
+        let read = |pin: Option<bool>, net: u32| pin.map_or(values[net as usize], W::splat);
+        match self.kinds[i] {
+            GateKind::Input => values[i],
+            GateKind::Const(c) => W::splat(c),
+            GateKind::Not => !read(pin0, self.a[i]),
+            GateKind::Buf => read(pin0, self.a[i]),
+            kind => apply2(kind, read(pin0, self.a[i]), read(pin1, self.b[i])),
+        }
+    }
+
+    /// Appends the fanout cone of `faults` to `cones` as its next
+    /// entry. The sites are marked in a gate bitset and their fanout
+    /// followed through the CSR table; because netlists are stored in
+    /// topological order, every cone gate sits at or above the lowest
+    /// site, so one upward scan of the bitset from there emits the cone
+    /// in ascending order and leaves the bitset clear for the next
+    /// group.
+    pub(crate) fn push_cone(&self, faults: &[StuckAtLine], cones: &mut Cones) {
+        let Cones {
+            gates,
+            ends,
+            mark,
+            stack,
+        } = cones;
+        mark.resize(self.kinds.len().div_ceil(64), 0);
+        let mut visit = |g: usize, stack: &mut Vec<u32>| {
+            let (word, bit) = (&mut mark[g / 64], 1u64 << (g % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                stack.push(g as u32);
+            }
+        };
+        for f in faults {
+            visit(f.site.gate, stack);
+        }
+        while let Some(g) = stack.pop() {
+            let (lo, hi) = (self.fanout_off[g as usize], self.fanout_off[g as usize + 1]);
+            for &t in &self.fanout[lo as usize..hi as usize] {
+                visit(t as usize, stack);
+            }
+        }
+        if let Some(lowest) = faults.iter().map(|f| f.site.gate).min() {
+            for (w, word) in mark.iter_mut().enumerate().skip(lowest / 64) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    gates.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+        ends.push(gates.len());
     }
 
     /// Convenience wrapper allocating a fresh value vector.
@@ -314,6 +405,80 @@ impl Engine {
         }
         (wrong & mask, alarm & mask)
     }
+}
+
+/// The fanout cones of one block of fault groups, packed into one
+/// reused arena: entry `k` is the ascending list of gates group `k`'s
+/// faults can change — its sites and their transitive fanout. Filled by
+/// [`Engine::push_cone`]; its size is bounded by the block size times
+/// the largest cone.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Cones {
+    gates: Vec<u32>,
+    ends: Vec<usize>,
+    /// Scratch gate bitset, all clear between groups.
+    mark: Vec<u64>,
+    /// Scratch traversal stack.
+    stack: Vec<u32>,
+}
+
+impl Cones {
+    /// Cone `k`, ascending.
+    pub(crate) fn get(&self, k: usize) -> &[u32] {
+        let start = k.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.gates[start..self.ends[k]]
+    }
+}
+
+/// Builds the fanout table in CSR form: offsets (one per net, plus a
+/// final end) and the reading gates of each net, ascending. A gate
+/// reading one net on both pins is listed once.
+fn fanout_table(kinds: &[GateKind], a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let fanins = |i: usize| {
+        let pins = kinds[i].pins();
+        let first = (pins >= 1).then_some(a[i]);
+        let second = (pins >= 2 && b[i] != a[i]).then_some(b[i]);
+        first.into_iter().chain(second)
+    };
+    let mut off = vec![0u32; kinds.len() + 1];
+    for i in 0..kinds.len() {
+        for src in fanins(i) {
+            debug_assert!((src as usize) < i, "netlists are topologically ordered");
+            off[src as usize + 1] += 1;
+        }
+    }
+    for i in 0..kinds.len() {
+        off[i + 1] += off[i];
+    }
+    let mut next = off.clone();
+    let mut fanout = vec![0u32; off[kinds.len()] as usize];
+    for i in 0..kinds.len() {
+        for src in fanins(i) {
+            fanout[next[src as usize] as usize] = i as u32;
+            next[src as usize] += 1;
+        }
+    }
+    (off, fanout)
+}
+
+/// Collects the overrides the faults on gate `gate` apply — stuck
+/// values on pin 0, pin 1 and the stem — advancing `fi` past them.
+#[inline]
+fn overrides(faults: &[StuckAtLine], fi: &mut usize, gate: usize) -> [Option<bool>; 3] {
+    let mut out = [None; 3];
+    while let Some(f) = faults.get(*fi).filter(|f| f.site.gate == gate) {
+        match f.site.pin {
+            Some(0) => out[0] = Some(f.value),
+            Some(1) => out[1] = Some(f.value),
+            // Rejected by `check_faults`; ignored here so a line
+            // smuggled past validation through the raw batch API
+            // cannot abort a campaign.
+            Some(_) => {}
+            None => out[2] = Some(f.value),
+        }
+        *fi += 1;
+    }
+    out
 }
 
 /// The shared fault-list validation of both engines.
@@ -478,6 +643,93 @@ mod tests {
         assert_eq!(outcome.limb(0), engine.compare(&sg, &sf, batch.mask()));
         for limb in 1..4 {
             assert_eq!(outcome.limb(limb).mask, 0, "dead limbs stay masked");
+        }
+    }
+
+    /// A chain with a side branch: x0 -> n3 -> n5 -> y, x1 -> n4 (read
+    /// by nothing but the alarm), x2 read on both pins of n6.
+    fn branchy_netlist() -> Netlist {
+        let mut b = NetlistBuilder::new("branchy");
+        let x = b.input_bus("x", 3);
+        let n3 = b.and(x[0], x[1]);
+        let n4 = b.not(x[1]);
+        let n5 = b.xor(n3, x[2]);
+        let n6 = b.or(x[2], x[2]);
+        b.output("y", &[n5, n6]);
+        b.output("error", &[n4]);
+        b.finish()
+    }
+
+    fn line(gate: usize, pin: Option<u8>, value: bool) -> StuckAtLine {
+        StuckAtLine::new(StuckSite { gate, pin }, value)
+    }
+
+    fn cone_of(engine: &Engine, faults: &[StuckAtLine]) -> Vec<u32> {
+        let mut cones = Cones::default();
+        engine.push_cone(faults, &mut cones);
+        cones.get(0).to_vec()
+    }
+
+    #[test]
+    fn fanout_table_lists_every_reader_once() {
+        let engine = Engine::new(&branchy_netlist());
+        let readers = |net: usize| {
+            let (lo, hi) = (engine.fanout_off[net], engine.fanout_off[net + 1]);
+            engine.fanout[lo as usize..hi as usize].to_vec()
+        };
+        assert_eq!(readers(0), vec![3]);
+        assert_eq!(readers(1), vec![3, 4]);
+        assert_eq!(readers(2), vec![5, 6], "n6 reads x2 twice, listed once");
+        assert_eq!(readers(3), vec![5]);
+        assert!(readers(4).is_empty() && readers(5).is_empty() && readers(6).is_empty());
+    }
+
+    #[test]
+    fn cones_are_ascending_transitive_fanouts() {
+        let engine = Engine::new(&branchy_netlist());
+        assert_eq!(cone_of(&engine, &[line(0, None, true)]), vec![0, 3, 5]);
+        assert_eq!(cone_of(&engine, &[line(3, Some(1), false)]), vec![3, 5]);
+        assert_eq!(
+            cone_of(&engine, &[line(1, None, true), line(2, None, false)]),
+            vec![1, 2, 3, 4, 5, 6]
+        );
+        assert!(cone_of(&engine, &[]).is_empty());
+        // One arena, several cones; the bitset is clear between them.
+        let mut cones = Cones::default();
+        engine.push_cone(&[line(4, None, true)], &mut cones);
+        engine.push_cone(&[], &mut cones);
+        engine.push_cone(&[line(0, None, false), line(6, Some(0), true)], &mut cones);
+        assert_eq!(cones.get(0), &[4]);
+        assert!(cones.get(1).is_empty());
+        assert_eq!(cones.get(2), &[0, 3, 5, 6]);
+    }
+
+    #[test]
+    fn cone_overlay_matches_full_faulty_pass_and_restores_good() {
+        let engine = Engine::new(&branchy_netlist());
+        let wide = InputPlan::Exhaustive.wide_stream::<4>(3).next().unwrap();
+        let mut good = Vec::new();
+        engine.eval_wide_into(&wide, &[], &mut good);
+        let groups = [
+            vec![line(0, None, true)],
+            vec![line(1, None, false), line(4, Some(0), false)],
+            vec![line(3, Some(0), true), line(3, None, false)],
+            vec![line(6, Some(1), false)],
+            vec![line(2, None, true), line(5, Some(1), false)],
+            vec![],
+        ];
+        let mut overlay = good.clone();
+        let mut full = Vec::new();
+        for faults in &groups {
+            let cone = cone_of(&engine, faults);
+            let got = engine.eval_cone_wide(&good, &mut overlay, &cone, faults, wide.mask);
+            engine.eval_wide_into(&wide, faults, &mut full);
+            assert_eq!(
+                got,
+                engine.compare_wide(&good, &full, wide.mask),
+                "{faults:?}"
+            );
+            assert_eq!(overlay, good, "good values restored after {faults:?}");
         }
     }
 
