@@ -17,8 +17,8 @@
 //! * `--cross-machine` — the baseline was recorded on a different
 //!   machine: absolute-median slowdowns demote to warnings, while the
 //!   machine-relative ratio metrics (`speedup_*`), the exact work
-//!   counts and the hard floors and ceiling keep failing. Use on CI runners comparing against committed
-//!   baselines.
+//!   counts and the hard floors and ceiling keep failing. Use on CI
+//!   runners comparing against committed baselines.
 //!
 //! Exit status: 0 when the gate passes (warnings allowed), 1 on any
 //! failure.

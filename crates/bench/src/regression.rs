@@ -13,8 +13,8 @@
 //!   100× is a failure regardless of tolerance (the engine's headline
 //!   acceptance),
 //! * a **hard ceiling** violation on an exact work count —
-//!   `gate_evals_per_situation` above its ceiling means the engine's
-//!   faulty passes grew past their fanout cones,
+//!   `gate_evals_per_situation` above its 1.35 ceiling means the
+//!   engine's faulty passes grew past their fanout cones,
 //! * baseline ids or files missing from the fresh run.
 //!
 //! Improvements beyond the tolerance are reported as warnings (the
@@ -172,10 +172,14 @@ pub struct CheckConfig {
     /// Hard floors on derived metrics, checked on the *fresh* file
     /// regardless of tolerance.
     pub metric_floors: Vec<(String, f64)>,
-    /// Hard ceilings on lower-is-better metrics, checked on the
-    /// *fresh* file regardless of tolerance.
-    pub metric_ceilings: Vec<(String, f64)>,
 }
+
+/// Hard ceiling on the w8 FIR line universe's gate evaluations per
+/// situation, checked on the *fresh* file regardless of tolerance
+/// (measured 1.294; a full faulty pass per batch would be
+/// 2,814 / 64 ≈ 44). It is an exact count, so host noise cannot trip
+/// it.
+const GATE_EVALS_CEILING: (&str, f64) = ("gate_evals_per_situation", 1.35);
 
 impl Default for CheckConfig {
     /// The committed gate: ±30% tolerance, combinational engine speedup
@@ -186,10 +190,7 @@ impl Default for CheckConfig {
     /// and the wide-word engine with ≥ 4 SIMD lanes (64-bit limbs).
     /// The pool's *scaling ratio* floor (`parallel_speedup_w8` ≥ 3×)
     /// is machine-conditional and added by `bench_check` only on
-    /// runners with ≥ 4 physical cores. One ceiling: the w8 FIR line
-    /// universe's `gate_evals_per_situation` ≤ 1.35 (measured 1.294;
-    /// a full faulty pass per batch would be 2,814 / 64 ≈ 44). It is an
-    /// exact count, so host noise cannot trip it.
+    /// runners with ≥ 4 physical cores.
     fn default() -> Self {
         Self {
             tolerance: 0.30,
@@ -202,7 +203,6 @@ impl Default for CheckConfig {
                 ("parallel_threads".to_string(), 4.0),
                 ("simd_lanes".to_string(), 4.0),
             ],
-            metric_ceilings: vec![("gate_evals_per_situation".to_string(), 1.35)],
         }
     }
 }
@@ -316,13 +316,12 @@ pub fn check(baseline: &BenchFile, fresh: &BenchFile, cfg: &CheckConfig) -> Vec<
             }
         }
     }
-    for (id, ceiling) in &cfg.metric_ceilings {
-        if let Some(v) = fresh.metric_of(id) {
-            if v > *ceiling {
-                findings.push(Finding::fail(format!(
-                    "{group}/{id}: {v:.3} above the hard ceiling {ceiling:.3}"
-                )));
-            }
+    let (id, ceiling) = GATE_EVALS_CEILING;
+    if let Some(v) = fresh.metric_of(id) {
+        if v > ceiling {
+            findings.push(Finding::fail(format!(
+                "{group}/{id}: {v:.3} above the hard ceiling {ceiling:.3}"
+            )));
         }
     }
     findings

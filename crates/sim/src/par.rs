@@ -31,10 +31,14 @@ use crate::error::SimError;
 /// A sensible default worker count: the machine's available
 /// parallelism, 1 if it cannot be queried.
 ///
-/// Queried once per process: on Linux the query reads the cgroup CPU
-/// quota from the filesystem, which cost ~13 µs — every campaign
-/// driver calls this on construction, and a small campaign's whole
-/// simulation can take less than that.
+/// Queried once per process and frozen for its life: on Linux the
+/// query reads the cgroup CPU quota from the filesystem, which cost
+/// ~13 µs — every campaign driver calls this on construction, and a
+/// small campaign's whole simulation can take less than that. A
+/// long-running process such as `scdp serve` therefore does not see a
+/// later change to its CPU quota until it restarts. That costs speed
+/// only: campaign results are independent of the thread count, and a
+/// job that names `threads` uses that count instead.
 #[must_use]
 pub fn default_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
@@ -55,6 +59,12 @@ pub fn default_threads() -> usize {
 /// machine is ~8% of the gate evaluations there, against ~26% at 32
 /// groups (1.37× slower end to end) and ~4% at 256 (no faster), and a
 /// block's cone arena stays under 128 × 1,371 `u32`s (~0.7 MB).
+///
+/// The sequential driver (`SeqCampaign`) shares this geometry: it too
+/// gets blocks of up to 128 groups, one block per campaign on a single
+/// worker, so its good machine also runs up to 4× less often. It keeps
+/// no per-block arena (its faulty pass is still a full one), so its
+/// block memory does not grow with the cap.
 #[must_use]
 pub fn auto_block(n: usize, threads: usize) -> usize {
     let per_worker = if threads <= 1 {
