@@ -13,7 +13,7 @@
 //!   mode).
 
 use scdp_bench::Bench;
-use scdp_campaign::{DatapathScenario, DfgSource};
+use scdp_campaign::{reduce, DatapathScenario, DfgSource, ExecPolicy};
 use scdp_core::Technique;
 use scdp_netlist::{FaultDuration, SeqStuckAt};
 use scdp_obs::Recorder;
@@ -107,24 +107,32 @@ fn main() {
         )
     });
 
-    // Deductive pruning on the same universe: sequential campaigns
-    // settle untestability proofs only (dominance deferral needs a
-    // combinational netlist), so the ratio is informational here — the
-    // gated floor lives on the combinational bench.
-    let pu = scdp_analyze::PrunedUniverse::build(&dp.netlist, &groups);
-    let skip = pu.untestable_indices();
-    let seq_untestable = skip.len() as u64;
-    let seq_simulated_groups = groups.len() as u64 - seq_untestable;
+    // Deductive pruning on the same universe, through the product
+    // pipeline (analysis inside the timed closure). The ratio is
+    // informational here — the gated floor lives on the combinational
+    // bench.
+    let pruned_run = || {
+        reduce(
+            &dp.netlist,
+            groups.clone(),
+            None,
+            plan,
+            &ExecPolicy::new().threads(1).prune(true),
+            |g| {
+                let g = g
+                    .into_iter()
+                    .map(|lines| SeqFaultGroup::new(lines, FaultDuration::Permanent))
+                    .collect();
+                SeqCampaign::new(&engine, g, cycles)
+            },
+        )
+        .expect("valid universe")
+    };
+    let deduce = pruned_run().deduce.expect("pruned runs report deduction");
+    let (seq_untestable, seq_simulated_groups) = (deduce.untestable, deduce.simulated);
     let seq_prune_ratio = groups.len() as f64 / seq_simulated_groups as f64;
     bench.sample_elements("seq_pruned_w4", 5, situations, &mut || {
-        black_box(
-            SeqCampaign::new(&engine, seq_groups.clone(), cycles)
-                .plan(plan)
-                .threads(1)
-                .skip_resolved(skip.clone())
-                .run()
-                .tally,
-        )
+        black_box(pruned_run().tally)
     });
     eprintln!(
         "prune: {} groups -> {seq_simulated_groups} simulated \

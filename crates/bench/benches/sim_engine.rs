@@ -7,17 +7,18 @@
 //! its `metrics` array.
 //!
 //! Benchmarks measure the engine layers directly, below the unified
-//! `scdp-campaign` surface, through the engine-room constructors.
+//! `scdp-campaign` surface, through the engine-room constructors; the
+//! pruning section runs the product's reduction pipeline
+//! (`scdp_campaign::reduce`).
 
-use scdp_analyze::{CollapsedUniverse, DominatorChains, PrunedUniverse};
+use scdp_analyze::CollapsedUniverse;
 use scdp_bench::{scalar_add_oracle, Bench};
-use scdp_campaign::{DatapathScenario, DfgSource, InputSpace};
+use scdp_campaign::{reduce, DatapathScenario, DfgSource, ExecPolicy, FaultRecord, InputSpace};
 use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::{self_checking, SelfCheckingSpec};
 use scdp_netlist::StuckAtLine;
 use scdp_obs::Recorder;
-use scdp_sim::{correlated_coverage, par, Engine, EngineCampaign, FaultOutcome, InputPlan, Lanes};
-use std::collections::{HashMap, HashSet};
+use scdp_sim::{correlated_coverage, par, Engine, EngineCampaign, InputPlan, Lanes};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -140,120 +141,55 @@ fn main() {
     });
     let lane_speedup = lane1_w8 / lane8_w8;
 
-    // Deductive pruning (`scdp-analyze`) on the width-8 FIR datapath's
-    // full stuck-at line universe: untestability proofs settle groups
-    // from the baseline probe without vectors; dominance-deferred
-    // lines skip the first pass and are settled when their chain root
-    // simulated completely silent, re-simulated in a second pass
-    // otherwise. Campaign cost is linear in the simulated group count,
-    // so the wall clock must track `prune_ratio` (bench_check floor:
-    // >= 1.15x). The analysis runs *inside* the timed closure — the
-    // measured speedup is end-to-end, deduction cost included.
+    // Deductive pruning on the width-8 FIR datapath's full stuck-at
+    // line universe, through the product pipeline: untestability proofs
+    // settle groups from the fault-free baseline probe without vectors.
+    // Campaign cost is linear in the simulated group count, so the wall
+    // clock should follow `prune_ratio` (bench_check floor: >= 1.15x).
+    // Both timed runs go through `reduce`, the pruned one with the
+    // analysis *inside* the timed closure — the measured speedup is
+    // end-to-end, deduction cost included.
     let fir = DatapathScenario::new(DfgSource::Fir, 8)
         .technique(Technique::Tech1)
         .elaborate();
     let fir_engine = Engine::new(&fir.netlist);
-    let fir_lines = fir.netlist.fault_lines();
-    let fir_groups: Vec<Vec<StuckAtLine>> = fir_lines.iter().map(|&l| vec![l]).collect();
+    let fir_groups: Vec<Vec<StuckAtLine>> =
+        fir.netlist.fault_lines().iter().map(|&l| vec![l]).collect();
     let fir_plan = InputPlan::from_space(InputSpace::Sampled {
         per_fault: 64,
         seed: 0x51AE,
     });
     let fir_situations = fir_groups.len() as u64 * 64;
+    let fir_run = |prune: bool| {
+        reduce(
+            &fir.netlist,
+            fir_groups.clone(),
+            None,
+            fir_plan,
+            &ExecPolicy::new().threads(1).prune(prune),
+            |g| EngineCampaign::over(&fir_engine, g),
+        )
+        .expect("valid universe")
+    };
     let unpruned_fir =
         bench.sample_elements("campaign_unpruned_fir_w8", 5, fir_situations, &mut || {
-            black_box(
-                EngineCampaign::over(&fir_engine, fir_groups.clone())
-                    .plan(fir_plan)
-                    .threads(1)
-                    .run()
-                    .per_fault,
-            )
+            black_box(fir_run(false).per_fault)
         });
-    let pruned_fir_run = || -> (Vec<FaultOutcome>, [u64; 3]) {
-        let pu = PrunedUniverse::build(&fir.netlist, &fir_groups);
-        let untestable = pu.untestable_indices();
-        let untestable_set: HashSet<usize> = untestable.iter().copied().collect();
-        let cu = CollapsedUniverse::build(&fir.netlist);
-        let dc = DominatorChains::build(&fir.netlist, &cu);
-        let mut index_of: HashMap<StuckAtLine, usize> = HashMap::new();
-        for (i, &line) in fir_lines.iter().enumerate() {
-            index_of.entry(line).or_insert(i);
-        }
-        let mut candidates = Vec::new();
-        let mut candidate_set = HashSet::new();
-        for (i, &line) in fir_lines.iter().enumerate() {
-            if untestable_set.contains(&i) {
-                continue;
-            }
-            let Some(root) = dc.deferrable_root(line) else {
-                continue;
-            };
-            let Some(&anc) = index_of.get(&root) else {
-                continue;
-            };
-            if anc == i {
-                continue;
-            }
-            candidates.push((i, anc));
-            candidate_set.insert(i);
-        }
-        // Roots must carry simulated (or untestable-settled) outcomes,
-        // so a pair whose root is itself deferred cannot settle.
-        let deferred: Vec<(usize, usize)> = candidates
-            .into_iter()
-            .filter(|&(_, anc)| !candidate_set.contains(&anc))
-            .collect();
-        let mut skip = untestable.clone();
-        skip.extend(deferred.iter().map(|&(u, _)| u));
-        let pass1 = EngineCampaign::over(&fir_engine, fir_groups.clone())
-            .plan(fir_plan)
-            .threads(1)
-            .skip_resolved(skip)
-            .run();
-        let baseline = pass1
-            .baseline
-            .expect("skipping computes the baseline probe");
-        let silent = baseline.tally.correct_detected == 0
-            && baseline.tally.error_detected == 0
-            && baseline.tally.error_undetected == 0
-            && baseline.dropped_after.is_none();
-        let mut outcomes = pass1.per_fault;
-        let unsettled: Vec<usize> = deferred
-            .iter()
-            .filter(|&&(_, anc)| !(silent && outcomes[anc] == baseline))
-            .map(|&(u, _)| u)
-            .collect();
-        if !unsettled.is_empty() {
-            let rerun: Vec<Vec<StuckAtLine>> =
-                unsettled.iter().map(|&u| fir_groups[u].clone()).collect();
-            let pass2 = EngineCampaign::over(&fir_engine, rerun)
-                .plan(fir_plan)
-                .threads(1)
-                .run();
-            for (k, &u) in unsettled.iter().enumerate() {
-                outcomes[u] = pass2.per_fault[k].clone();
-            }
-        }
-        let dominated = (deferred.len() - unsettled.len()) as u64;
-        let simulated_groups = fir_groups.len() as u64 - untestable.len() as u64 - dominated;
-        (
-            outcomes,
-            [untestable.len() as u64, dominated, simulated_groups],
-        )
-    };
     // Bit-identity first, then the timing samples. The reference run
     // also reads the engine's work counters: gate evaluations per
     // simulated situation is an exact count (the fanout-cone passes
     // plus nothing else), so `bench_check` can hold it under a tight
     // ceiling that host noise cannot trip.
     let fir_recorder = Arc::new(Recorder::new());
-    let reference = EngineCampaign::over(&fir_engine, fir_groups.clone())
+    let reference: Vec<FaultRecord> = EngineCampaign::over(&fir_engine, fir_groups.clone())
         .plan(fir_plan)
         .threads(1)
         .recorder(Arc::clone(&fir_recorder))
         .run()
-        .per_fault;
+        .per_fault
+        .iter()
+        .map(FaultRecord::from)
+        .collect();
     let fir_telemetry = fir_recorder.snapshot();
     let gate_evals_per_situation = fir_telemetry.counter("engine.gate_evals").unwrap_or(0) as f64
         / fir_telemetry
@@ -267,29 +203,29 @@ fn main() {
         fir_engine.net_count() as f64 / 64.0
     );
     bench.metric("gate_evals_per_situation", gate_evals_per_situation);
-    let (pruned_outcomes, [deduce_untestable, deduce_dominated, deduce_simulated]) =
-        pruned_fir_run();
+    let pruned = fir_run(true);
     assert_eq!(
-        pruned_outcomes, reference,
+        pruned.per_fault, reference,
         "acceptance: pruned outcomes must be bit-identical to simulation"
     );
+    let deduce = pruned.deduce.expect("pruned runs report deduction");
     let pruned_fir =
         bench.sample_elements("campaign_pruned_fir_w8", 5, fir_situations, &mut || {
-            black_box(pruned_fir_run().0)
+            black_box(fir_run(true).per_fault)
         });
-    let prune_ratio = fir_groups.len() as f64 / deduce_simulated as f64;
+    let prune_ratio = fir_groups.len() as f64 / deduce.simulated as f64;
     let prune_speedup = unpruned_fir / pruned_fir;
     eprintln!(
-        "prune: {} lines -> {deduce_simulated} simulated \
-         ({deduce_untestable} untestable, {deduce_dominated} dominated); \
-         ratio {prune_ratio:.2}x, end-to-end {prune_speedup:.2}x",
-        fir_groups.len()
+        "prune: {} lines -> {} simulated ({} untestable); \
+         ratio {prune_ratio:.3}x, end-to-end {prune_speedup:.2}x",
+        fir_groups.len(),
+        deduce.simulated,
+        deduce.untestable
     );
     bench.metric("prune_ratio", prune_ratio);
     bench.metric("prune_campaign_speedup_w8", prune_speedup);
-    bench.metric("deduce.untestable", deduce_untestable as f64);
-    bench.metric("deduce.dominated", deduce_dominated as f64);
-    bench.metric("deduce.simulated", deduce_simulated as f64);
+    bench.metric("deduce.untestable", deduce.untestable as f64);
+    bench.metric("deduce.simulated", deduce.simulated as f64);
 
     // Telemetry-derived metrics: one instrumented parallel campaign
     // over the width-4 universe. `engine.busy_ns` sums the workers'

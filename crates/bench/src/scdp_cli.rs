@@ -84,10 +84,10 @@ EXECUTION:
   --collapse        simulate one representative per fault-equivalence
                     class and fan verdicts back out (bit-identical
                     reports, fewer simulated faults)
-  --prune           settle deductively resolved faults (untestability
-                    proofs, dominance deferral) from the baseline probe
-                    instead of simulating them (bit-identical reports;
-                    the `deduce` section records the provenance)
+  --prune           settle faults with an untestability proof from the
+                    fault-free baseline probe instead of simulating them
+                    (bit-identical reports; the `deduce` section records
+                    the provenance)
 
 LINT (scdp lint — static netlist analysis, no simulation):
   lints the scenario's generated netlist (floating nets, combinational
@@ -99,7 +99,7 @@ LINT (scdp lint — static netlist analysis, no simulation):
 ANALYZE (scdp analyze — deductive pruning preview, no simulation):
   prints what `--prune` would settle on the scenario's stuck-at line
   universe: untestability proofs by reason (redundant, blocked,
-  unobservable), dominance-deferrable lines, and the prune ratio
+  unobservable) and the prune ratio
   --json            machine-readable breakdown
 
 SHARDING (scdp run):
@@ -489,11 +489,9 @@ fn cmd_lint(args: &CliArgs) -> Result<i32, String> {
 /// `scdp analyze` — the deductive-pruning preview: classifies the
 /// scenario's stuck-at line universe without simulating and prints
 /// what a `--prune` campaign would settle — untestability proofs by
-/// reason, dominance-deferrable lines, and the resulting prune ratio.
+/// reason, and the resulting prune ratio.
 fn cmd_analyze(args: &CliArgs) -> Result<i32, String> {
-    use scdp_analyze::{
-        CollapsedUniverse, DominatorChains, PrunedUniverse, UntestableReason, Verdict,
-    };
+    use scdp_analyze::{CollapsedUniverse, PrunedUniverse, UntestableReason, Verdict};
 
     let netlist = netlist_from_args(args)?;
     let lines = netlist.fault_lines();
@@ -512,31 +510,15 @@ fn cmd_analyze(args: &CliArgs) -> Result<i32, String> {
     }
     let untestable = redundant + blocked + unobservable;
 
-    // Dominance deferral is combinational-only; count live lines whose
-    // chain ends in a distinct deferrable root, like the campaign does.
-    let deferrable = if netlist.is_sequential() {
-        0
-    } else {
-        let dc = DominatorChains::build(&netlist, &cu);
-        lines
-            .iter()
-            .enumerate()
-            .filter(|&(i, line)| {
-                pu.verdict(i) == Verdict::MustSimulate
-                    && dc.deferrable_root(*line).is_some_and(|root| root != *line)
-            })
-            .count()
-    };
-
     let total = lines.len();
-    let simulate = total - untestable - deferrable;
+    let simulate = total - untestable;
     let ratio = total as f64 / simulate.max(1) as f64;
     if args.flag("--json") {
         println!(
             "{{\"lines\": {total}, \"classes\": {}, \"untestable\": {{\"total\": {untestable}, \
              \"redundant\": {redundant}, \"blocked\": {blocked}, \
-             \"unobservable\": {unobservable}}}, \"deferrable\": {deferrable}, \
-             \"simulate\": {simulate}, \"prune_ratio\": {ratio:.4}}}",
+             \"unobservable\": {unobservable}}}, \"simulate\": {simulate}, \
+             \"prune_ratio\": {ratio:.4}}}",
             cu.classes(),
         );
     } else {
@@ -549,7 +531,6 @@ fn cmd_analyze(args: &CliArgs) -> Result<i32, String> {
             "  untestable {untestable} (redundant {redundant}, blocked {blocked}, \
              unobservable {unobservable})"
         );
-        println!("  deferrable {deferrable} (dominance chains with a distinct root)");
         println!("  simulate   {simulate} of {total} — prune ratio {ratio:.3}x");
     }
     Ok(0)
@@ -775,10 +756,9 @@ fn print_summary(report: &CampaignReport, per_fu: bool) {
     );
     if let Some(d) = &report.deduce {
         println!(
-            "  deduce: {} untestable, {} dominated, {} simulated \
+            "  deduce: {} untestable, {} simulated \
              ({} rows settled without simulation)",
             d.untestable,
-            d.dominated,
             d.simulated,
             d.rows.len(),
         );
@@ -1161,7 +1141,7 @@ mod tests {
         assert!(plain.same_results(&pruned));
         assert_eq!(plain.per_fault, pruned.per_fault);
         let d = pruned.deduce.as_ref().expect("pruned runs carry deduce");
-        assert!(d.untestable + d.dominated > 0, "the FIR datapath deduces");
+        assert!(d.untestable > 0, "the FIR datapath deduces");
     }
 
     #[test]

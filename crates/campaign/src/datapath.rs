@@ -35,10 +35,11 @@
 
 use crate::error::CampaignError;
 use crate::obs::RunCtx;
+use crate::reduce::{reduce_in, start_ctx, validate_exec};
 use crate::report::{drop_label, CampaignReport, DatapathDetails, FuTally};
 use crate::scenario::{allocation_label, technique_label, Backend, FaultModel, Scenario};
-use crate::shard::{self, ShardInfo, ShardPlan};
-use crate::spec::{ExecPolicy, MAX_WIDTH};
+use crate::shard::{self, ShardInfo};
+use crate::spec::{check_width, ExecPolicy};
 use scdp_coverage::{InputSpace, Tally};
 use scdp_fir::{dot_body_dfg, fir_body_dfg, iir_biquad_dfg, matvec_row_dfg};
 use scdp_hls::{
@@ -46,7 +47,7 @@ use scdp_hls::{
 };
 use scdp_netlist::gen::{class_label, elaborate_datapath, ElaboratedDatapath};
 use scdp_obs::EventSink;
-use scdp_sim::{DropPolicy, Engine, InputPlan};
+use scdp_sim::{Engine, EngineCampaign, InputPlan};
 use std::fmt;
 
 /// Exhaustive datapath campaigns are rejected above this many primary
@@ -298,7 +299,8 @@ pub struct DatapathCampaignSpec {
     /// telemetry.
     pub exec: ExecPolicy,
     /// Restricts the run to one shard of the fault universe:
-    /// `(index, count)` of a [`ShardPlan`]. `None` runs everything.
+    /// `(index, count)` of a [`ShardPlan`](crate::ShardPlan). `None`
+    /// runs everything.
     pub shard: Option<(u32, u32)>,
     /// Optional structured event sink ([`scdp_obs::ObsEvent`]).
     pub events: Option<EventSink>,
@@ -337,41 +339,19 @@ impl DatapathCampaignSpec {
         self
     }
 
-    /// Replaces the execution policy wholesale: threads, lanes, drop
-    /// policy, collapsing and telemetry in one value. This supersedes
-    /// the per-knob setters (`threads`, `drop_policy`, `collapse`,
-    /// `telemetry`), which remain as deprecated shims.
+    /// Replaces the execution policy: threads, lanes, drop policy,
+    /// collapsing, pruning and telemetry in one value.
     #[must_use]
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
     }
 
-    /// Selects the drop policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `exec(ExecPolicy::new().drop_policy(..))`"
-    )]
-    #[must_use]
-    pub fn drop_policy(mut self, drop: DropPolicy) -> Self {
-        self.exec.drop = drop;
-        self
-    }
-
-    /// Caps the worker thread count (validated by
-    /// [`DatapathCampaignSpec::run`]).
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().threads(..))`")]
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.exec.threads = Some(threads);
-        self
-    }
-
     /// Restricts the run to shard `index` of a `count`-way
-    /// [`ShardPlan`] over the fault universe (validated by
-    /// [`DatapathCampaignSpec::run`]). The report then carries a
-    /// `shard` section (`scdp.campaign.report/v4`); merging all
-    /// `count` shards reproduces the unsharded report bit for bit.
+    /// [`ShardPlan`](crate::ShardPlan) over the fault universe
+    /// (validated by [`DatapathCampaignSpec::run`]). The report then
+    /// carries a `shard` section (`scdp.campaign.report/v4`); merging
+    /// all `count` shards reproduces the unsharded report bit for bit.
     #[must_use]
     pub fn shard(mut self, index: u32, count: u32) -> Self {
         self.shard = Some((index, count));
@@ -393,55 +373,6 @@ impl DatapathCampaignSpec {
         self
     }
 
-    /// Embeds a telemetry snapshot in the report (presence-driven
-    /// `telemetry` section; off by default so reports stay
-    /// byte-reproducible).
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().telemetry(..))`")]
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.exec.telemetry = enabled;
-        self
-    }
-
-    /// Simulates only one representative per fault-equivalence class
-    /// (static collapsing via `scdp-analyze`) and fans verdicts back
-    /// out. Reports — including per-FU tallies and shard slices — stay
-    /// bit-identical; excluded from the configuration fingerprint so
-    /// collapsed and uncollapsed checkpoints stay interchangeable.
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().collapse(..))`")]
-    #[must_use]
-    pub fn collapse(mut self, enabled: bool) -> Self {
-        self.exec.collapse = enabled;
-        self
-    }
-
-    /// Validates the run knobs shared by [`DatapathCampaignSpec::run`]
-    /// and [`DatapathCampaignSpec::run_on`].
-    fn validate(&self) -> Result<(), CampaignError> {
-        if self.exec.threads == Some(0) {
-            return Err(CampaignError::ZeroThreads);
-        }
-        if let Some((index, count)) = self.shard {
-            if count == 0 {
-                return Err(CampaignError::ZeroShards);
-            }
-            if index >= count {
-                return Err(CampaignError::ShardIndexOutOfRange { index, count });
-            }
-        }
-        Ok(())
-    }
-
-    /// Opens the run's observability context (post-validation).
-    fn start_ctx(&self) -> RunCtx {
-        RunCtx::start(
-            Backend::GateLevel,
-            FaultModel::Structural,
-            self.events.clone(),
-            self.exec.telemetry,
-        )
-    }
-
     /// Runs the campaign: expand → schedule → bind → elaborate →
     /// bit-parallel structural stuck-at simulation, with per-FU
     /// tallies in the report's `datapath` section.
@@ -453,14 +384,9 @@ impl DatapathCampaignSpec {
     /// over more than [`MAX_EXHAUSTIVE_INPUT_BITS`] primary input bits.
     pub fn run(&self) -> Result<CampaignReport, CampaignError> {
         let s = &self.scenario;
-        if s.width == 0 || s.width > MAX_WIDTH {
-            return Err(CampaignError::WidthOutOfRange {
-                width: s.width,
-                max: MAX_WIDTH,
-            });
-        }
-        self.validate()?;
-        let ctx = self.start_ctx();
+        check_width(s.width)?;
+        validate_exec(&self.exec, self.shard)?;
+        let ctx = start_ctx(&self.events, &self.exec);
         let span = ctx.span("elaborate");
         let dp = s.elaborate();
         span.close();
@@ -478,8 +404,8 @@ impl DatapathCampaignSpec {
     /// As [`DatapathCampaignSpec::run`], minus the width check the
     /// elaboration already enforced.
     pub fn run_on(&self, dp: &ElaboratedDatapath) -> Result<CampaignReport, CampaignError> {
-        self.validate()?;
-        self.run_with(dp, self.start_ctx())
+        validate_exec(&self.exec, self.shard)?;
+        self.run_with(dp, start_ctx(&self.events, &self.exec))
     }
 
     /// The shared back half of `run`/`run_on`: compile, simulate,
@@ -497,70 +423,32 @@ impl DatapathCampaignSpec {
         compile.close();
         ctx.netlist_compiled(dp.netlist.name(), dp.netlist.gate_count(), groups.len());
 
-        let universe = groups.len() as u64;
-        let shard = match self.shard {
-            None => None,
-            Some((index, count)) => {
-                let sp = ShardPlan::new(universe, count)?;
-                sp.check_index(index)?;
-                let range = sp.range(index);
-                Some(ShardInfo {
-                    index,
-                    count,
-                    fault_start: range.start,
-                    fault_end: range.end,
-                    total_faults: sp.total_faults(),
-                    plan_hash: self.config_fingerprint(),
-                })
-            }
-        };
-        let covered = shard.map_or(0..universe, |sh| sh.fault_start..sh.fault_end);
-        let (per_fault, col, simulated, deduce) = crate::spec::run_gate_groups(
-            &ctx,
-            &dp.netlist,
-            &engine,
-            groups,
-            covered.clone(),
-            plan,
-            &self.exec,
-        )?;
-
-        let tally_span = ctx.span("tally");
+        let shard = ShardInfo::resolve(self.shard, groups.len() as u64, || {
+            self.config_fingerprint()
+        })?;
+        let reduced = reduce_in(&ctx, &dp.netlist, groups, shard, plan, &self.exec, |g| {
+            EngineCampaign::over(&engine, g)
+        })?;
         let per_fu: Vec<FuTally> = ranges
             .iter()
             .map(|r| {
                 let span = &dp.fus[r.fu];
-                let mut tally = scdp_coverage::TechTally::default();
-                let mut detected = 0u64;
-                let mut escaped = 0u64;
-                // Intersect the unit's universe range with the covered
-                // (shard) range; `per_fault` is indexed shard-locally.
-                let lo = (r.start as u64).max(covered.start);
-                let hi = (r.end as u64).min(covered.end);
-                for i in lo..hi {
-                    let f = &per_fault[(i - covered.start) as usize];
-                    tally += f.tally;
-                    detected += u64::from(f.detected);
-                    escaped += u64::from(f.escaped);
-                }
-                FuTally {
+                let unit = FuTally {
                     name: span.name.clone(),
                     class: class_label(span.class).to_string(),
                     role: role_label(span.role).to_string(),
                     ops: span.ops.len() as u64,
                     instances: span.instances.len() as u64,
                     instance_gates: span.instance_gates() as u64,
-                    faults: hi.saturating_sub(lo),
-                    tally,
-                    detected,
-                    escaped,
-                }
+                    ..FuTally::default()
+                };
+                reduced.fu_tally(unit, r)
             })
             .collect();
 
         let selected = s.tech_index();
         let mut tally = Tally::default();
-        tally.tech[selected as usize] = col;
+        tally.tech[selected as usize] = reduced.tally;
         let details = DatapathDetails {
             source: s.source.label(),
             style: style_label(s.style).to_string(),
@@ -571,7 +459,6 @@ impl DatapathCampaignSpec {
             gates: dp.netlist.gate_count() as u64,
             per_fu,
         };
-        tally_span.close();
         let mut report = CampaignReport {
             scenario: s.placeholder_scenario(),
             backend: Backend::GateLevel,
@@ -580,13 +467,13 @@ impl DatapathCampaignSpec {
             drop: self.exec.drop,
             tally,
             filled: vec![selected],
-            per_fault,
-            simulated,
+            per_fault: reduced.per_fault,
+            simulated: reduced.simulated,
             elapsed_ms: 0,
             datapath: Some(details),
             sequential: None,
             shard,
-            deduce,
+            deduce: reduced.deduce,
             telemetry: None,
         };
         ctx.finish(&mut report);

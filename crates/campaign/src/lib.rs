@@ -14,8 +14,12 @@
 //! * [`CampaignSpec`] — *how*: backend selection, fault model, input
 //!   space (exhaustive / seeded Monte-Carlo), and one [`ExecPolicy`]
 //!   value bundling the execution knobs — worker threads, SIMD lane
-//!   width, drop policy, equivalence collapsing, telemetry — shared
-//!   verbatim by the datapath and sequential spec shapes.
+//!   width, drop policy, equivalence collapsing, deductive pruning,
+//!   telemetry — shared verbatim by the datapath and sequential spec
+//!   shapes.
+//! * [`reduce`] — the one fault-universe pipeline behind every
+//!   gate-level shape: shard slice → collapse → prune → campaign
+//!   driver → fan-out, bit-identical to simulating everything.
 //! * [`CampaignReport`] — one result type for both engines: four-way
 //!   situation tallies, per-fault outcomes, detection/safe rates,
 //!   simulated-situation counts, wall-clock, and a stable hand-written
@@ -53,20 +57,22 @@
 //!
 //! # Migration
 //!
-//! The deprecated shim constructors (`CampaignBuilder::new`,
-//! `EngineCampaign::new`) are removed; the engine-room entries below
-//! this surface are `CampaignBuilder::over` and `EngineCampaign::over`.
-//! `docs/CAMPAIGN_API.md` has the old-call → new-call table for every
-//! rewired bench binary.
+//! The deprecated shims are removed: the engine-room constructors
+//! (`CampaignBuilder::new`, `EngineCampaign::new`) and the per-knob
+//! spec setters (`threads`, `drop_policy`, `collapse`, `telemetry` on
+//! the three spec shapes) — set those through [`ExecPolicy`]. The
+//! engine-room entries below this surface are `CampaignBuilder::over`
+//! and the `scdp_sim::Campaign` driver (`EngineCampaign::over`,
+//! `SeqCampaign::new`). `docs/CAMPAIGN_API.md` has the old-call →
+//! new-call table for every rewired bench binary.
 
 #![warn(missing_docs)]
 
-mod collapse;
 mod datapath;
 mod error;
 pub mod json;
 mod obs;
-mod prune;
+mod reduce;
 mod report;
 mod runner;
 mod scenario;
@@ -79,12 +85,13 @@ pub use datapath::{
     DatapathScenario, DfgSource, MAX_EXHAUSTIVE_INPUT_BITS,
 };
 pub use error::CampaignError;
+pub use reduce::{reduce, Reduced};
 pub use report::{
     drop_from_label, drop_label, duration_from_label, duration_label, CampaignReport,
     DatapathDetails, DeduceDetails, FaultRecord, FuTally, SequentialDetails, REPORT_SCHEMA,
     REPORT_SCHEMA_V2, REPORT_SCHEMA_V3, REPORT_SCHEMA_V4,
 };
-pub use runner::{CampaignJob, CampaignRunner, RunnerOutcome, ShardState};
+pub use runner::{write_atomic, CampaignJob, CampaignRunner, RunnerOutcome, ShardState};
 pub use scenario::{
     allocation_from_label, allocation_label, op_from_label, realisation_from_label,
     realisation_label, technique_from_label, technique_label, Backend, FaultModel, Scenario,

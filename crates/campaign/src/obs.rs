@@ -10,10 +10,9 @@
 //! with the `elapsed_ms: 0` placeholder — the only writer of
 //! `elapsed_ms` is [`RunCtx::finish`], deriving it from the root span.
 //!
-//! The deprecated `Progress` observer no longer flows through here: the
-//! public shim in `spec.rs` wraps a legacy hook into an [`EventSink`]
-//! ([`crate::CampaignSpec::observer`] et al.), so this context only
-//! ever sees the structured stream.
+//! Observers attach to a run through the structured [`EventSink`]
+//! alone (`events(..)` on every spec shape): lifecycle events and one
+//! [`ObsEvent::SpanClosed`] per closed stage span.
 
 use crate::report::CampaignReport;
 use crate::scenario::{Backend, FaultModel};
@@ -98,14 +97,13 @@ impl RunCtx {
 
     /// Records the deductive-pruning counters when telemetry is on:
     /// `deduce.untestable` (engine groups settled by an untestability
-    /// proof), `deduce.dominated` (settled by a silent dominator) and
-    /// `deduce.simulated` (groups that still went to the engine).
-    pub(crate) fn record_deduce(&self, untestable: u64, dominated: u64, simulated: u64) {
+    /// proof) and `deduce.simulated` (groups that still went to the
+    /// engine).
+    pub(crate) fn record_deduce(&self, untestable: u64, simulated: u64) {
         let Some(rec) = self.recorder() else {
             return;
         };
         rec.add("deduce.untestable", untestable);
-        rec.add("deduce.dominated", dominated);
         rec.add("deduce.simulated", simulated);
     }
 

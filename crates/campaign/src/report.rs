@@ -126,9 +126,6 @@ pub struct DatapathDetails {
 pub struct DeduceDetails {
     /// Engine fault groups settled by an untestability proof.
     pub untestable: u64,
-    /// Engine fault groups settled by a provably dominating fault that
-    /// simulated completely silent.
-    pub dominated: u64,
     /// Engine fault groups that were actually simulated.
     pub simulated: u64,
     /// Indices into `per_fault` (shard-local) whose verdicts were
@@ -151,6 +148,19 @@ pub struct FaultRecord {
     /// Situations simulated before the fault was dropped (`None` when it
     /// stayed live to the end of the input space).
     pub dropped_after: Option<u64>,
+}
+
+impl From<&scdp_sim::FaultOutcome> for FaultRecord {
+    /// The engine outcome's report row (the per-cycle latency axis is
+    /// aggregated into the report's `sequential` section instead).
+    fn from(o: &scdp_sim::FaultOutcome) -> Self {
+        FaultRecord {
+            tally: o.tally,
+            detected: o.detected,
+            escaped: o.escaped,
+            dropped_after: o.dropped_after,
+        }
+    }
 }
 
 /// The result of one unified campaign run.
@@ -476,9 +486,8 @@ impl CampaignReport {
         if let Some(d) = &self.deduce {
             let _ = write!(
                 o,
-                "  \"deduce\": {{\"untestable\": {}, \"dominated\": {}, \"simulated\": {}, \
-                 \"rows\": [",
-                d.untestable, d.dominated, d.simulated
+                "  \"deduce\": {{\"untestable\": {}, \"simulated\": {}, \"rows\": [",
+                d.untestable, d.simulated
             );
             for (i, r) in d.rows.iter().enumerate() {
                 if i > 0 {
@@ -909,7 +918,6 @@ impl CampaignReport {
                 let sh = r.shard.expect("checked above");
                 let m = deduce.get_or_insert_with(DeduceDetails::default);
                 m.untestable += d.untestable;
-                m.dominated += d.dominated;
                 m.simulated += d.simulated;
                 m.rows
                     .extend(d.rows.iter().map(|&row| row + sh.fault_start));
@@ -1295,7 +1303,6 @@ fn parse_deduce(d: &Json) -> Result<DeduceDetails, CampaignError> {
     }
     Ok(DeduceDetails {
         untestable: num("untestable")?,
-        dominated: num("dominated")?,
         simulated: num("simulated")?,
         rows,
     })
@@ -1511,7 +1518,6 @@ mod tests {
         let mut r = tiny_report();
         r.deduce = Some(DeduceDetails {
             untestable: 1,
-            dominated: 0,
             simulated: 1,
             rows: vec![1],
         });
@@ -1520,6 +1526,12 @@ mod tests {
         assert_eq!(parsed.deduce, r.deduce);
         assert!(parsed.same_results(&plain), "deduce never changes results");
         assert_eq!(parsed.to_json(), text, "deduce serialisation is a fixpoint");
+        // Reports written while dominance deferral existed carry a
+        // `dominated` member; the parser ignores it.
+        let old = text.replace("\"simulated\": 1,", "\"dominated\": 0, \"simulated\": 1,");
+        assert_ne!(old, text);
+        let parsed_old = CampaignReport::from_json(&old).expect("old deduce section parses");
+        assert_eq!(parsed_old.deduce, r.deduce);
 
         // Merging shifts shard-local row indices by the shard's start.
         let mut a = r.clone();
@@ -1542,7 +1554,7 @@ mod tests {
         });
         let merged = CampaignReport::merge(&[a, b]).expect("mergeable shards");
         let d = merged.deduce.expect("merged deduce");
-        assert_eq!((d.untestable, d.dominated, d.simulated), (2, 0, 2));
+        assert_eq!((d.untestable, d.simulated), (2, 2));
         assert_eq!(d.rows, vec![1, 3]);
     }
 

@@ -39,7 +39,7 @@ use crate::error::CampaignError;
 use crate::report::CampaignReport;
 use crate::seq::SeqDatapathCampaignSpec;
 use crate::shard::ShardPlan;
-use crate::spec::{CampaignSpec, ExecPolicy, MAX_WIDTH};
+use crate::spec::{check_width, CampaignSpec, ExecPolicy};
 use scdp_netlist::gen::{ElaboratedDatapath, SeqDatapath};
 use scdp_obs::{EventSink, ObsEvent};
 use std::path::{Path, PathBuf};
@@ -90,7 +90,7 @@ impl CampaignJob {
 
     /// Asks every run of this job to collapse the fault universe into
     /// equivalence classes before simulation (results stay
-    /// bit-identical; see [`CampaignSpec::collapse`]). Collapsing is
+    /// bit-identical; see [`ExecPolicy::collapse`]). Collapsing is
     /// excluded from the configuration fingerprint, so collapsed and
     /// uncollapsed invocations share checkpoints.
     ///
@@ -145,6 +145,8 @@ impl CampaignJob {
     ) -> Result<CampaignReport, CampaignError> {
         match self {
             CampaignJob::Operator(spec) => spec.clone().shard(index, count).run(),
+            // The runner elaborates the machine itself, and `elaborate*`
+            // asserts the width, so validate it first.
             CampaignJob::Datapath(spec) => {
                 check_width(spec.scenario.width)?;
                 if machine.is_none() {
@@ -182,16 +184,20 @@ impl CampaignJob {
     }
 }
 
-/// The datapath specs validate width before elaborating; the runner
-/// must too, because it calls `elaborate*` (which `assert!`s) itself.
-fn check_width(width: u32) -> Result<(), CampaignError> {
-    if width == 0 || width > MAX_WIDTH {
-        return Err(CampaignError::WidthOutOfRange {
-            width,
-            max: MAX_WIDTH,
-        });
-    }
-    Ok(())
+/// Writes `contents` to `path` atomically: to a sibling `<path>.tmp`
+/// first, then renamed over `path`, so a reader (a resuming runner, the
+/// job server's cache scan) sees either the previous file or the
+/// complete new one — never a torn write.
+///
+/// # Errors
+///
+/// The first I/O error of the write or the rename.
+pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// What the runner did about one shard.
@@ -416,7 +422,7 @@ impl CampaignRunner {
             };
             std::fs::create_dir_all(dir).map_err(|e| io_err(e, dir))?;
             let path = Self::shard_path(dir, index);
-            std::fs::write(&path, report.to_json()).map_err(|e| io_err(e, &path))?;
+            write_atomic(&path, &report.to_json()).map_err(|e| io_err(e, &path))?;
         }
         Ok(report)
     }

@@ -34,19 +34,17 @@
 use crate::datapath::{datapath_fingerprint, datapath_input_plan, style_label, DatapathScenario};
 use crate::error::CampaignError;
 use crate::obs::RunCtx;
-use crate::report::{
-    duration_label, CampaignReport, DatapathDetails, DeduceDetails, FaultRecord, FuTally,
-    SequentialDetails,
-};
+use crate::reduce::{reduce_in, start_ctx, validate_exec};
+use crate::report::{duration_label, CampaignReport, DatapathDetails, FuTally, SequentialDetails};
 use crate::scenario::{Backend, FaultModel};
-use crate::shard::{ShardInfo, ShardPlan};
-use crate::spec::{ExecPolicy, MAX_WIDTH};
+use crate::shard::ShardInfo;
+use crate::spec::{check_width, ExecPolicy};
 use scdp_coverage::Tally;
 use scdp_hls::{bind, sched, BindOptions, ComponentLibrary};
 use scdp_netlist::gen::{class_label, elaborate_seq_datapath, SeqDatapath};
 use scdp_netlist::FaultDuration;
 use scdp_obs::EventSink;
-use scdp_sim::{DropPolicy, SeqCampaign, SeqEngine, SeqFaultGroup, SeqFaultOutcome};
+use scdp_sim::{SeqCampaign, SeqEngine, SeqFaultGroup};
 use std::fmt;
 
 impl DatapathScenario {
@@ -94,7 +92,8 @@ pub struct SeqDatapathCampaignSpec {
     /// telemetry.
     pub exec: ExecPolicy,
     /// Restricts the run to one shard of the fault universe:
-    /// `(index, count)` of a [`ShardPlan`]. `None` runs everything.
+    /// `(index, count)` of a [`ShardPlan`](crate::ShardPlan). `None`
+    /// runs everything.
     pub shard: Option<(u32, u32)>,
     /// Optional structured event sink ([`scdp_obs::ObsEvent`] stream).
     pub events: Option<EventSink>,
@@ -143,60 +142,23 @@ impl SeqDatapathCampaignSpec {
         self
     }
 
-    /// Replaces the execution policy wholesale: threads, lanes, drop
-    /// policy, collapsing and telemetry in one value. This supersedes
-    /// the per-knob setters (`threads`, `drop_policy`, `collapse`,
-    /// `telemetry`), which remain as deprecated shims.
+    /// Replaces the execution policy: threads, lanes, drop policy,
+    /// collapsing, pruning and telemetry in one value.
     #[must_use]
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
     }
 
-    /// Selects the drop policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `exec(ExecPolicy::new().drop_policy(..))`"
-    )]
-    #[must_use]
-    pub fn drop_policy(mut self, drop: DropPolicy) -> Self {
-        self.exec.drop = drop;
-        self
-    }
-
-    /// Caps the worker thread count (validated by
-    /// [`SeqDatapathCampaignSpec::run`]).
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().threads(..))`")]
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.exec.threads = Some(threads);
-        self
-    }
-
     /// Restricts the run to shard `index` of a `count`-way
-    /// [`ShardPlan`] over the fault universe (validated by
-    /// [`SeqDatapathCampaignSpec::run`]). The report then carries a
-    /// `shard` section (`scdp.campaign.report/v4`); merging all
-    /// `count` shards reproduces the unsharded report — tallies,
+    /// [`ShardPlan`](crate::ShardPlan) over the fault universe
+    /// (validated by [`SeqDatapathCampaignSpec::run`]). The report then
+    /// carries a `shard` section (`scdp.campaign.report/v4`); merging
+    /// all `count` shards reproduces the unsharded report — tallies,
     /// per-fault outcomes *and* the latency histogram — bit for bit.
     #[must_use]
     pub fn shard(mut self, index: u32, count: u32) -> Self {
         self.shard = Some((index, count));
-        self
-    }
-
-    /// Collapses the fault universe into equivalence classes before
-    /// simulation ([`scdp_analyze::CollapsedUniverse`]): one
-    /// representative group per class is simulated and its verdict
-    /// fanned back out, leaving every report field bit-identical to
-    /// the uncollapsed run — including the per-fault rows, per-FU
-    /// tallies and the detection-latency histogram. Excluded from
-    /// [`SeqDatapathCampaignSpec::config_fingerprint`], so collapsed
-    /// and uncollapsed shards interchange.
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().collapse(..))`")]
-    #[must_use]
-    pub fn collapse(mut self, enabled: bool) -> Self {
-        self.exec.collapse = enabled;
         self
     }
 
@@ -222,39 +184,6 @@ impl SeqDatapathCampaignSpec {
         self
     }
 
-    /// Embeds a [`scdp_obs::TelemetrySnapshot`] (spans, counters,
-    /// histograms) in the finished report's `telemetry` section.
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().telemetry(..))`")]
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.exec.telemetry = enabled;
-        self
-    }
-
-    fn validate(&self) -> Result<(), CampaignError> {
-        if self.exec.threads == Some(0) {
-            return Err(CampaignError::ZeroThreads);
-        }
-        if let Some((index, count)) = self.shard {
-            if count == 0 {
-                return Err(CampaignError::ZeroShards);
-            }
-            if index >= count {
-                return Err(CampaignError::ShardIndexOutOfRange { index, count });
-            }
-        }
-        Ok(())
-    }
-
-    fn start_ctx(&self) -> RunCtx {
-        RunCtx::start(
-            Backend::GateLevel,
-            FaultModel::Structural,
-            self.events.clone(),
-            self.exec.telemetry,
-        )
-    }
-
     /// Runs the campaign: expand → schedule → bind → sequential
     /// elaboration → cycle-accurate bit-parallel simulation, with
     /// per-FU tallies in the report's `datapath` section and the
@@ -269,14 +198,9 @@ impl SeqDatapathCampaignSpec {
     /// bits, or a transient cycle beyond the elaborated cycle count.
     pub fn run(&self) -> Result<CampaignReport, CampaignError> {
         let s = &self.scenario;
-        if s.width == 0 || s.width > MAX_WIDTH {
-            return Err(CampaignError::WidthOutOfRange {
-                width: s.width,
-                max: MAX_WIDTH,
-            });
-        }
-        self.validate()?;
-        let ctx = self.start_ctx();
+        check_width(s.width)?;
+        validate_exec(&self.exec, self.shard)?;
+        let ctx = start_ctx(&self.events, &self.exec);
         let elaborate = ctx.span("elaborate");
         let dp = s.elaborate_seq();
         elaborate.close();
@@ -294,8 +218,8 @@ impl SeqDatapathCampaignSpec {
     /// As [`SeqDatapathCampaignSpec::run`], minus the width check the
     /// elaboration already enforced.
     pub fn run_on(&self, dp: &SeqDatapath) -> Result<CampaignReport, CampaignError> {
-        self.validate()?;
-        self.run_with(dp, self.start_ctx())
+        validate_exec(&self.exec, self.shard)?;
+        self.run_with(dp, start_ctx(&self.events, &self.exec))
     }
 
     fn run_with(&self, dp: &SeqDatapath, ctx: RunCtx) -> Result<CampaignReport, CampaignError> {
@@ -317,177 +241,36 @@ impl SeqDatapathCampaignSpec {
         compile.close();
         ctx.netlist_compiled(dp.netlist.name(), dp.netlist.gate_count(), groups.len());
 
-        let universe = groups.len() as u64;
-        let shard = match self.shard {
-            None => None,
-            Some((index, count)) => {
-                let sp = ShardPlan::new(universe, count)?;
-                sp.check_index(index)?;
-                let range = sp.range(index);
-                Some(ShardInfo {
-                    index,
-                    count,
-                    fault_start: range.start,
-                    fault_end: range.end,
-                    total_faults: sp.total_faults(),
-                    plan_hash: self.config_fingerprint(),
-                })
-            }
-        };
-        let covered = shard.map_or(0..universe, |sh| sh.fault_start..sh.fault_end);
-        let collapse_plan = self
-            .exec
-            .collapse
-            .then(|| crate::collapse::CollapsePlan::build(&dp.netlist, &groups, covered.clone()));
-        if let Some(p) = &collapse_plan {
-            ctx.record_collapse(groups.len(), p.rep_groups.len(), p.classes_total);
-        }
-        let sim_groups = match &collapse_plan {
-            Some(p) => p.rep_groups.clone(),
-            None => groups,
-        };
-        // Deductive pruning on the sequential machine settles
-        // untestability proofs only: each skipped group takes the
-        // fault-free baseline trace (valid per cycle, for permanent and
-        // transient durations alike — see `scdp_analyze::deduce`).
-        // Dominance deferral needs a combinational netlist, so
-        // `PrunePlan` yields no deferred pairs here.
-        let ranged = shard.is_some() && collapse_plan.is_none();
-        let scope = if ranged {
-            covered.start as usize..covered.end as usize
-        } else {
-            0..sim_groups.len()
-        };
-        let prune_plan = self.exec.prune.then(|| {
-            let span = ctx.span("deduce");
-            let pp = crate::prune::PrunePlan::build(&dp.netlist, &sim_groups, scope.clone());
-            span.close();
-            pp
-        });
-        let sim_groups: Vec<SeqFaultGroup> = sim_groups
-            .into_iter()
-            .map(|lines| SeqFaultGroup::new(lines, self.duration))
-            .collect();
-        let mut campaign = SeqCampaign::new(&engine, sim_groups, dp.total_cycles)
-            .plan(plan)
-            .drop_policy(self.exec.drop)
-            .lanes(self.exec.lanes);
-        if let Some(pp) = &prune_plan {
-            campaign = campaign.skip_resolved(pp.skip());
-        }
-        if let Some(rec) = ctx.recorder() {
-            campaign = campaign.recorder(rec);
-        }
-        if let Some(t) = self.exec.threads {
-            campaign = campaign.threads(t);
-        }
-        if let (Some(sh), None) = (&shard, &collapse_plan) {
-            // Representatives are explicit groups under collapsing; the
-            // engine-level range applies to uncollapsed shards only.
-            campaign = campaign.fault_range(sh.fault_start as usize..sh.fault_end as usize);
-        }
-        campaign.check().map_err(|e| CampaignError::FaultSpec {
-            message: e.to_string(),
+        let shard = ShardInfo::resolve(self.shard, groups.len() as u64, || {
+            self.config_fingerprint()
         })?;
-        let sim = ctx.span("simulate");
-        let summary = campaign.run();
-        sim.close();
-
-        let mut deduce = None;
-        if let Some(pp) = &prune_plan {
-            let mut deduced = vec![false; scope.len()];
-            for &u in &pp.untestable {
-                deduced[u - scope.start] = true;
-            }
-            let untestable = pp.untestable.len() as u64;
-            let simulated_groups = scope.len() as u64 - untestable;
-            ctx.record_deduce(untestable, 0, simulated_groups);
-            let rows = match &collapse_plan {
-                Some(p) => p
-                    .slot_of
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| deduced[s])
-                    .map(|(i, _)| i as u64)
-                    .collect(),
-                None => deduced
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &d)| d)
-                    .map(|(i, _)| i as u64)
-                    .collect(),
-            };
-            deduce = Some(DeduceDetails {
-                untestable,
-                dominated: 0,
-                simulated: simulated_groups,
-                rows,
-            });
-        }
-
-        let tally_span = ctx.span("tally");
-        // Fan each representative's verdict back out to every covered
-        // member; the aggregates below are then recomputed from the
-        // fanned rows exactly the way the engine computes them, so the
-        // collapsed report is bit-identical to the uncollapsed one.
-        let fanned: Vec<&SeqFaultOutcome> = match &collapse_plan {
-            Some(p) => p.slot_of.iter().map(|&s| &summary.per_fault[s]).collect(),
-            None => summary.per_fault.iter().collect(),
-        };
-        let per_fault: Vec<FaultRecord> = fanned
-            .iter()
-            .map(|f| FaultRecord {
-                tally: f.outcome.tally,
-                detected: f.outcome.detected,
-                escaped: f.outcome.escaped,
-                dropped_after: f.outcome.dropped_after,
-            })
-            .collect();
-        let mut agg = scdp_coverage::TechTally::default();
-        let mut simulated = 0u64;
-        let mut first_detect_hist = vec![0u64; dp.total_cycles as usize];
-        for f in &fanned {
-            agg += f.outcome.tally;
-            simulated += f.outcome.tally.total();
-            for (h, n) in first_detect_hist.iter_mut().zip(&f.first_detect) {
-                *h += n;
-            }
-        }
+        let reduced = reduce_in(&ctx, &dp.netlist, groups, shard, plan, &self.exec, |g| {
+            let groups = g
+                .into_iter()
+                .map(|lines| SeqFaultGroup::new(lines, self.duration))
+                .collect();
+            SeqCampaign::new(&engine, groups, dp.total_cycles)
+        })?;
         let per_fu: Vec<FuTally> = ranges
             .iter()
             .map(|r| {
                 let span = &dp.fus[r.fu];
-                let mut tally = scdp_coverage::TechTally::default();
-                let mut detected = 0u64;
-                let mut escaped = 0u64;
-                // Intersect the unit's universe range with the covered
-                // (shard) range; `per_fault` is indexed shard-locally.
-                let lo = (r.start as u64).max(covered.start);
-                let hi = (r.end as u64).min(covered.end);
-                for i in lo..hi {
-                    let f = &per_fault[(i - covered.start) as usize];
-                    tally += f.tally;
-                    detected += u64::from(f.detected);
-                    escaped += u64::from(f.escaped);
-                }
-                FuTally {
+                let unit = FuTally {
                     name: span.name.clone(),
                     class: class_label(span.class).to_string(),
                     role: crate::datapath::role_label(span.role).to_string(),
                     ops: span.ops.len() as u64,
                     instances: u64::from(span.instance.is_some()),
                     instance_gates: span.instance_gates() as u64,
-                    faults: hi.saturating_sub(lo),
-                    tally,
-                    detected,
-                    escaped,
-                }
+                    ..FuTally::default()
+                };
+                reduced.fu_tally(unit, r)
             })
             .collect();
 
         let selected = s.tech_index();
         let mut tally = Tally::default();
-        tally.tech[selected as usize] = agg;
+        tally.tech[selected as usize] = reduced.tally;
         let details = DatapathDetails {
             source: s.source.label(),
             style: style_label(s.style).to_string(),
@@ -501,9 +284,8 @@ impl SeqDatapathCampaignSpec {
         let sequential = SequentialDetails {
             duration: self.duration,
             total_cycles: u64::from(dp.total_cycles),
-            first_detect_hist,
+            first_detect_hist: reduced.first_detect,
         };
-        tally_span.close();
         let mut report = CampaignReport {
             scenario: s.placeholder_scenario(),
             backend: Backend::GateLevel,
@@ -512,13 +294,13 @@ impl SeqDatapathCampaignSpec {
             drop: self.exec.drop,
             tally,
             filled: vec![selected],
-            per_fault,
-            simulated,
+            per_fault: reduced.per_fault,
+            simulated: reduced.simulated,
             elapsed_ms: 0,
             datapath: Some(details),
             sequential: Some(sequential),
             shard,
-            deduce,
+            deduce: reduced.deduce,
             telemetry: None,
         };
         ctx.finish(&mut report);

@@ -120,6 +120,39 @@ pub struct ShardInfo {
     pub plan_hash: u64,
 }
 
+impl ShardInfo {
+    /// The shard section of a run restricted to `shard` (`(index,
+    /// count)`) of a `universe`-fault campaign, stamped with the
+    /// configuration fingerprint `plan_hash` computes; `None` for an
+    /// unsharded run. The one construction every spec shape uses.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::ZeroShards`] or
+    /// [`CampaignError::ShardIndexOutOfRange`] for a malformed
+    /// selection.
+    pub fn resolve(
+        shard: Option<(u32, u32)>,
+        universe: u64,
+        plan_hash: impl FnOnce() -> u64,
+    ) -> Result<Option<ShardInfo>, CampaignError> {
+        let Some((index, count)) = shard else {
+            return Ok(None);
+        };
+        let plan = ShardPlan::new(universe, count)?;
+        plan.check_index(index)?;
+        let range = plan.range(index);
+        Ok(Some(ShardInfo {
+            index,
+            count,
+            fault_start: range.start,
+            fault_end: range.end,
+            total_faults: universe,
+            plan_hash: plan_hash(),
+        }))
+    }
+}
+
 /// The canonical fingerprint part of an input space (stable labels,
 /// never `Debug` output).
 #[must_use]

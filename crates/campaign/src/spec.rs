@@ -1,25 +1,21 @@
 //! Campaign configuration and the unified `run()` entry point.
 
-use crate::collapse::CollapsePlan;
 use crate::error::CampaignError;
 use crate::obs::RunCtx;
-use crate::prune::PrunePlan;
-use crate::report::{drop_label, CampaignReport, DeduceDetails, FaultRecord};
+use crate::reduce::{reduce_in, validate_exec};
+use crate::report::{drop_label, CampaignReport, FaultRecord};
 use crate::scenario::{
     allocation_label, realisation_label, technique_label, Backend, FaultModel, Scenario,
 };
-use crate::shard::{self, ShardInfo, ShardPlan};
+use crate::shard::{self, ShardInfo};
 use scdp_core::{Allocation, Operator};
-use scdp_coverage::{AdderFaultModel, InputSpace, OperatorKind, Tally, TechIndex, TechTally};
+use scdp_coverage::{AdderFaultModel, InputSpace, OperatorKind, Tally, TechIndex};
 use scdp_netlist::gen::{
     self_checking, self_checking_add_with, AdderRealisation, SelfCheckingSpec,
 };
-use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
-use scdp_sim::{DropPolicy, Engine, InputPlan, Lanes};
-use std::collections::HashMap;
+use scdp_sim::{DropPolicy, Engine, EngineCampaign, InputPlan, Lanes};
 use std::fmt;
-use std::ops::Range;
 
 /// Maximum supported operand width (the functional cell models cap at
 /// 32 bits).
@@ -63,12 +59,11 @@ pub struct ExecPolicy {
     /// representative per fault-equivalence class and fans verdicts
     /// back out — reports stay bit-identical, wall clock shrinks.
     pub collapse: bool,
-    /// When `true`, the deductive pre-classifier (`scdp-analyze`'s
-    /// `PrunedUniverse` / `DominatorChains`) settles provably
-    /// untestable faults from a fault-free baseline probe and defers
-    /// dominated faults behind their dominators — reports stay
-    /// bit-identical, wall clock shrinks; the report carries a
-    /// presence-driven `deduce` section with the breakdown.
+    /// When `true`, faults with an untestability proof (`scdp-analyze`'s
+    /// `PrunedUniverse`) are not simulated: each takes the fault-free
+    /// baseline probe's outcome — reports stay bit-identical, and the
+    /// report carries a presence-driven `deduce` section with the
+    /// breakdown.
     pub prune: bool,
     /// When `true`, the report carries a presence-driven `telemetry`
     /// section ([`scdp_obs::TelemetrySnapshot`]): engine counters and
@@ -126,15 +121,14 @@ impl ExecPolicy {
         self
     }
 
-    /// Enables deductive pruning (gate-level backends only): provably
-    /// untestable faults are settled from a fault-free baseline probe
-    /// without simulation, and — for combinational detection
-    /// campaigns — dominated faults are deferred behind their
-    /// dominators and settled whenever the dominator stays silent.
-    /// Reports (tallies, per-fault rows, shard geometry, fingerprints)
-    /// stay bit-identical to the unpruned run; the `deduce.*`
-    /// telemetry counters and the report's `deduce` section record
-    /// what was saved.
+    /// Enables deductive pruning (gate-level backends only): fault
+    /// groups proven untestable take the outcome of one fault-free
+    /// baseline probe — the same batch stream replayed with no fault —
+    /// instead of being simulated, on combinational and sequential
+    /// netlists alike. Reports (tallies, per-fault rows, shard
+    /// geometry, fingerprints) stay bit-identical to the unpruned run;
+    /// the `deduce.*` telemetry counters and the report's `deduce`
+    /// section record what was saved.
     #[must_use]
     pub fn prune(mut self, enabled: bool) -> Self {
         self.prune = enabled;
@@ -193,8 +187,8 @@ pub struct CampaignSpec {
     /// telemetry.
     pub exec: ExecPolicy,
     /// Restricts the run to one shard of a partitioned universe:
-    /// `(index, count)` of a [`ShardPlan`] over the fault universe.
-    /// `None` runs the whole universe.
+    /// `(index, count)` of a [`ShardPlan`](crate::ShardPlan) over the
+    /// fault universe. `None` runs the whole universe.
     pub shard: Option<(u32, u32)>,
     /// Optional structured event sink observing the run's lifecycle
     /// and span closures ([`scdp_obs::ObsEvent`]).
@@ -253,40 +247,20 @@ impl CampaignSpec {
         self
     }
 
-    /// Replaces the execution policy wholesale: threads, lanes, drop
-    /// policy, collapsing and telemetry in one value. This supersedes
-    /// the per-knob setters (`threads`, `drop_policy`, `collapse`,
-    /// `telemetry`), which remain as deprecated shims.
+    /// Replaces the execution policy: threads, lanes, drop policy,
+    /// collapsing, pruning and telemetry in one value.
     #[must_use]
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
     }
 
-    /// Selects the drop policy (gate-level backend only).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `exec(ExecPolicy::new().drop_policy(..))`"
-    )]
-    #[must_use]
-    pub fn drop_policy(mut self, drop: DropPolicy) -> Self {
-        self.exec.drop = drop;
-        self
-    }
-
-    /// Caps the worker thread count (validated by [`CampaignSpec::run`]).
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().threads(..))`")]
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.exec.threads = Some(threads);
-        self
-    }
-
     /// Restricts the run to shard `index` of a `count`-way
-    /// [`ShardPlan`] over the fault universe (validated by
-    /// [`CampaignSpec::run`]). The report then carries a `shard`
-    /// section and serialises as `scdp.campaign.report/v4`; merging all
-    /// `count` shards reproduces the unsharded report bit for bit.
+    /// [`ShardPlan`](crate::ShardPlan) over the fault universe
+    /// (validated by [`CampaignSpec::run`]). The report then carries a
+    /// `shard` section and serialises as `scdp.campaign.report/v4`;
+    /// merging all `count` shards reproduces the unsharded report bit
+    /// for bit.
     #[must_use]
     pub fn shard(mut self, index: u32, count: u32) -> Self {
         self.shard = Some((index, count));
@@ -325,31 +299,6 @@ impl CampaignSpec {
         self
     }
 
-    /// Embeds a telemetry snapshot in the report (presence-driven
-    /// `telemetry` section; off by default so reports stay
-    /// byte-reproducible).
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().telemetry(..))`")]
-    #[must_use]
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.exec.telemetry = enabled;
-        self
-    }
-
-    /// Simulates only one representative per fault-equivalence class
-    /// (static collapsing via `scdp-analyze`) and fans verdicts back
-    /// out to the full universe. The report — tallies, per-fault rows,
-    /// shard geometry — stays bit-identical to the uncollapsed run;
-    /// only wall clock and the `collapse.*` telemetry counters change.
-    /// Gate-level backend only; intentionally excluded from
-    /// [`CampaignSpec::config_fingerprint`] so collapsed and
-    /// uncollapsed checkpoints stay interchangeable.
-    #[deprecated(since = "0.1.0", note = "use `exec(ExecPolicy::new().collapse(..))`")]
-    #[must_use]
-    pub fn collapse(mut self, enabled: bool) -> Self {
-        self.exec.collapse = enabled;
-        self
-    }
-
     /// Runs the campaign on the selected backend.
     ///
     /// # Errors
@@ -377,23 +326,8 @@ impl CampaignSpec {
     /// Validates the configuration and resolves the fault model.
     fn validate(&self) -> Result<FaultModel, CampaignError> {
         let s = &self.scenario;
-        if s.width == 0 || s.width > MAX_WIDTH {
-            return Err(CampaignError::WidthOutOfRange {
-                width: s.width,
-                max: MAX_WIDTH,
-            });
-        }
-        if self.exec.threads == Some(0) {
-            return Err(CampaignError::ZeroThreads);
-        }
-        if let Some((index, count)) = self.shard {
-            if count == 0 {
-                return Err(CampaignError::ZeroShards);
-            }
-            if index >= count {
-                return Err(CampaignError::ShardIndexOutOfRange { index, count });
-            }
-        }
+        check_width(s.width)?;
+        validate_exec(&self.exec, self.shard)?;
         let model = self.fault_model.resolve(self.backend);
         match self.backend {
             Backend::Functional => {
@@ -484,23 +418,12 @@ impl CampaignSpec {
         if let Some(t) = self.exec.threads {
             builder = builder.threads(t);
         }
-        let shard = match self.shard {
-            None => None,
-            Some((index, count)) => {
-                let plan = ShardPlan::new(builder.universe_size() as u64, count)?;
-                plan.check_index(index)?;
-                let range = plan.range(index);
-                builder = builder.fault_range(range.start as usize..range.end as usize);
-                Some(ShardInfo {
-                    index,
-                    count,
-                    fault_start: range.start,
-                    fault_end: range.end,
-                    total_faults: plan.total_faults(),
-                    plan_hash: self.config_fingerprint(),
-                })
-            }
-        };
+        let shard = ShardInfo::resolve(self.shard, builder.universe_size() as u64, || {
+            self.config_fingerprint()
+        })?;
+        if let Some(sh) = shard {
+            builder = builder.fault_range(sh.fault_start as usize..sh.fault_end as usize);
+        }
         let sim = ctx.span("simulate");
         let result = builder.run();
         sim.close();
@@ -579,40 +502,21 @@ impl CampaignSpec {
         let engine = Engine::new(&dp.netlist);
         compile.close();
         ctx.netlist_compiled(dp.netlist.name(), dp.netlist.gate_count(), groups.len());
-        let universe = groups.len() as u64;
-        let shard = match self.shard {
-            None => None,
-            Some((index, count)) => {
-                let plan = ShardPlan::new(universe, count)?;
-                plan.check_index(index)?;
-                let range = plan.range(index);
-                Some(ShardInfo {
-                    index,
-                    count,
-                    fault_start: range.start,
-                    fault_end: range.end,
-                    total_faults: plan.total_faults(),
-                    plan_hash: self.config_fingerprint(),
-                })
-            }
-        };
-        let covered: Range<u64> = shard
-            .as_ref()
-            .map_or(0..universe, |si| si.fault_start..si.fault_end);
-        let (per_fault, col, simulated, deduce) = run_gate_groups(
+        let shard = ShardInfo::resolve(self.shard, groups.len() as u64, || {
+            self.config_fingerprint()
+        })?;
+        let reduced = reduce_in(
             ctx,
             &dp.netlist,
-            &engine,
             groups,
-            covered,
+            shard,
             InputPlan::from_space(self.space),
             &self.exec,
+            |g| EngineCampaign::over(&engine, g),
         )?;
-        let tally_span = ctx.span("tally");
         let selected = s.tech_index();
         let mut tally = Tally::default();
-        tally.tech[selected as usize] = col;
-        tally_span.close();
+        tally.tech[selected as usize] = reduced.tally;
         Ok(CampaignReport {
             scenario: *s,
             backend: Backend::GateLevel,
@@ -621,198 +525,27 @@ impl CampaignSpec {
             drop: self.exec.drop,
             tally,
             filled: vec![selected],
-            per_fault,
-            simulated,
+            per_fault: reduced.per_fault,
+            simulated: reduced.simulated,
             elapsed_ms: 0,
             datapath: None,
             sequential: None,
             shard,
-            deduce,
+            deduce: reduced.deduce,
             telemetry: None,
         })
     }
 }
 
-/// Shared gate-level driver for combinational fault-group universes
-/// (operator and datapath campaigns): runs `groups` on `engine` over
-/// `covered` (the whole universe or one shard's slice) and returns the
-/// covered per-fault rows plus their summed tally and situation count.
-///
-/// With `exec.collapse` the engine sees only one representative group
-/// per equivalence class intersecting `covered` (selected by
-/// [`CollapsePlan`]); each representative's verdict is then cloned to
-/// every covered member. The rows — and therefore everything derived
-/// from them — are bit-identical to the uncollapsed run because the
-/// engine replays the same deterministic batch stream for every group.
-///
-/// With `exec.prune` a [`PrunePlan`] additionally settles engine groups
-/// deductively: untestable groups take the fault-free baseline probe
-/// outcome, dominated singleton lines defer behind their dominator root
-/// and settle with the baseline when that root simulated completely
-/// silent — any root that did not stays bit-exact via a second engine
-/// pass over just the unsettled lines. The returned [`DeduceDetails`]
-/// records the breakdown and which rows were settled without
-/// simulation.
-pub(crate) fn run_gate_groups(
-    ctx: &RunCtx,
-    netlist: &Netlist,
-    engine: &Engine,
-    groups: Vec<Vec<StuckAtLine>>,
-    covered: Range<u64>,
-    plan: InputPlan,
-    exec: &ExecPolicy,
-) -> Result<(Vec<FaultRecord>, TechTally, u64, Option<DeduceDetails>), CampaignError> {
-    let universe = groups.len();
-    let sharded = covered != (0..universe as u64);
-    let collapse_plan = exec
-        .collapse
-        .then(|| CollapsePlan::build(netlist, &groups, covered.clone()));
-    if let Some(cp) = &collapse_plan {
-        ctx.record_collapse(universe, cp.rep_groups.len(), cp.classes_total);
-    }
-    let sim_groups = match &collapse_plan {
-        Some(cp) => cp.rep_groups.clone(),
-        None => groups,
-    };
-    let ranged = sharded && collapse_plan.is_none();
-    let scope: Range<usize> = if ranged {
-        covered.start as usize..covered.end as usize
-    } else {
-        0..sim_groups.len()
-    };
-    let prune_plan = exec.prune.then(|| {
-        let span = ctx.span("deduce");
-        let pp = PrunePlan::build(netlist, &sim_groups, scope.clone());
-        span.close();
-        pp
-    });
-    // Deferred groups are the only ones that might re-simulate in a
-    // second pass; keep copies before the engine takes the universe.
-    let deferred_groups: HashMap<usize, Vec<StuckAtLine>> = prune_plan
-        .as_ref()
-        .map(|pp| {
-            pp.deferred
-                .iter()
-                .map(|&(u, _)| (u, sim_groups[u].clone()))
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut campaign = scdp_sim::EngineCampaign::over(engine, sim_groups)
-        .plan(plan)
-        .drop_policy(exec.drop)
-        .lanes(exec.lanes);
-    if let Some(pp) = &prune_plan {
-        campaign = campaign.skip_resolved(pp.skip());
-    }
-    if let Some(rec) = ctx.recorder() {
-        campaign = campaign.recorder(rec);
-    }
-    if let Some(t) = exec.threads {
-        campaign = campaign.threads(t);
-    }
-    if ranged {
-        campaign = campaign.fault_range(scope.clone());
-    }
-    campaign.check().map_err(|e| CampaignError::FaultSpec {
-        message: e.to_string(),
-    })?;
-    let sim = ctx.span("simulate");
-    let summary = campaign.run();
-    sim.close();
-    let mut outcomes = summary.per_fault;
-    // Deductive settling: skipped entries already carry the fault-free
-    // baseline outcome; deferred ones keep it only when their root's
-    // simulated outcome *is* that (silent, undropped) baseline, and are
-    // re-simulated otherwise — each group's outcome is independent of
-    // its neighbours, so the second pass reproduces the unpruned rows
-    // bit for bit.
-    let mut deduced = vec![false; scope.len()];
-    let mut deduce = None;
-    if let Some(pp) = &prune_plan {
-        for &u in &pp.untestable {
-            deduced[u - scope.start] = true;
-        }
-        let baseline = summary.baseline.as_ref();
-        let silent_baseline = baseline.is_some_and(|b| {
-            b.tally.correct_detected == 0
-                && b.tally.error_detected == 0
-                && b.tally.error_undetected == 0
-                && b.dropped_after.is_none()
-        });
-        let mut unsettled: Vec<usize> = Vec::new();
-        for &(u, anc) in &pp.deferred {
-            let settled = silent_baseline && Some(&outcomes[anc - scope.start]) == baseline;
-            if settled {
-                deduced[u - scope.start] = true;
-            } else {
-                unsettled.push(u);
-            }
-        }
-        if !unsettled.is_empty() {
-            let rerun: Vec<Vec<StuckAtLine>> = unsettled
-                .iter()
-                .map(|&u| deferred_groups[&u].clone())
-                .collect();
-            // No recorder here: pass-1 situation counters already cover
-            // the whole scope (baseline-filled rows included), keeping
-            // `engine.situations` equal to the report's `simulated`.
-            let mut pass2 = scdp_sim::EngineCampaign::over(engine, rerun)
-                .plan(plan)
-                .drop_policy(exec.drop)
-                .lanes(exec.lanes);
-            if let Some(t) = exec.threads {
-                pass2 = pass2.threads(t);
-            }
-            let second = pass2.run();
-            for (k, &u) in unsettled.iter().enumerate() {
-                outcomes[u - scope.start] = second.per_fault[k].clone();
-            }
-        }
-        let untestable = pp.untestable.len() as u64;
-        let dominated = (pp.deferred.len() - unsettled.len()) as u64;
-        let simulated = scope.len() as u64 - untestable - dominated;
-        ctx.record_deduce(untestable, dominated, simulated);
-        deduce = Some(DeduceDetails {
-            untestable,
-            dominated,
-            simulated,
-            rows: Vec::new(),
+/// Rejects operand widths outside `1..=`[`MAX_WIDTH`].
+pub(crate) fn check_width(width: u32) -> Result<(), CampaignError> {
+    if width == 0 || width > MAX_WIDTH {
+        return Err(CampaignError::WidthOutOfRange {
+            width,
+            max: MAX_WIDTH,
         });
     }
-    let record = |f: &scdp_sim::FaultOutcome| FaultRecord {
-        tally: f.tally,
-        detected: f.detected,
-        escaped: f.escaped,
-        dropped_after: f.dropped_after,
-    };
-    let per_fault: Vec<FaultRecord> = match &collapse_plan {
-        Some(cp) => cp.slot_of.iter().map(|&s| record(&outcomes[s])).collect(),
-        None => outcomes.iter().map(record).collect(),
-    };
-    if let Some(d) = &mut deduce {
-        d.rows = match &collapse_plan {
-            Some(cp) => cp
-                .slot_of
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| deduced[s])
-                .map(|(i, _)| i as u64)
-                .collect(),
-            None => deduced
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| d)
-                .map(|(i, _)| i as u64)
-                .collect(),
-        };
-    }
-    let mut col = TechTally::default();
-    let mut simulated = 0u64;
-    for r in &per_fault {
-        col += r.tally;
-        simulated += r.tally.total();
-    }
-    Ok((per_fault, col, simulated, deduce))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -906,35 +639,6 @@ mod tests {
         assert_eq!(r.filled, vec![TechIndex::Tech1]);
         assert!(r.column(TechIndex::Both).is_none());
         assert!(r.coverage() > 0.8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_are_equivalent_to_exec_policy() {
-        let scenario = Scenario::new(Operator::Add, 3);
-        let legacy = scenario
-            .campaign()
-            .backend(Backend::GateLevel)
-            .threads(2)
-            .drop_policy(DropPolicy::OnDetect)
-            .collapse(true)
-            .telemetry(true);
-        let unified = scenario.campaign().backend(Backend::GateLevel).exec(
-            ExecPolicy::new()
-                .threads(2)
-                .drop_policy(DropPolicy::OnDetect)
-                .collapse(true)
-                .telemetry(true),
-        );
-        assert_eq!(legacy.exec, unified.exec, "shims must mutate ExecPolicy");
-        let a = legacy.run().unwrap();
-        let b = unified.run().unwrap();
-        assert!(a.same_results(&b));
-        assert_eq!(
-            legacy.config_fingerprint(),
-            unified.config_fingerprint(),
-            "fingerprints must agree across the old and new surface"
-        );
     }
 
     #[test]

@@ -288,3 +288,39 @@ fn collapse_telemetry_counters_are_recorded() {
     assert!(after < before, "collapsing must shrink the universe");
     assert_eq!(classes, after, "unsharded: every class is simulated");
 }
+
+/// The collapse analysis is its own stage: every gate-level shape opens
+/// exactly one `campaign/collapse` span around it when telemetry is on.
+#[test]
+fn collapse_span_is_recorded_for_every_shape() {
+    let exec = ExecPolicy::new().threads(2).collapse(true).telemetry(true);
+    let space = InputSpace::Sampled {
+        per_fault: 32,
+        seed: 0xC0,
+    };
+    let dp = DatapathScenario::new(DfgSource::Dot, 2).technique(Technique::Tech1);
+    let reports = [
+        (
+            "operator",
+            Scenario::new(Operator::Add, 3)
+                .campaign()
+                .backend(Backend::GateLevel)
+                .exec(exec)
+                .run(),
+        ),
+        (
+            "datapath",
+            dp.clone().campaign().input_space(space).exec(exec).run(),
+        ),
+        (
+            "sequential",
+            dp.seq_campaign().input_space(space).exec(exec).run(),
+        ),
+    ];
+    for (shape, report) in reports {
+        let report = report.expect("runs");
+        let tel = report.telemetry.as_ref().expect("telemetry section");
+        let span = tel.span("campaign/collapse");
+        assert_eq!(span.map(|s| s.count), Some(1), "{shape}: one collapse span");
+    }
+}

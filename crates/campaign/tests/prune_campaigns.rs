@@ -24,17 +24,17 @@ fn canonical(mut report: CampaignReport) -> String {
 
 /// The deduce section must be present, internally consistent, and its
 /// rows must index the per-fault table.
-fn check_deduce(report: &CampaignReport) -> (u64, u64, u64) {
+fn check_deduce(report: &CampaignReport) -> (u64, u64) {
     let d = report.deduce.as_ref().expect("pruned runs carry deduce");
     assert_eq!(
         d.rows.len() as u64,
-        d.untestable + d.dominated,
+        d.untestable,
         "every settled engine group must fan out to at least itself"
     );
     for &row in &d.rows {
         assert!(row < report.fault_count(), "row {row} out of range");
     }
-    (d.untestable, d.dominated, d.simulated)
+    (d.untestable, d.simulated)
 }
 
 #[test]
@@ -127,11 +127,11 @@ fn golden_width4_tech1_campaigns_prune_bit_identical() {
         .exec(ExecPolicy::new().threads(2).prune(true))
         .run()
         .expect("dp pruned");
-    let (untestable, dominated, simulated) = check_deduce(&pruned);
+    let (untestable, simulated) = check_deduce(&pruned);
     assert!(
-        untestable + dominated > 0,
+        untestable > 0,
         "the FIR datapath universe must yield deductions \
-         ({untestable} untestable, {dominated} dominated, {simulated} simulated)"
+         ({untestable} untestable, {simulated} simulated)"
     );
     assert_eq!(canonical(plain), canonical(pruned));
 
@@ -145,11 +145,7 @@ fn golden_width4_tech1_campaigns_prune_bit_identical() {
         .exec(ExecPolicy::new().threads(2).prune(true))
         .run()
         .expect("seq pruned");
-    let (_, dominated, _) = check_deduce(&pruned);
-    assert_eq!(
-        dominated, 0,
-        "sequential campaigns settle untestability only"
-    );
+    check_deduce(&pruned);
     assert_eq!(plain.sequential, pruned.sequential);
     assert_eq!(canonical(plain), canonical(pruned));
 }
@@ -280,7 +276,7 @@ fn prune_composes_with_collapse() {
         .expect("collapsed+pruned");
     let d = both.deduce.as_ref().expect("deduce");
     assert!(
-        d.rows.len() as u64 >= d.untestable + d.dominated,
+        d.rows.len() as u64 >= d.untestable,
         "fan-out may only widen the deduced row set"
     );
     for &row in &d.rows {
@@ -303,18 +299,17 @@ fn prune_telemetry_counters_are_recorded() {
         .expect("runs");
     let tel = report.telemetry.as_ref().expect("telemetry section");
     let untestable = tel.counter("deduce.untestable").expect("untestable");
-    let dominated = tel.counter("deduce.dominated").expect("dominated");
     let simulated = tel.counter("deduce.simulated").expect("simulated");
     let d = report.deduce.as_ref().expect("deduce section");
     assert_eq!(
-        (untestable, dominated, simulated),
-        (d.untestable, d.dominated, d.simulated),
+        (untestable, simulated),
+        (d.untestable, d.simulated),
         "telemetry counters mirror the report section"
     );
     assert_eq!(
-        untestable + dominated + simulated,
+        untestable + simulated,
         report.fault_count(),
         "unsharded, uncollapsed: engine units are the fault universe"
     );
-    assert!(untestable + dominated > 0, "the FIR datapath must deduce");
+    assert!(untestable > 0, "the FIR datapath must deduce");
 }

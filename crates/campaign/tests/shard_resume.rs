@@ -97,6 +97,28 @@ fn kill_then_resume_reproduces_the_unsharded_report_bit_for_bit() {
     assert_eq!(merged.sequential, fresh.sequential, "latency histogram");
 }
 
+/// Checkpoints are written atomically (temporary file, then rename):
+/// a finished sweep leaves exactly its shard files, no `*.tmp`.
+#[test]
+fn checkpointed_runs_leave_no_temporary_files() {
+    let scratch = Scratch::new("atomic");
+    let dir = scratch.path();
+    let outcome = CampaignRunner::new(seq_fir_job(), 3)
+        .checkpoint_dir(dir)
+        .run()
+        .expect("checkpointed run");
+    assert!(outcome.completed());
+    let names: Vec<String> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names.len(), 3, "one file per shard: {names:?}");
+    assert!(
+        names.iter().all(|n| !n.ends_with(".tmp")),
+        "no temporary file survives: {names:?}"
+    );
+}
+
 #[test]
 fn interrupted_run_resumes_where_it_stopped() {
     let scratch = Scratch::new("interrupt");

@@ -50,6 +50,7 @@ const KNOWN_KEYS: &[&str] = &[
     "lanes",
     "drop",
     "collapse",
+    "prune",
     "telemetry",
     "shards",
 ];
@@ -233,10 +234,11 @@ pub fn parse(text: &str) -> Result<JobSpec, CampaignError> {
 }
 
 /// The execution-policy subset of a spec: threads, lanes, drop policy,
-/// collapsing and telemetry.
+/// collapsing, pruning and telemetry.
 fn exec_from(doc: &json::Json) -> Result<ExecPolicy, CampaignError> {
     let mut exec = ExecPolicy::new()
         .collapse(bool_field(doc, "collapse", "spec.collapse")?)
+        .prune(bool_field(doc, "prune", "spec.prune")?)
         .telemetry(bool_field(doc, "telemetry", "spec.telemetry")?);
     if let Some(threads) = u64_field(doc, "threads", "spec.threads")? {
         let threads = usize::try_from(threads)
@@ -287,6 +289,23 @@ mod tests {
     }
 
     #[test]
+    fn prune_parses_next_to_collapse_and_leaves_the_fingerprint_alone() {
+        let plain =
+            parse(r#"{"kind":"datapath","workload":"fir","collapse":true}"#).expect("plain spec");
+        let pruned = parse(r#"{"kind":"datapath","workload":"fir","collapse":true,"prune":true}"#)
+            .expect("pruned spec");
+        match &pruned.job {
+            CampaignJob::Datapath(spec) => assert!(spec.exec.prune && spec.exec.collapse),
+            other => panic!("expected datapath, got {other:?}"),
+        }
+        assert_eq!(
+            plain.job.config_fingerprint(),
+            pruned.job.config_fingerprint(),
+            "pruning never changes results, so it never changes the job id"
+        );
+    }
+
+    #[test]
     fn spec_fingerprints_match_the_equivalent_builder_job() {
         let spec = parse(
             r#"{"kind":"sequential","workload":"fir","width":4,
@@ -321,6 +340,7 @@ mod tests {
             (r#"{"kind":"operator","width":"four"}"#, false),
             (r#"{"kind":"operator","lanes":3}"#, false),
             (r#"{"kind":"operator","exhaustive":"yes"}"#, false),
+            (r#"{"kind":"operator","prune":1}"#, false),
             (
                 r#"{"kind":"datapath","workload":"dot","duration":"permanent"}"#,
                 false,

@@ -24,7 +24,7 @@
 use crate::http::{self, Request};
 use crate::jobspec::{self, JobSpec};
 use scdp_campaign::json::Json;
-use scdp_campaign::{CampaignJob, CampaignRunner, EventSink, ObsEvent};
+use scdp_campaign::{write_atomic, CampaignJob, CampaignRunner, EventSink, ObsEvent};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -284,11 +284,10 @@ fn execute(inner: &Arc<Inner>, id: &str) -> Result<(), String> {
     let report = outcome
         .report
         .ok_or("runner returned an incomplete sweep")?;
-    // Write-then-rename so `report.json` — the cache marker — only
+    // Written atomically so `report.json` — the cache marker — only
     // ever exists complete.
-    let tmp = dir.join("report.json.tmp");
-    std::fs::write(&tmp, report.to_json()).map_err(|e| format!("write report: {e}"))?;
-    std::fs::rename(&tmp, dir.join("report.json")).map_err(|e| format!("publish report: {e}"))?;
+    write_atomic(&dir.join("report.json"), &report.to_json())
+        .map_err(|e| format!("publish report: {e}"))?;
     Ok(())
 }
 

@@ -89,6 +89,36 @@ fn submit_poll_fetch_and_cache_hit_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A pruned job runs the product's pruning path on the server: its
+/// merged report carries the `deduce` section and matches a direct run
+/// of its unpruned twin. (Both twins share one job id, so the pruned
+/// spec is submitted to a fresh server to force a real run.)
+#[test]
+fn a_fresh_pruned_job_matches_its_unpruned_twin() {
+    const UNPRUNED: &str = r#"{"kind":"datapath","workload":"fir","technique":"tech1",
+        "width":3,"samples":64,"threads":2,"shards":3}"#;
+    let pruned = UNPRUNED.replace("\"shards\":3", "\"shards\":3,\"prune\":true");
+    assert_ne!(pruned, UNPRUNED);
+    let dir = temp_dir("prune");
+    let (handle, addr) = start(&dir);
+    let sub = client::submit(&addr, &pruned).expect("submit");
+    assert_eq!(sub.cache, "miss", "a fresh server runs the job");
+    client::wait(&addr, &sub.id, POLL).expect("job completes");
+    let body = client::fetch_report(&addr, &sub.id).expect("report");
+    let report = CampaignReport::from_json(&body).expect("report parses");
+    let deduce = report.deduce.as_ref().expect("pruned jobs carry deduce");
+    assert!(deduce.untestable > 0, "the FIR datapath deduces");
+    let twin = jobspec::parse(UNPRUNED)
+        .expect("spec")
+        .job
+        .run()
+        .expect("direct run");
+    assert!(twin.deduce.is_none());
+    assert!(report.same_results(&twin), "pruning never changes results");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn malformed_input_and_bad_routes_get_typed_errors() {
     let dir = temp_dir("errors");

@@ -1,14 +1,19 @@
-//! Parallel gate-level campaign driver with fault dropping.
+//! The parallel gate-level campaign driver with fault dropping — one
+//! driver, generic over the engine it grades fault groups on
+//! ([`FaultEngine`]: the combinational [`Engine`] and the
+//! cycle-accurate [`crate::SeqEngine`]).
 
 use crate::batch::InputPlan;
-use crate::engine::{Cones, Engine};
+use crate::engine::{Engine, WideOutcome};
 use crate::error::SimError;
-use crate::par::{self, PoolStats};
-use crate::words::{LaneWord, Lanes};
+use crate::par;
+use crate::seq::{mean_detection_latency, SeqEngine, SeqFaultGroup};
+use crate::words::{Lanes, Words};
 use scdp_coverage::TechTally;
 use scdp_netlist::gen::SelfCheckingDatapath;
 use scdp_netlist::StuckAtLine;
 use scdp_obs::Recorder;
+use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,9 +46,14 @@ pub struct FaultOutcome {
     /// Situations simulated before the fault was dropped (`None` when
     /// it stayed live to the end).
     pub dropped_after: Option<u64>,
+    /// `first_detect[c]` — situations whose alarm fired first in cycle
+    /// `c`, one entry per cycle on a sequential engine (empty on a
+    /// combinational one). Sums to the number of detected situations
+    /// (partial under dropping, like the tallies).
+    pub first_detect: Vec<u64>,
 }
 
-/// Aggregate result of a gate-level campaign.
+/// Aggregate result of a campaign.
 #[derive(Clone, Debug)]
 pub struct CampaignSummary {
     /// One outcome per fault group, in universe order.
@@ -53,9 +63,14 @@ pub struct CampaignSummary {
     /// Situations actually simulated (drops make this smaller than
     /// `faults × vectors`).
     pub simulated: u64,
+    /// Aggregate first-detection histogram over all faults, one entry
+    /// per cycle (empty for combinational campaigns).
+    pub first_detect: Vec<u64>,
+    /// Cycles each situation ran (1 for combinational campaigns).
+    pub cycles: u32,
     /// The fault-free **baseline probe**: the outcome of replaying the
     /// batch stream with an empty fault group, computed once when any
-    /// group was skipped via [`EngineCampaign::skip_resolved`] (`None`
+    /// group was skipped via [`Campaign::skip_resolved`] (`None`
     /// otherwise). Skipped entries of `per_fault` hold a copy of it.
     pub baseline: Option<FaultOutcome>,
 }
@@ -78,6 +93,75 @@ impl CampaignSummary {
         }
         self.per_fault.iter().filter(|f| !f.escaped).count() as f64 / self.per_fault.len() as f64
     }
+
+    /// Mean first-detection latency in cycles over all detected
+    /// situations (`None` when nothing was detected or the campaign
+    /// has no cycle axis).
+    #[must_use]
+    pub fn mean_detection_latency(&self) -> Option<f64> {
+        mean_detection_latency(&self.first_detect)
+    }
+}
+
+/// One fault group's verdict on one wide batch (`64 * L` vectors),
+/// handed by a [`FaultEngine`] to the driver, which consumes it one
+/// 64-lane limb at a time in scalar-batch order.
+#[derive(Debug)]
+pub struct Verdict<'a, const L: usize> {
+    /// Wrong-result and alarm lanes against the good machine.
+    pub outcome: WideOutcome<L>,
+    /// `first_detect[c]` — lanes whose alarm fired first in cycle `c`
+    /// (empty on a combinational engine).
+    pub first_detect: &'a [Words<L>],
+    /// Limbs of the batch that carry real vectors.
+    pub limbs: usize,
+    /// Gates the faulty pass evaluated, counted once per limb tallied
+    /// (`engine.gate_evals`).
+    pub gate_evals: u64,
+}
+
+/// A compiled netlist the campaign driver grades fault groups on.
+///
+/// The driver owns everything around the simulation — scoping, skip
+/// mask and baseline probe, lane dispatch, block scheduling, the
+/// per-limb tally and drop step, and telemetry — and calls
+/// [`FaultEngine::simulate_block`] once per block with the lane width
+/// as a constant, so the hot loop is statically dispatched.
+pub trait FaultEngine: Sync {
+    /// One fault group: the unit of injection.
+    type Group: Clone + fmt::Debug + Send + Sync;
+    /// Telemetry namespace of the driver's per-campaign counters.
+    const PREFIX: &'static str;
+    /// Whether verdicts carry a per-cycle first-detection axis.
+    const TRACKS_LATENCY: bool;
+
+    /// The empty group replayed as the fault-free baseline probe.
+    fn fault_free() -> Self::Group;
+
+    /// Validates one fault group against the compiled netlist.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`] found, in line order.
+    fn check(&self, group: &Self::Group) -> Result<(), SimError>;
+
+    /// Simulates the groups of `chunk` listed in `live` (ascending
+    /// indices into `chunk`) over `plan`'s deterministic batch stream,
+    /// each situation running `cycles` clock cycles. Every live group's
+    /// verdict on every batch goes to `tally`, which returns `false`
+    /// once the group is dropped; the engine then stops simulating it
+    /// and removes it from `live`. Returns the good-machine batch
+    /// evaluations, in limbs (`pool.good_evals`).
+    fn simulate_block<const L: usize, F>(
+        &self,
+        chunk: &[Self::Group],
+        live: &mut Vec<usize>,
+        plan: InputPlan,
+        cycles: u32,
+        tally: F,
+    ) -> u64
+    where
+        F: FnMut(usize, &Verdict<'_, L>) -> bool;
 }
 
 /// A configured bit-parallel campaign: a compiled engine, a universe of
@@ -86,19 +170,17 @@ impl CampaignSummary {
 /// plan, a drop policy and a lane width.
 ///
 /// The driver splits the universe into fault blocks scheduled by the
-/// work-stealing pool ([`par::run_blocks`]). Every block builds the
-/// fanout cone of each of its groups once, re-generates the same
-/// deterministic batch stream and simulates the good machine once per
-/// (wide) batch. It then replays each live group against the batch by
-/// re-evaluating only that group's cone, overlaid on the good
-/// machine's values, and consumes the verdict one 64-lane limb at a
-/// time. Results are therefore independent of the worker count, the
-/// scheduling order *and* the lane width, and bit-identical to full
-/// faulty passes.
+/// work-stealing pool ([`par::run_blocks`]). Every block re-generates
+/// the same deterministic batch stream and shares one good-machine
+/// evaluation per (wide) batch across its groups; each live group's
+/// verdict is consumed one 64-lane limb at a time. Results are
+/// therefore independent of the worker count, the scheduling order
+/// *and* the lane width.
 #[derive(Clone, Debug)]
-pub struct EngineCampaign<'a> {
-    engine: &'a Engine,
-    groups: Vec<Vec<StuckAtLine>>,
+pub struct Campaign<'a, E: FaultEngine> {
+    engine: &'a E,
+    groups: Vec<E::Group>,
+    cycles: u32,
     plan: InputPlan,
     drop: DropPolicy,
     threads: usize,
@@ -108,7 +190,17 @@ pub struct EngineCampaign<'a> {
     recorder: Option<Arc<Recorder>>,
 }
 
-impl<'a> EngineCampaign<'a> {
+/// A combinational campaign on [`Engine`]: each group's faulty pass
+/// covers only the fanout cone of its sites, overlaid on the good
+/// machine, bit-identical to full faulty passes.
+pub type EngineCampaign<'a> = Campaign<'a, Engine>;
+
+/// A cycle-accurate campaign on [`SeqEngine`]: duration-qualified fault
+/// groups, a fixed cycle count per situation, and a per-cycle
+/// first-detection histogram.
+pub type SeqCampaign<'a> = Campaign<'a, SeqEngine>;
+
+impl<'a> Campaign<'a, Engine> {
     /// Starts a campaign over `groups` with exhaustive inputs, no
     /// dropping and all available cores — the engine-room entry the
     /// unified `scdp_campaign::{Scenario, CampaignSpec}` surface drives
@@ -119,9 +211,31 @@ impl<'a> EngineCampaign<'a> {
         for g in &mut groups {
             g.sort_by_key(|f| (f.site.gate, f.site.pin));
         }
+        Self::with_engine(engine, groups, 1)
+    }
+}
+
+impl<'a> Campaign<'a, SeqEngine> {
+    /// Starts a campaign over `groups`, each run for `cycles` clock
+    /// cycles per input vector, with exhaustive inputs, no dropping and
+    /// all available cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is 0.
+    #[must_use]
+    pub fn new(engine: &'a SeqEngine, groups: Vec<SeqFaultGroup>, cycles: u32) -> Self {
+        assert!(cycles > 0, "at least one cycle required");
+        Self::with_engine(engine, groups, cycles)
+    }
+}
+
+impl<'a, E: FaultEngine> Campaign<'a, E> {
+    fn with_engine(engine: &'a E, groups: Vec<E::Group>, cycles: u32) -> Self {
         Self {
             engine,
             groups,
+            cycles,
             plan: InputPlan::Exhaustive,
             drop: DropPolicy::Never,
             threads: par::default_threads(),
@@ -185,18 +299,18 @@ impl<'a> EngineCampaign<'a> {
     }
 
     /// Marks fault groups as **pre-resolved**: the given indices (into
-    /// the universe passed to [`EngineCampaign::over`], before any
-    /// [`EngineCampaign::fault_range`] scoping) are excluded from
-    /// packing and never simulated. Instead, the driver replays the
-    /// batch stream once with an *empty* fault group — the fault-free
-    /// baseline probe — and fills each skipped entry of
-    /// `per_fault` with a copy of that outcome. For a fault proven to
-    /// behave exactly like the fault-free machine (see
-    /// `scdp-analyze`'s `PrunedUniverse`), this is bit-identical to
-    /// simulating it under every drop policy: the baseline is silent
-    /// by construction wherever the good machine is, and a silent
-    /// fault is never dropped. Indices outside the scoped range are
-    /// ignored, so shard geometry composes with skipping.
+    /// the universe the campaign was built over, before any
+    /// [`Campaign::fault_range`] scoping) are never simulated. Instead,
+    /// the driver replays the batch stream once with an *empty* fault
+    /// group — the fault-free baseline probe — and fills each skipped
+    /// entry of `per_fault` with a copy of that outcome. For a fault
+    /// proven to behave exactly like the fault-free machine in every
+    /// cycle (see `scdp-analyze`'s `PrunedUniverse`), this is
+    /// bit-identical to simulating it under every drop policy: the
+    /// baseline is silent by construction wherever the good machine
+    /// is, and a silent fault is never dropped. Indices outside the
+    /// scoped range are ignored, so shard geometry composes with
+    /// skipping.
     #[must_use]
     pub fn skip_resolved(mut self, skip: Vec<usize>) -> Self {
         self.skip = skip;
@@ -205,11 +319,12 @@ impl<'a> EngineCampaign<'a> {
 
     /// Attaches a telemetry recorder. The driver then counts fault
     /// groups, per-fault batch evaluations, faulty-pass gate
-    /// evaluations, dropped faults and simulated situations under
-    /// `engine.*` (all thread-count and shard invariant), plus
-    /// per-worker busy time under `engine.busy_ns` and good-machine
-    /// batch evaluations under `pool.good_evals` (which depend on the
-    /// block geometry).
+    /// evaluations, dropped faults and simulated situations (plus
+    /// evaluated cycles on a sequential engine) under the engine's
+    /// prefix (`engine.*` or `seq.*`; all thread-count and shard
+    /// invariant), per-worker busy time under `<prefix>.busy_ns`, and
+    /// the schedule itself — blocks, steals, good-machine batch
+    /// evaluations — under `pool.*`.
     #[must_use]
     pub fn recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
@@ -217,7 +332,7 @@ impl<'a> EngineCampaign<'a> {
     }
 
     /// The universe subrange that will be simulated.
-    fn scoped(&self) -> &[Vec<StuckAtLine>] {
+    fn scoped(&self) -> &[E::Group] {
         match &self.range {
             None => &self.groups,
             Some(r) => {
@@ -232,18 +347,15 @@ impl<'a> EngineCampaign<'a> {
     }
 
     /// Validates every in-scope fault group against the compiled
-    /// netlist — call before [`EngineCampaign::run`] to surface
-    /// malformed specs as typed errors instead of feeding them to the
-    /// packed evaluator.
+    /// netlist — call before [`Campaign::run`] to surface malformed
+    /// specs as typed errors instead of feeding them to the packed
+    /// evaluator.
     ///
     /// # Errors
     ///
     /// Returns the first [`SimError`] found, in universe order.
     pub fn check(&self) -> Result<(), SimError> {
-        for group in self.scoped() {
-            self.engine.check_faults(group)?;
-        }
-        Ok(())
+        self.scoped().iter().try_for_each(|g| self.engine.check(g))
     }
 
     /// Runs the campaign.
@@ -251,17 +363,17 @@ impl<'a> EngineCampaign<'a> {
     /// # Panics
     ///
     /// Panics if a fault group names a gate or pin the compiled
-    /// netlist does not have — validate with [`EngineCampaign::check`]
-    /// first for a typed error (the unified `scdp-campaign` surface
-    /// does); silently dropping such lines would produce plausible but
-    /// wrong tallies. Also re-raises a worker panic (see
-    /// [`EngineCampaign::try_run`] for the typed-error form).
+    /// netlist does not have — validate with [`Campaign::check`] first
+    /// for a typed error (the unified `scdp-campaign` surface does);
+    /// silently dropping such lines would produce plausible but wrong
+    /// tallies. Also re-raises a worker panic (see
+    /// [`Campaign::try_run`] for the typed-error form).
     #[must_use]
     pub fn run(&self) -> CampaignSummary {
         match self.try_run() {
             Ok(summary) => summary,
             Err(e @ SimError::WorkerPanicked { .. }) => panic!("{e}"),
-            Err(e) => panic!("invalid fault spec: {e} (validate with EngineCampaign::check)"),
+            Err(e) => panic!("invalid fault spec: {e} (validate with Campaign::check)"),
         }
     }
 
@@ -276,140 +388,157 @@ impl<'a> EngineCampaign<'a> {
         self.check()?;
         let scoped = self.scoped();
         let start = self.range.as_ref().map_or(0, |r| r.start);
-        let mut skip_mask = vec![false; scoped.len()];
+        let mut skip = vec![false; scoped.len()];
         for &i in &self.skip {
             if let Some(s) = i.checked_sub(start).filter(|&s| s < scoped.len()) {
-                skip_mask[s] = true;
+                skip[s] = true;
             }
         }
-        let block = par::auto_block(scoped.len(), self.threads);
         let work = WorkCounters::default();
+        let run = |chunk: &[E::Group], skip: &[bool]| match self.lanes.limbs() {
+            1 => self.run_block::<1>(chunk, skip, &work),
+            4 => self.run_block::<4>(chunk, skip, &work),
+            _ => self.run_block::<8>(chunk, skip, &work),
+        };
         // One fault-free probe stands in for every skipped group; its
         // limbs count toward `fault_batches` exactly like a simulated
         // group's, keeping the counter deterministic.
-        let probe = [Vec::new()];
-        let baseline: Option<FaultOutcome> = skip_mask.contains(&true).then(|| {
-            match self.lanes.limbs() {
-                1 => self.run_chunk::<1>(&probe, &[false], &work),
-                4 => self.run_chunk::<4>(&probe, &[false], &work),
-                _ => self.run_chunk::<8>(&probe, &[false], &work),
-            }
-            .pop()
-            .expect("probe chunk yields one outcome")
+        let baseline = skip.contains(&true).then(|| {
+            run(&[E::fault_free()], &[false])
+                .pop()
+                .expect("probe block yields one outcome")
         });
-        let (mut per_fault, stats) = match self.lanes.limbs() {
-            1 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &work)
-            })?,
-            4 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<4>(&scoped[r.clone()], &skip_mask[r], &work)
-            })?,
-            _ => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<8>(&scoped[r.clone()], &skip_mask[r], &work)
-            })?,
-        };
+        let block = par::auto_block(scoped.len(), self.threads);
+        let (mut per_fault, stats) = par::run_blocks(scoped.len(), self.threads, block, |r| {
+            run(&scoped[r.clone()], &skip[r])
+        })?;
         if let Some(b) = &baseline {
-            for (o, &skipped) in per_fault.iter_mut().zip(&skip_mask) {
+            for (o, &skipped) in per_fault.iter_mut().zip(&skip) {
                 if skipped {
-                    *o = b.clone();
+                    o.clone_from(b);
                 }
             }
         }
-        if let Some(rec) = &self.recorder {
-            record_campaign_telemetry(
-                rec,
-                "engine",
-                &per_fault,
-                work.fault_batches.load(Ordering::Relaxed),
-                &stats,
-            );
-            rec.add("engine.gate_evals", work.gate_evals.load(Ordering::Relaxed));
-            rec.add("pool.good_evals", work.good_evals.load(Ordering::Relaxed));
-        }
         let mut tally = TechTally::default();
         let mut simulated = 0u64;
+        let mut first_detect = vec![0u64; self.hist_len()];
         for f in &per_fault {
             tally += f.tally;
             simulated += f.tally.total();
+            for (h, n) in first_detect.iter_mut().zip(&f.first_detect) {
+                *h += n;
+            }
+        }
+        // One flush per campaign keeps the atomics off the inner loop.
+        // The prefixed counters (and the situation histogram) are
+        // thread-count, scheduling and lane-width invariant; `pool.*`
+        // describes the schedule itself and is excluded from
+        // `TelemetrySnapshot::deterministic_counters`.
+        if let Some(rec) = &self.recorder {
+            let p = E::PREFIX;
+            let hist = rec.histogram(&format!("{p}.fault_situations"));
+            for o in &per_fault {
+                hist.record(o.tally.total());
+            }
+            let dropped = per_fault
+                .iter()
+                .filter(|o| o.dropped_after.is_some())
+                .count();
+            rec.add(&format!("{p}.faults"), per_fault.len() as u64);
+            rec.add(
+                &format!("{p}.fault_batches"),
+                work.fault_batches.into_inner(),
+            );
+            rec.add(&format!("{p}.faults_dropped"), dropped as u64);
+            rec.add(&format!("{p}.situations"), simulated);
+            rec.add(&format!("{p}.busy_ns"), stats.busy_ns());
+            rec.add(&format!("{p}.gate_evals"), work.gate_evals.into_inner());
+            if E::TRACKS_LATENCY {
+                rec.add(
+                    &format!("{p}.cycles_evaluated"),
+                    simulated * u64::from(self.cycles),
+                );
+            }
+            rec.add("pool.blocks", stats.blocks);
+            rec.add("pool.steals", stats.steals);
+            rec.add("pool.good_evals", work.good_evals.into_inner());
+            for (w, &busy_ns) in stats.worker_busy_ns.iter().enumerate() {
+                rec.add(&format!("pool.w{w}.busy_ns"), busy_ns);
+            }
         }
         Ok(CampaignSummary {
             per_fault,
             tally,
             simulated,
+            first_detect,
+            cycles: self.cycles,
             baseline,
         })
     }
 
+    /// Length of the per-fault first-detection histograms.
+    fn hist_len(&self) -> usize {
+        if E::TRACKS_LATENCY {
+            self.cycles as usize
+        } else {
+            0
+        }
+    }
+
     /// Simulates one block of the fault universe on the calling worker
-    /// (PPSFP inner loop, `64 * L` situations per gate operation).
-    ///
-    /// The block's cones are built once into one arena; per wide batch
-    /// the good machine runs once over the whole netlist, and each live
-    /// group costs one pass over its own cone. Wide verdicts are
-    /// consumed one limb at a time in scalar-batch order — tallies,
-    /// drop points, `fault_batches` (limbs tallied, the scalar path's
-    /// per-batch count) and `gate_evals` (cone gates × limbs tallied)
-    /// are lane-width invariant.
-    fn run_chunk<const L: usize>(
+    /// (`64 * L` situations per gate operation), tallying every verdict
+    /// limb by limb in scalar-batch order — so tallies, latency
+    /// histograms, drop points, `fault_batches` (limbs tallied, the
+    /// scalar path's per-batch count) and `gate_evals` are lane-width
+    /// invariant.
+    fn run_block<const L: usize>(
         &self,
-        chunk: &[Vec<StuckAtLine>],
+        chunk: &[E::Group],
         skip: &[bool],
         work: &WorkCounters,
     ) -> Vec<FaultOutcome> {
-        let engine = self.engine;
-        let mut outcomes: Vec<FaultOutcome> = vec![FaultOutcome::default(); chunk.len()];
-        let mut live: Vec<usize> = (0..chunk.len())
-            .filter(|&k| !skip.get(k).copied().unwrap_or(false))
-            .collect();
-        let mut cones = Cones::default();
-        for (k, group) in chunk.iter().enumerate() {
-            let skipped = skip.get(k).copied().unwrap_or(false);
-            engine.push_cone(if skipped { &[] } else { group }, &mut cones);
-        }
-        let mut good = Vec::new();
-        let mut faulty = Vec::new();
-        let (mut evals, mut gate_evals, mut good_evals) = (0u64, 0u64, 0u64);
-        for wide in self.plan.wide_stream::<L>(engine.input_bits()) {
-            if live.is_empty() {
-                break;
-            }
-            engine.eval_wide_into(&wide, &[], &mut good);
-            good_evals += wide.limbs as u64;
-            debug_assert!(
-                engine.compare_wide(&good, &good, wide.mask).alarm.is_zero(),
-                "good machine must be alarm-free"
-            );
-            faulty.clone_from(&good);
-            let drop = self.drop;
-            live.retain(|&k| {
-                let cone = cones.get(k);
-                let v = engine.eval_cone_wide(&good, &mut faulty, cone, &chunk[k], wide.mask);
+        let blank = FaultOutcome {
+            first_detect: vec![0; self.hist_len()],
+            ..FaultOutcome::default()
+        };
+        let mut outcomes = vec![blank; chunk.len()];
+        let mut live: Vec<usize> = (0..chunk.len()).filter(|&k| !skip[k]).collect();
+        let (mut batches, mut gate_evals) = (0u64, 0u64);
+        let drop = self.drop;
+        let good_evals = self.engine.simulate_block(
+            chunk,
+            &mut live,
+            self.plan,
+            self.cycles,
+            |k, v: &Verdict<'_, L>| {
                 let o = &mut outcomes[k];
-                let mut decided = false;
-                for limb in 0..wide.limbs {
-                    let (cs, cd, ed, eu) = v.limb(limb).counts();
-                    evals += 1;
-                    gate_evals += cone.len() as u64;
+                for limb in 0..v.limbs {
+                    let (cs, cd, ed, eu) = v.outcome.limb(limb).counts();
+                    batches += 1;
+                    gate_evals += v.gate_evals;
                     o.tally.correct_silent += cs;
                     o.tally.correct_detected += cd;
                     o.tally.error_detected += ed;
                     o.tally.error_undetected += eu;
                     o.detected |= cd + ed > 0;
                     o.escaped |= eu > 0;
-                    decided = match drop {
+                    for (h, m) in o.first_detect.iter_mut().zip(v.first_detect) {
+                        *h += u64::from(m.limb(limb).count_ones());
+                    }
+                    let decided = match drop {
                         DropPolicy::Never => false,
                         DropPolicy::OnDetect => o.detected,
                         DropPolicy::OnEscape => o.escaped,
                     };
                     if decided {
                         o.dropped_after = Some(o.tally.total());
-                        break;
+                        return false;
                     }
                 }
-                !decided
-            });
-        }
-        work.fault_batches.fetch_add(evals, Ordering::Relaxed);
+                true
+            },
+        );
+        work.fault_batches.fetch_add(batches, Ordering::Relaxed);
         work.gate_evals.fetch_add(gate_evals, Ordering::Relaxed);
         work.good_evals.fetch_add(good_evals, Ordering::Relaxed);
         outcomes
@@ -429,42 +558,6 @@ struct WorkCounters {
     /// Good-machine batch evaluations, in limbs: one pass per block per
     /// batch, so it depends on the block geometry.
     good_evals: AtomicU64,
-}
-
-/// Flushes one campaign's telemetry into `rec` under the `prefix.*`
-/// and `pool.*` namespaces. Shared by the combinational and sequential
-/// drivers; one flush per campaign keeps the atomics entirely off the
-/// inner loop. The `prefix.*` counters (and the situation histogram)
-/// are thread-count, scheduling and lane-width invariant; the `pool.*`
-/// counters describe the schedule itself — blocks, steals, per-worker
-/// busy time — and are excluded from
-/// `TelemetrySnapshot::deterministic_counters`.
-pub(crate) fn record_campaign_telemetry(
-    rec: &Recorder,
-    prefix: &str,
-    outcomes: &[FaultOutcome],
-    batch_evals: u64,
-    stats: &PoolStats,
-) {
-    let hist = rec.histogram(&format!("{prefix}.fault_situations"));
-    let mut dropped = 0u64;
-    let mut situations = 0u64;
-    for o in outcomes {
-        let total = o.tally.total();
-        situations += total;
-        dropped += u64::from(o.dropped_after.is_some());
-        hist.record(total);
-    }
-    rec.add(&format!("{prefix}.faults"), outcomes.len() as u64);
-    rec.add(&format!("{prefix}.fault_batches"), batch_evals);
-    rec.add(&format!("{prefix}.faults_dropped"), dropped);
-    rec.add(&format!("{prefix}.situations"), situations);
-    rec.add(&format!("{prefix}.busy_ns"), stats.busy_ns());
-    rec.add("pool.blocks", stats.blocks);
-    rec.add("pool.steals", stats.steals);
-    for (w, &busy_ns) in stats.worker_busy_ns.iter().enumerate() {
-        rec.add(&format!("pool.w{w}.busy_ns"), busy_ns);
-    }
 }
 
 /// Summary of one gate-level cross-validation campaign.

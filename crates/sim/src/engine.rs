@@ -10,7 +10,8 @@
 //! driver evaluates just that **cone**, overlaid on a copy of the good
 //! machine's values ([`Engine::eval_cone_wide`]).
 
-use crate::batch::{InputBatch, WideBatch};
+use crate::batch::{InputBatch, InputPlan, WideBatch};
+use crate::campaign::{FaultEngine, Verdict};
 use crate::error::SimError;
 use crate::words::{LaneWord, Words};
 use scdp_netlist::{GateKind, Netlist, StuckAtLine};
@@ -275,7 +276,7 @@ impl Engine {
     /// faulty value, and the cone is copied back from `good` after the
     /// comparison. Same fault semantics and sort requirement as
     /// [`Engine::eval_wide_into`].
-    pub(crate) fn eval_cone_wide<const L: usize>(
+    fn eval_cone_wide<const L: usize>(
         &self,
         good: &[Words<L>],
         values: &mut [Words<L>],
@@ -330,7 +331,7 @@ impl Engine {
     /// site, so one upward scan of the bitset from there emits the cone
     /// in ascending order and leaves the bitset clear for the next
     /// group.
-    pub(crate) fn push_cone(&self, faults: &[StuckAtLine], cones: &mut Cones) {
+    fn push_cone(&self, faults: &[StuckAtLine], cones: &mut Cones) {
         let Cones {
             gates,
             ends,
@@ -407,13 +408,79 @@ impl Engine {
     }
 }
 
+impl FaultEngine for Engine {
+    type Group = Vec<StuckAtLine>;
+    const PREFIX: &'static str = "engine";
+    const TRACKS_LATENCY: bool = false;
+
+    fn fault_free() -> Self::Group {
+        Vec::new()
+    }
+
+    fn check(&self, group: &Self::Group) -> Result<(), SimError> {
+        self.check_faults(group)
+    }
+
+    /// The block's cones are built once into one arena; per wide batch
+    /// the good machine runs once over the whole netlist, and each live
+    /// group costs one pass over its own cone (`gate_evals` = cone
+    /// length).
+    fn simulate_block<const L: usize, F>(
+        &self,
+        chunk: &[Self::Group],
+        live: &mut Vec<usize>,
+        plan: InputPlan,
+        _cycles: u32,
+        mut tally: F,
+    ) -> u64
+    where
+        F: FnMut(usize, &Verdict<'_, L>) -> bool,
+    {
+        let mut cones = Cones::default();
+        let mut listed = live.iter().peekable();
+        for (k, group) in chunk.iter().enumerate() {
+            let simulated = listed.next_if_eq(&&k).is_some();
+            self.push_cone(if simulated { group } else { &[] }, &mut cones);
+        }
+        let mut good = Vec::new();
+        let mut faulty = Vec::new();
+        let mut good_evals = 0u64;
+        for wide in plan.wide_stream::<L>(self.input_bits) {
+            if live.is_empty() {
+                break;
+            }
+            self.eval_wide_into(&wide, &[], &mut good);
+            good_evals += wide.limbs as u64;
+            debug_assert!(
+                self.compare_wide(&good, &good, wide.mask).alarm.is_zero(),
+                "good machine must be alarm-free"
+            );
+            faulty.clone_from(&good);
+            live.retain(|&k| {
+                let cone = cones.get(k);
+                let outcome = self.eval_cone_wide(&good, &mut faulty, cone, &chunk[k], wide.mask);
+                tally(
+                    k,
+                    &Verdict {
+                        outcome,
+                        first_detect: &[],
+                        limbs: wide.limbs,
+                        gate_evals: cone.len() as u64,
+                    },
+                )
+            });
+        }
+        good_evals
+    }
+}
+
 /// The fanout cones of one block of fault groups, packed into one
 /// reused arena: entry `k` is the ascending list of gates group `k`'s
 /// faults can change — its sites and their transitive fanout. Filled by
 /// [`Engine::push_cone`]; its size is bounded by the block size times
 /// the largest cone.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Cones {
+struct Cones {
     gates: Vec<u32>,
     ends: Vec<usize>,
     /// Scratch gate bitset, all clear between groups.
@@ -424,7 +491,7 @@ pub(crate) struct Cones {
 
 impl Cones {
     /// Cone `k`, ascending.
-    pub(crate) fn get(&self, k: usize) -> &[u32] {
+    fn get(&self, k: usize) -> &[u32] {
         let start = k.checked_sub(1).map_or(0, |p| self.ends[p]);
         &self.gates[start..self.ends[k]]
     }

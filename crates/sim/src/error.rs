@@ -6,7 +6,7 @@
 //! malformed fault group would then abort a whole campaign — fatal for
 //! sharded sweeps where one shard's bad spec must not lose the other
 //! shards' work. Validation now happens *before* simulation
-//! ([`crate::Engine::check_faults`], [`crate::SeqEngine::check_group`])
+//! ([`crate::Engine::check_faults`], [`crate::FaultEngine::check`])
 //! and reports failures as values; the evaluation loops themselves are
 //! total (an out-of-range pin can no longer be reached after
 //! validation, and is ignored defensively if one is injected through

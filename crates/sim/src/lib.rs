@@ -39,9 +39,10 @@
 //! detection records the cycle it first fired in — the per-cycle
 //! detection-latency axis of the sequential datapath campaigns.
 //!
-//! On top sits a **parallel campaign driver** ([`EngineCampaign`]): the
-//! fault universe is split into small blocks scheduled by a
-//! work-stealing pool ([`par::run_blocks`]), every block regenerates
+//! On top sits one **parallel campaign driver** ([`Campaign`], generic
+//! over the [`FaultEngine`] it grades faults on; [`EngineCampaign`] and
+//! [`SeqCampaign`] name its two instances): the fault universe is split
+//! into small blocks scheduled by a work-stealing pool ([`par::run_blocks`]), every block regenerates
 //! the same deterministic batch stream (so results are independent of
 //! thread count and scheduling), and per-block results are merged in
 //! block order at the join barrier. `rayon` would provide the same
@@ -93,15 +94,12 @@ mod words;
 
 pub use batch::{BatchStream, InputBatch, InputPlan, WideBatch, WideStream, LANES};
 pub use campaign::{
-    correlated_coverage, dedicated_coverage, CampaignSummary, DropPolicy, EngineCampaign,
-    FaultOutcome, XvalReport,
+    correlated_coverage, dedicated_coverage, Campaign, CampaignSummary, DropPolicy, EngineCampaign,
+    FaultEngine, FaultOutcome, SeqCampaign, Verdict, XvalReport,
 };
 pub use engine::{BatchOutcome, Engine, WideOutcome};
 pub use error::SimError;
 pub use par::PoolStats;
 pub use scdp_netlist::FaultDuration;
-pub use seq::{
-    mean_detection_latency, SeqBatchOutcome, SeqCampaign, SeqCampaignSummary, SeqEngine,
-    SeqFaultGroup, SeqFaultOutcome,
-};
+pub use seq::{mean_detection_latency, SeqBatchOutcome, SeqEngine, SeqFaultGroup};
 pub use words::{LaneWord, Lanes, Words};

@@ -60,11 +60,11 @@ pub fn default_threads() -> usize {
 /// groups (1.37× slower end to end) and ~4% at 256 (no faster), and a
 /// block's cone arena stays under 128 × 1,371 `u32`s (~0.7 MB).
 ///
-/// The sequential driver (`SeqCampaign`) shares this geometry: it too
-/// gets blocks of up to 128 groups, one block per campaign on a single
-/// worker, so its good machine also runs up to 4× less often. It keeps
-/// no per-block arena (its faulty pass is still a full one), so its
-/// block memory does not grow with the cap.
+/// Sequential campaigns share this geometry (one driver runs both
+/// engines): blocks of up to 128 groups, one block per campaign on a
+/// single worker. The sequential engine keeps no per-block arena (its
+/// faulty pass is still a full one), so its block memory does not grow
+/// with the cap.
 #[must_use]
 pub fn auto_block(n: usize, threads: usize) -> usize {
     let per_worker = if threads <= 1 {

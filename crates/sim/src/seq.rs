@@ -21,18 +21,15 @@
 //! * **detection latency** — the first cycle the alarm fired in,
 //!   recorded per lane into a per-cycle histogram
 //!   ([`SeqBatchOutcome::first_detect`], aggregated by
-//!   [`SeqCampaign`]).
+//!   [`crate::SeqCampaign`], the generic campaign driver over this
+//!   engine).
 
 use crate::batch::{InputBatch, InputPlan};
-use crate::campaign::FaultOutcome;
-use crate::engine::{apply2, check_lines, BatchOutcome};
+use crate::campaign::{FaultEngine, Verdict};
+use crate::engine::{apply2, check_lines, BatchOutcome, WideOutcome};
 use crate::error::SimError;
-use crate::par;
-use crate::words::{LaneWord, Lanes};
-use scdp_coverage::TechTally;
+use crate::words::LaneWord;
 use scdp_netlist::{FaultDuration, GateKind, Netlist, StuckAtLine};
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One multiple-stuck-at fault with a duration: the unit of injection
 /// of a sequential campaign.
@@ -172,16 +169,6 @@ impl SeqEngine {
         })
     }
 
-    /// Validates a fault group against the compiled netlist — the
-    /// sequential twin of [`crate::Engine::check_faults`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] found, in line order.
-    pub fn check_group(&self, group: &SeqFaultGroup) -> Result<(), SimError> {
-        check_lines(&self.kinds, &group.lines)
-    }
-
     /// The compiled design's name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -236,7 +223,7 @@ impl SeqEngine {
                     match faults[fi].site.pin {
                         Some(0) => pin0 = Some(faults[fi].value),
                         Some(1) => pin1 = Some(faults[fi].value),
-                        // Rejected by `check_group`; ignored here so a
+                        // Rejected by `check`; ignored here so a
                         // line smuggled past validation through the raw
                         // batch API cannot abort a campaign.
                         Some(_) => {}
@@ -394,58 +381,6 @@ impl SeqEngine {
     }
 }
 
-/// Per-fault result of a sequential campaign: the combinational
-/// [`FaultOutcome`] fields plus the detection-latency histogram.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SeqFaultOutcome {
-    /// Four-way tallies / verdicts / drop point, as combinational.
-    pub outcome: FaultOutcome,
-    /// `first_detect[c]` — situations of this fault whose alarm fired
-    /// first in cycle `c`. Sums to the number of detected situations
-    /// (partial under dropping, like the tallies).
-    pub first_detect: Vec<u64>,
-}
-
-/// Aggregate result of a sequential campaign.
-#[derive(Clone, Debug)]
-pub struct SeqCampaignSummary {
-    /// One outcome per fault group, universe order.
-    pub per_fault: Vec<SeqFaultOutcome>,
-    /// Sum of all per-fault tallies.
-    pub tally: TechTally,
-    /// Situations actually simulated.
-    pub simulated: u64,
-    /// Aggregate first-detection histogram over all faults, one entry
-    /// per cycle.
-    pub first_detect: Vec<u64>,
-    /// Cycles each situation ran.
-    pub cycles: u32,
-    /// The fault-free baseline probe (an empty fault group replayed
-    /// over the batch stream), computed once when any group was
-    /// skipped via [`SeqCampaign::skip_resolved`]; skipped entries of
-    /// `per_fault` hold a copy of it.
-    pub baseline: Option<SeqFaultOutcome>,
-}
-
-impl SeqCampaignSummary {
-    /// Fraction of faults with at least one alarmed situation.
-    #[must_use]
-    pub fn detection_rate(&self) -> f64 {
-        if self.per_fault.is_empty() {
-            return 1.0;
-        }
-        self.per_fault.iter().filter(|f| f.outcome.detected).count() as f64
-            / self.per_fault.len() as f64
-    }
-
-    /// Mean first-detection latency in cycles over all detected
-    /// situations (`None` when nothing was detected).
-    #[must_use]
-    pub fn mean_detection_latency(&self) -> Option<f64> {
-        mean_detection_latency(&self.first_detect)
-    }
-}
-
 /// Mean of a per-cycle first-detection histogram, in cycles (`None`
 /// when no situation was detected). The one latency computation shared
 /// by the campaign summary and the serialised report section.
@@ -459,299 +394,49 @@ pub fn mean_detection_latency(hist: &[u64]) -> Option<f64> {
     Some(weighted as f64 / total as f64)
 }
 
-/// A configured sequential campaign: a compiled [`SeqEngine`], a
-/// universe of duration-qualified fault groups, a cycle count, an input
-/// plan, a drop policy and a lane width. The driver shape matches
-/// [`crate::EngineCampaign`]: small fault blocks scheduled by the
-/// work-stealing pool, every block re-generating the same deterministic
-/// batch stream and sharing one good-machine evaluation per (wide)
-/// batch, so results are independent of the worker count, the
-/// scheduling order and the lane width.
-#[derive(Clone, Debug)]
-pub struct SeqCampaign<'a> {
-    engine: &'a SeqEngine,
-    groups: Vec<SeqFaultGroup>,
-    cycles: u32,
-    plan: InputPlan,
-    drop: crate::DropPolicy,
-    threads: usize,
-    lanes: Lanes,
-    range: Option<Range<usize>>,
-    skip: Vec<usize>,
-    recorder: Option<std::sync::Arc<scdp_obs::Recorder>>,
-}
+impl FaultEngine for SeqEngine {
+    type Group = SeqFaultGroup;
+    const PREFIX: &'static str = "seq";
+    const TRACKS_LATENCY: bool = true;
 
-impl<'a> SeqCampaign<'a> {
-    /// Starts a campaign over `groups`, each run for `cycles` clock
-    /// cycles per input vector, with exhaustive inputs, no dropping and
-    /// all available cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles` is 0.
-    #[must_use]
-    pub fn new(engine: &'a SeqEngine, groups: Vec<SeqFaultGroup>, cycles: u32) -> Self {
-        assert!(cycles > 0, "at least one cycle required");
-        Self {
-            engine,
-            groups,
-            cycles,
-            plan: InputPlan::Exhaustive,
-            drop: crate::DropPolicy::Never,
-            threads: par::default_threads(),
-            lanes: Lanes::Auto,
-            range: None,
-            skip: Vec::new(),
-            recorder: None,
-        }
+    fn fault_free() -> Self::Group {
+        SeqFaultGroup::new(Vec::new(), FaultDuration::Permanent)
     }
 
-    /// Selects the input plan.
-    #[must_use]
-    pub fn plan(mut self, plan: InputPlan) -> Self {
-        self.plan = plan;
-        self
+    fn check(&self, group: &Self::Group) -> Result<(), SimError> {
+        check_lines(&self.kinds, &group.lines)
     }
 
-    /// Selects the drop policy.
-    #[must_use]
-    pub fn drop_policy(mut self, drop: crate::DropPolicy) -> Self {
-        self.drop = drop;
-        self
-    }
-
-    /// Caps the worker thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        self.threads = threads;
-        self
-    }
-
-    /// Selects the SIMD lane width (wide words per gate operation).
-    /// Results are bit-identical at every width; [`Lanes::Auto`] picks
-    /// the widest supported path.
-    #[must_use]
-    pub fn lanes(mut self, lanes: Lanes) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Restricts simulation to the universe subrange `range` — the
-    /// shard-scoped iteration of a partitioned campaign. The summary's
-    /// `per_fault` then covers only `range`, in universe order; because
-    /// every fault replays the same deterministic batch stream
-    /// independently, per-fault outcomes are bit-identical to the
-    /// corresponding slice of an unrestricted run.
-    ///
-    /// # Panics
-    ///
-    /// `run` panics if the range exceeds the universe (campaign
-    /// front-ends validate shard plans before reaching this driver).
-    #[must_use]
-    pub fn fault_range(mut self, range: Range<usize>) -> Self {
-        self.range = Some(range);
-        self
-    }
-
-    /// Marks fault groups as **pre-resolved**: the given universe
-    /// indices (pre-[`SeqCampaign::fault_range`] scoping; out-of-range
-    /// indices are ignored) are never simulated — each takes a copy of
-    /// the fault-free baseline probe instead, which is bit-identical
-    /// for any group proven to behave like the fault-free machine in
-    /// every cycle (see `scdp-analyze`'s `PrunedUniverse`). The
-    /// baseline's `first_detect` histogram is all zeros, exactly like
-    /// a never-alarming fault's.
-    #[must_use]
-    pub fn skip_resolved(mut self, skip: Vec<usize>) -> Self {
-        self.skip = skip;
-        self
-    }
-
-    /// Attaches a telemetry recorder. The driver then counts fault
-    /// groups, per-fault batch evaluations, dropped faults, simulated
-    /// situations and evaluated cycles under `seq.*` (all thread-count
-    /// and shard invariant), plus per-worker busy time under
-    /// `seq.busy_ns`.
-    #[must_use]
-    pub fn recorder(mut self, recorder: std::sync::Arc<scdp_obs::Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The universe subrange that will be simulated.
-    fn scoped(&self) -> &[SeqFaultGroup] {
-        match &self.range {
-            None => &self.groups,
-            Some(r) => {
-                assert!(
-                    r.start <= r.end && r.end <= self.groups.len(),
-                    "fault range {r:?} exceeds the {}-group universe",
-                    self.groups.len()
-                );
-                &self.groups[r.clone()]
-            }
-        }
-    }
-
-    /// Validates every in-scope fault group against the compiled
-    /// netlist — call before [`SeqCampaign::run`] to surface malformed
-    /// specs as typed errors instead of feeding them to the packed
-    /// evaluator.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] found, in universe order.
-    pub fn check(&self) -> Result<(), SimError> {
-        for group in self.scoped() {
-            self.engine.check_group(group)?;
-        }
-        Ok(())
-    }
-
-    /// Runs the campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault group names a gate or pin the compiled
-    /// netlist does not have — validate with [`SeqCampaign::check`]
-    /// first for a typed error (the unified `scdp-campaign` surface
-    /// does); silently dropping such lines would produce plausible but
-    /// wrong tallies. Also re-raises a worker panic (see
-    /// [`SeqCampaign::try_run`] for the typed-error form).
-    #[must_use]
-    pub fn run(&self) -> SeqCampaignSummary {
-        match self.try_run() {
-            Ok(summary) => summary,
-            Err(e @ SimError::WorkerPanicked { .. }) => panic!("{e}"),
-            Err(e) => panic!("invalid fault spec: {e} (validate with SeqCampaign::check)"),
-        }
-    }
-
-    /// Runs the campaign, surfacing malformed fault specs and worker
-    /// panics as typed errors.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SimError`] a fault group fails validation with, or
-    /// [`SimError::WorkerPanicked`] if a pool worker panicked.
-    pub fn try_run(&self) -> Result<SeqCampaignSummary, SimError> {
-        self.check()?;
-        let scoped = self.scoped();
-        let start = self.range.as_ref().map_or(0, |r| r.start);
-        let mut skip_mask = vec![false; scoped.len()];
-        for &i in &self.skip {
-            if let Some(s) = i.checked_sub(start).filter(|&s| s < scoped.len()) {
-                skip_mask[s] = true;
-            }
-        }
-        let block = par::auto_block(scoped.len(), self.threads);
-        let batch_evals = AtomicU64::new(0);
-        let probe = [SeqFaultGroup::new(Vec::new(), FaultDuration::Permanent)];
-        let baseline: Option<SeqFaultOutcome> = skip_mask.contains(&true).then(|| {
-            match self.lanes.limbs() {
-                1 => self.run_chunk::<1>(&probe, &[false], &batch_evals),
-                4 => self.run_chunk::<4>(&probe, &[false], &batch_evals),
-                _ => self.run_chunk::<8>(&probe, &[false], &batch_evals),
-            }
-            .pop()
-            .expect("probe chunk yields one outcome")
-        });
-        let (mut per_fault, stats) = match self.lanes.limbs() {
-            1 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
-            })?,
-            4 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<4>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
-            })?,
-            _ => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<8>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
-            })?,
-        };
-        if let Some(b) = &baseline {
-            for (o, &skipped) in per_fault.iter_mut().zip(&skip_mask) {
-                if skipped {
-                    *o = b.clone();
-                }
-            }
-        }
-        if let Some(rec) = &self.recorder {
-            let flat: Vec<FaultOutcome> = per_fault.iter().map(|o| o.outcome.clone()).collect();
-            crate::campaign::record_campaign_telemetry(
-                rec,
-                "seq",
-                &flat,
-                batch_evals.load(Ordering::Relaxed),
-                &stats,
-            );
-            let situations: u64 = flat.iter().map(|o| o.tally.total()).sum();
-            rec.add("seq.cycles_evaluated", situations * u64::from(self.cycles));
-        }
-        let mut tally = TechTally::default();
-        let mut simulated = 0u64;
-        let mut first_detect = vec![0u64; self.cycles as usize];
-        for f in &per_fault {
-            tally += f.outcome.tally;
-            simulated += f.outcome.tally.total();
-            for (c, n) in f.first_detect.iter().enumerate() {
-                first_detect[c] += n;
-            }
-        }
-        Ok(SeqCampaignSummary {
-            per_fault,
-            tally,
-            simulated,
-            first_detect,
-            cycles: self.cycles,
-            baseline,
-        })
-    }
-
-    /// Simulates one block of the fault universe on the calling worker
-    /// (`64 * L` situations per gate operation per cycle).
-    ///
-    /// Wide verdicts — including the per-cycle first-detection words —
-    /// are consumed one limb at a time in scalar-batch order, so
-    /// tallies, latency histograms and drop points are lane-width
-    /// invariant.
-    fn run_chunk<const L: usize>(
+    /// The good machine runs once per wide batch, shared across every
+    /// group (and every cycle) of the block; each live group replays
+    /// all cycles over the whole netlist (`gate_evals` = gates ×
+    /// cycles).
+    fn simulate_block<const L: usize, F>(
         &self,
-        chunk: &[SeqFaultGroup],
-        skip: &[bool],
-        batch_evals: &AtomicU64,
-    ) -> Vec<SeqFaultOutcome> {
-        let engine = self.engine;
-        let cycles = self.cycles;
-        let mut outcomes: Vec<SeqFaultOutcome> = chunk
-            .iter()
-            .map(|_| SeqFaultOutcome {
-                outcome: FaultOutcome::default(),
-                first_detect: vec![0u64; cycles as usize],
-            })
-            .collect();
-        let mut live: Vec<usize> = (0..chunk.len())
-            .filter(|&k| !skip.get(k).copied().unwrap_or(false))
-            .collect();
+        chunk: &[Self::Group],
+        live: &mut Vec<usize>,
+        plan: InputPlan,
+        cycles: u32,
+        mut tally: F,
+    ) -> u64
+    where
+        F: FnMut(usize, &Verdict<'_, L>) -> bool,
+    {
         let mut good = Vec::new();
         let mut faulty = Vec::new();
         let mut state = Vec::new();
-        let mut evals = 0u64;
-        for wide in self.plan.wide_stream::<L>(engine.input_bits()) {
+        let mut good_evals = 0u64;
+        let gate_evals = self.kinds.len() as u64 * u64::from(cycles);
+        for wide in plan.wide_stream::<L>(self.input_bits) {
             if live.is_empty() {
                 break;
             }
-            // The good machine runs once per wide batch, shared across
-            // every fault (and every cycle) of this block.
             let (g_alarm, _) =
-                engine.run_words_into(&wide.bits, wide.mask, None, cycles, &mut good, &mut state);
+                self.run_words_into(&wide.bits, wide.mask, None, cycles, &mut good, &mut state);
+            good_evals += wide.limbs as u64;
             debug_assert!(g_alarm.is_zero(), "good machine must be alarm-free");
-            let drop = self.drop;
             live.retain(|&k| {
-                let (alarm, first_detect) = engine.run_words_into(
+                let (alarm, first_detect) = self.run_words_into(
                     &wide.bits,
                     wide.mask,
                     Some(&chunk[k]),
@@ -759,48 +444,30 @@ impl<'a> SeqCampaign<'a> {
                     &mut faulty,
                     &mut state,
                 );
-                let wrong = engine.result_diff_words(&good, &faulty, wide.mask);
-                let so = &mut outcomes[k];
-                let mut decided = false;
-                for limb in 0..wide.limbs {
-                    let (cs, cd, ed, eu) = BatchOutcome {
-                        wrong: wrong.limb(limb),
-                        alarm: alarm.limb(limb),
-                        mask: wide.mask.limb(limb),
-                    }
-                    .counts();
-                    evals += 1;
-                    let o = &mut so.outcome;
-                    o.tally.correct_silent += cs;
-                    o.tally.correct_detected += cd;
-                    o.tally.error_detected += ed;
-                    o.tally.error_undetected += eu;
-                    o.detected |= cd + ed > 0;
-                    o.escaped |= eu > 0;
-                    for (c, m) in first_detect.iter().enumerate() {
-                        so.first_detect[c] += u64::from(m.limb(limb).count_ones());
-                    }
-                    decided = match drop {
-                        crate::DropPolicy::Never => false,
-                        crate::DropPolicy::OnDetect => so.outcome.detected,
-                        crate::DropPolicy::OnEscape => so.outcome.escaped,
-                    };
-                    if decided {
-                        so.outcome.dropped_after = Some(so.outcome.tally.total());
-                        break;
-                    }
-                }
-                !decided
+                let wrong = self.result_diff_words(&good, &faulty, wide.mask);
+                tally(
+                    k,
+                    &Verdict {
+                        outcome: WideOutcome {
+                            wrong,
+                            alarm,
+                            mask: wide.mask,
+                        },
+                        first_detect: &first_detect,
+                        limbs: wide.limbs,
+                        gate_evals,
+                    },
+                )
             });
         }
-        batch_evals.fetch_add(evals, Ordering::Relaxed);
-        outcomes
+        good_evals
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DropPolicy, Lanes, SeqCampaign};
     use scdp_netlist::{NetlistBuilder, SeqStuckAt, StuckSite, Word};
 
     /// A 2-deep shift register with a parity alarm: error = s0 ^ s1
@@ -960,7 +627,7 @@ mod tests {
         assert_eq!(a.tally, b.tally);
         assert_eq!(a.first_detect, b.first_detect);
         for (x, y) in a.per_fault.iter().zip(&b.per_fault) {
-            assert_eq!(x.outcome.tally, y.outcome.tally);
+            assert_eq!(x.tally, y.tally);
             assert_eq!(x.first_detect, y.first_detect);
         }
     }
@@ -1055,11 +722,11 @@ mod tests {
                 vectors: 256,
                 seed: 7,
             })
-            .drop_policy(crate::DropPolicy::OnDetect)
+            .drop_policy(DropPolicy::OnDetect)
             .threads(2)
             .run();
         for (f, d) in full.per_fault.iter().zip(&dropped.per_fault) {
-            assert_eq!(f.outcome.detected, d.outcome.detected);
+            assert_eq!(f.detected, d.detected);
         }
         assert!(dropped.simulated <= full.simulated);
     }
@@ -1086,7 +753,7 @@ mod tests {
             vectors: 300,
             seed: 0x5EED,
         };
-        let run = |lanes: Lanes, drop: crate::DropPolicy| {
+        let run = |lanes: Lanes, drop: DropPolicy| {
             SeqCampaign::new(&engine, groups.clone(), 4)
                 .plan(plan)
                 .drop_policy(drop)
@@ -1094,7 +761,7 @@ mod tests {
                 .lanes(lanes)
                 .run()
         };
-        for drop in [crate::DropPolicy::Never, crate::DropPolicy::OnDetect] {
+        for drop in [DropPolicy::Never, DropPolicy::OnDetect] {
             let reference = run(Lanes::L1, drop);
             for lanes in [Lanes::L4, Lanes::L8] {
                 let wide = run(lanes, drop);
@@ -1105,8 +772,8 @@ mod tests {
                 );
                 assert_eq!(reference.simulated, wide.simulated);
                 for (a, b) in reference.per_fault.iter().zip(&wide.per_fault) {
-                    assert_eq!(a.outcome.tally, b.outcome.tally);
-                    assert_eq!(a.outcome.dropped_after, b.outcome.dropped_after);
+                    assert_eq!(a.tally, b.tally);
+                    assert_eq!(a.dropped_after, b.dropped_after);
                     assert_eq!(a.first_detect, b.first_detect);
                 }
             }

@@ -11,7 +11,8 @@ use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::{self_checking, SelfCheckingSpec};
 use scdp_netlist::{FaultDuration, NetlistBuilder, StuckAtLine, StuckSite};
 use scdp_sim::{
-    DropPolicy, Engine, EngineCampaign, InputPlan, SeqCampaign, SeqEngine, SeqFaultGroup, SimError,
+    DropPolicy, Engine, EngineCampaign, FaultEngine, InputPlan, SeqCampaign, SeqEngine,
+    SeqFaultGroup, SimError,
 };
 
 fn add_engine() -> (Engine, Vec<Vec<StuckAtLine>>) {
@@ -119,7 +120,7 @@ fn sequential_groups_are_validated_too() {
         FaultDuration::Permanent,
     );
     assert_eq!(
-        engine.check_group(&bad),
+        engine.check(&bad),
         Err(SimError::PinOutOfRange {
             gate: 1,
             pin: 3,
@@ -191,7 +192,7 @@ fn seq_fault_range_matches_the_slice_of_a_full_run() {
         .run();
     assert_eq!(shard.per_fault.len(), end - start);
     for (s, f) in shard.per_fault.iter().zip(&full.per_fault[start..end]) {
-        assert_eq!(s.outcome.tally, f.outcome.tally);
+        assert_eq!(s.tally, f.tally);
         assert_eq!(s.first_detect, f.first_detect);
     }
 }
