@@ -24,11 +24,22 @@
 //! Widths whose input space exceeds 2^20 vectors (width > 10) switch to
 //! seeded Monte-Carlo sampling automatically — `--width 16`, infeasible
 //! on the scalar path, completes in seconds this way.
+//!
+//! Exit codes: 0 on success, 2 for a scenario the campaign API rejects
+//! (e.g. `--width 0`), 1 if the report cannot be written.
 
 use scdp_bench::{pct, scalar_add_oracle, timed, CliArgs};
 use scdp_campaign::{Backend, CampaignReport, ExecPolicy, InputSpace, Scenario};
 use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::AdderRealisation;
+use std::fmt::Display;
+use std::process::exit;
+
+/// Reports `message` on stderr and exits with `code`.
+fn fail(code: i32, message: impl Display) -> ! {
+    eprintln!("gate_xval: {message}");
+    exit(code)
+}
 
 fn main() {
     let args = CliArgs::parse();
@@ -56,7 +67,7 @@ fn main() {
             .input_space(space)
             .exec(ExecPolicy::new().threads(threads))
             .run()
-            .expect("valid cross-validation scenario")
+            .unwrap_or_else(|e| fail(2, e))
     };
 
     for tech in Technique::ALL {
@@ -73,7 +84,8 @@ fn main() {
             ));
             if tech == Technique::Both && real == AdderRealisation::RippleCarry {
                 if let Some(path) = args.value::<String>("--report") {
-                    std::fs::write(&path, r.to_json()).expect("write report JSON");
+                    std::fs::write(&path, r.to_json())
+                        .unwrap_or_else(|e| fail(1, format!("cannot write {path}: {e}")));
                     eprintln!("[wrote {path}]");
                 }
             }
@@ -105,7 +117,7 @@ fn main() {
             .backend(Backend::GateLevel)
             .exec(ExecPolicy::new().threads(threads))
             .run()
-            .expect("valid oracle scenario");
+            .unwrap_or_else(|e| fail(2, e));
         let dp = scdp_netlist::gen::self_checking_add_with(
             w,
             Technique::Both,

@@ -146,8 +146,21 @@ pub fn run(raw: Vec<String>) -> i32 {
     };
     let rest: Vec<String> = raw[1..].to_vec();
     let files = positionals(&rest);
+    let wants_help = rest.iter().any(|a| a == "--help" || a == "-h");
     let args = CliArgs::from_vec(rest);
     let outcome = match verb.as_str() {
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            return 0;
+        }
+        // `--help` after a verb prints the usage instead of running it.
+        "run" | "merge" | "validate" | "table" | "sweep" | "lint" | "analyze" | "trace"
+        | "serve" | "submit"
+            if wants_help =>
+        {
+            print!("{USAGE}");
+            return 0;
+        }
         "run" => cmd_run(&args),
         "merge" => cmd_merge(&args, &files),
         "validate" => cmd_validate(&files),
@@ -158,10 +171,6 @@ pub fn run(raw: Vec<String>) -> i32 {
         "trace" => cmd_trace(&files),
         "serve" => cmd_serve(&args),
         "submit" => cmd_submit(&args, &files),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            return 0;
-        }
         other => {
             eprintln!("unknown subcommand `{other}`\n");
             eprint!("{USAGE}");
@@ -1038,6 +1047,21 @@ mod tests {
         assert_eq!(run(strings(&["frobnicate"])), 2);
         assert_eq!(run(Vec::new()), 2);
         assert_eq!(run(strings(&["help"])), 0);
+    }
+
+    #[test]
+    fn help_after_a_verb_prints_usage_instead_of_running() {
+        for verb in ["run", "lint", "analyze"] {
+            let bad = strings(&[verb, "--workload", "nope"]);
+            assert_eq!(run(bad), 1, "{verb} runs and fails without --help");
+            for help in ["--help", "-h"] {
+                let raw = strings(&[verb, "--workload", "nope", help]);
+                assert_eq!(run(raw), 0, "{verb} {help}");
+            }
+        }
+        assert_eq!(run(strings(&["validate", "--help"])), 0);
+        assert_eq!(run(strings(&["merge", "-h"])), 0);
+        assert_eq!(run(strings(&["frobnicate", "--help"])), 2);
     }
 
     #[test]

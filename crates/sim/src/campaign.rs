@@ -120,6 +120,17 @@ pub struct Verdict<'a, const L: usize> {
     pub gate_evals: u64,
 }
 
+/// The schedule-dependent work of one [`FaultEngine::simulate_block`]
+/// call, exported under `pool.*`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct BlockWork {
+    /// Good-machine batch evaluations, in limbs (`pool.good_evals`).
+    pub good_evals: u64,
+    /// Fanout cones built (`pool.cones_built`; 0 on an engine without
+    /// cones).
+    pub cones_built: u64,
+}
+
 /// A compiled netlist the campaign driver grades fault groups on.
 ///
 /// The driver owns everything around the simulation — scoping, skip
@@ -150,8 +161,8 @@ pub trait FaultEngine: Sync {
     /// each situation running `cycles` clock cycles. Every live group's
     /// verdict on every batch goes to `tally`, which returns `false`
     /// once the group is dropped; the engine then stops simulating it
-    /// and removes it from `live`. Returns the good-machine batch
-    /// evaluations, in limbs (`pool.good_evals`).
+    /// and removes it from `live`. Returns the block's
+    /// schedule-dependent work.
     fn simulate_block<const L: usize, F>(
         &self,
         chunk: &[Self::Group],
@@ -159,7 +170,7 @@ pub trait FaultEngine: Sync {
         plan: InputPlan,
         cycles: u32,
         tally: F,
-    ) -> u64
+    ) -> BlockWork
     where
         F: FnMut(usize, &Verdict<'_, L>) -> bool;
 }
@@ -462,6 +473,7 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
             rec.add("pool.blocks", stats.blocks);
             rec.add("pool.steals", stats.steals);
             rec.add("pool.good_evals", work.good_evals.into_inner());
+            rec.add("pool.cones_built", work.cones_built.into_inner());
             for (w, &busy_ns) in stats.worker_busy_ns.iter().enumerate() {
                 rec.add(&format!("pool.w{w}.busy_ns"), busy_ns);
             }
@@ -505,7 +517,7 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
         let mut live: Vec<usize> = (0..chunk.len()).filter(|&k| !skip[k]).collect();
         let (mut batches, mut gate_evals) = (0u64, 0u64);
         let drop = self.drop;
-        let good_evals = self.engine.simulate_block(
+        let block = self.engine.simulate_block(
             chunk,
             &mut live,
             self.plan,
@@ -540,7 +552,10 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
         );
         work.fault_batches.fetch_add(batches, Ordering::Relaxed);
         work.gate_evals.fetch_add(gate_evals, Ordering::Relaxed);
-        work.good_evals.fetch_add(good_evals, Ordering::Relaxed);
+        work.good_evals
+            .fetch_add(block.good_evals, Ordering::Relaxed);
+        work.cones_built
+            .fetch_add(block.cones_built, Ordering::Relaxed);
         outcomes
     }
 }
@@ -558,6 +573,9 @@ struct WorkCounters {
     /// Good-machine batch evaluations, in limbs: one pass per block per
     /// batch, so it depends on the block geometry.
     good_evals: AtomicU64,
+    /// Fanout cones built: one per run of same-site groups per block,
+    /// so it depends on the block geometry too.
+    cones_built: AtomicU64,
 }
 
 /// Summary of one gate-level cross-validation campaign.
@@ -753,19 +771,24 @@ mod tests {
             gate_evals < t1.counter("engine.fault_batches").unwrap() * engine.net_count() as u64,
             "cone passes must be cheaper than full passes"
         );
-        // Good-machine passes follow the block geometry: one per block
-        // per batch, so `pool.*` and outside the deterministic filter.
+        // Good-machine passes and cone builds follow the block
+        // geometry: one pass per block per batch, one cone per run of
+        // same-site groups per block (here each site's stuck-at-0/1
+        // pair), so `pool.*` and outside the deterministic filter.
         let batches = InputPlan::Exhaustive
             .vector_count(engine.input_bits())
             .div_ceil(64);
         for (t, threads) in [(&t1, 1), (&t4, 4)] {
-            let blocks = par::auto_block(groups.len(), threads);
+            let block = par::auto_block(groups.len(), threads);
+            let blocks = groups.len().div_ceil(block) as u64;
             let good = t.counter("pool.good_evals").expect("good evals recorded");
-            assert!(good > 0 && good <= groups.len().div_ceil(blocks) as u64 * batches);
+            assert!(good > 0 && good <= blocks * batches);
+            let cones = t.counter("pool.cones_built").expect("cone builds recorded");
+            assert!(cones > 0 && cones <= groups.len() as u64 / 2 + blocks);
             assert!(t
                 .deterministic_counters()
                 .iter()
-                .all(|c| c.name != "pool.good_evals"));
+                .all(|c| !c.name.starts_with("pool.")));
         }
     }
 

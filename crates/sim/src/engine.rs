@@ -11,7 +11,7 @@
 //! machine's values ([`Engine::eval_cone_wide`]).
 
 use crate::batch::{InputBatch, InputPlan, WideBatch};
-use crate::campaign::{FaultEngine, Verdict};
+use crate::campaign::{BlockWork, FaultEngine, Verdict};
 use crate::error::SimError;
 use crate::words::{LaneWord, Words};
 use scdp_netlist::{GateKind, Netlist, StuckAtLine};
@@ -270,11 +270,16 @@ impl Engine {
     /// against `good` exactly as [`Engine::compare_wide`] compares a
     /// full faulty pass.
     ///
-    /// `values` must hold the good machine's values of this batch on
-    /// entry and holds them again on return: every gate outside the
-    /// cone is unaffected by the faults, so its good value *is* its
-    /// faulty value, and the cone is copied back from `good` after the
-    /// comparison. Same fault semantics and sort requirement as
+    /// Every gate outside `cone` must hold the good machine's value of
+    /// this batch in `values` on entry: the faults cannot change it, so
+    /// its good value *is* its faulty value. The gates inside the cone
+    /// may hold anything, because the pass writes each of them before
+    /// any gate reads it (ascending order; an input gate joins a cone
+    /// only as a site, and a valid fault on an input is a stem fault).
+    /// On return the cone holds this group's faulty values, so the
+    /// next group on the same cone can run straight over them; before
+    /// a group on another cone, [`restore`] puts the good values back.
+    /// Same fault semantics and sort requirement as
     /// [`Engine::eval_wide_into`].
     fn eval_cone_wide<const L: usize>(
         &self,
@@ -296,11 +301,7 @@ impl Engine {
                 self.logic(i, None, None, values)
             };
         }
-        let outcome = self.compare_wide(good, values, mask);
-        for &g in cone {
-            values[g as usize] = good[g as usize];
-        }
-        outcome
+        self.compare_wide(good, values, mask)
     }
 
     /// Gate `i`'s function over the current `values`, with optional
@@ -334,10 +335,11 @@ impl Engine {
     fn push_cone(&self, faults: &[StuckAtLine], cones: &mut Cones) {
         let Cones {
             gates,
-            ends,
+            spans,
             mark,
             stack,
         } = cones;
+        let start = gates.len();
         mark.resize(self.kinds.len().div_ceil(64), 0);
         let mut visit = |g: usize, stack: &mut Vec<u32>| {
             let (word, bit) = (&mut mark[g / 64], 1u64 << (g % 64));
@@ -364,7 +366,7 @@ impl Engine {
                 }
             }
         }
-        ends.push(gates.len());
+        spans.push((start, gates.len()));
     }
 
     /// Convenience wrapper allocating a fresh value vector.
@@ -421,10 +423,13 @@ impl FaultEngine for Engine {
         self.check_faults(group)
     }
 
-    /// The block's cones are built once into one arena; per wide batch
-    /// the good machine runs once over the whole netlist, and each live
-    /// group costs one pass over its own cone (`gate_evals` = cone
-    /// length).
+    /// The block's cones are built into one arena, each once per run
+    /// of consecutive groups on the same site gates (a skipped group
+    /// counts as one with no sites); per wide batch the good machine
+    /// runs once over the whole netlist, and each live group costs one
+    /// pass over its own cone (`gate_evals` = cone length). A cone is
+    /// copied back from the good machine only when the next live group
+    /// sits on another one.
     fn simulate_block<const L: usize, F>(
         &self,
         chunk: &[Self::Group],
@@ -432,15 +437,27 @@ impl FaultEngine for Engine {
         plan: InputPlan,
         _cycles: u32,
         mut tally: F,
-    ) -> u64
+    ) -> BlockWork
     where
         F: FnMut(usize, &Verdict<'_, L>) -> bool,
     {
         let mut cones = Cones::default();
+        let mut cones_built = 0u64;
         let mut listed = live.iter().peekable();
+        let mut previous: Option<&[StuckAtLine]> = None;
         for (k, group) in chunk.iter().enumerate() {
-            let simulated = listed.next_if_eq(&&k).is_some();
-            self.push_cone(if simulated { group } else { &[] }, &mut cones);
+            let sites: &[StuckAtLine] = if listed.next_if_eq(&&k).is_some() {
+                group
+            } else {
+                &[]
+            };
+            if previous.is_some_and(|p| same_gates(p, sites)) {
+                cones.share_last();
+            } else {
+                self.push_cone(sites, &mut cones);
+                cones_built += u64::from(!sites.is_empty());
+            }
+            previous = Some(sites);
         }
         let mut good = Vec::new();
         let mut faulty = Vec::new();
@@ -456,8 +473,15 @@ impl FaultEngine for Engine {
                 "good machine must be alarm-free"
             );
             faulty.clone_from(&good);
+            // The cone whose gates `faulty` holds faulty values for.
+            let mut dirty = (0, 0);
             live.retain(|&k| {
-                let cone = cones.get(k);
+                let span = cones.spans[k];
+                if span != dirty {
+                    restore(&good, &mut faulty, cones.at(dirty));
+                    dirty = span;
+                }
+                let cone = cones.at(span);
                 let outcome = self.eval_cone_wide(&good, &mut faulty, cone, &chunk[k], wide.mask);
                 tally(
                     k,
@@ -470,19 +494,38 @@ impl FaultEngine for Engine {
                 )
             });
         }
-        good_evals
+        BlockWork {
+            good_evals,
+            cones_built,
+        }
     }
+}
+
+/// Copies `cone`'s gates back from the good machine into `values`.
+fn restore<const L: usize>(good: &[Words<L>], values: &mut [Words<L>], cone: &[u32]) {
+    for &g in cone {
+        values[g as usize] = good[g as usize];
+    }
+}
+
+/// Whether two fault groups sit on the same gates, line by line — and
+/// so share one fanout cone.
+fn same_gates(a: &[StuckAtLine], b: &[StuckAtLine]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.site.gate == y.site.gate)
 }
 
 /// The fanout cones of one block of fault groups, packed into one
 /// reused arena: entry `k` is the ascending list of gates group `k`'s
 /// faults can change — its sites and their transitive fanout. Filled by
-/// [`Engine::push_cone`]; its size is bounded by the block size times
-/// the largest cone.
+/// [`Engine::push_cone`]; consecutive groups on the same site gates
+/// share one arena slice ([`Cones::share_last`]), so the arena holds
+/// one cone per distinct run of site sets, bounded by the block size
+/// times the largest cone.
 #[derive(Clone, Debug, Default)]
 struct Cones {
     gates: Vec<u32>,
-    ends: Vec<usize>,
+    /// Entry `k`'s `(start, end)` range in `gates`.
+    spans: Vec<(usize, usize)>,
     /// Scratch gate bitset, all clear between groups.
     mark: Vec<u64>,
     /// Scratch traversal stack.
@@ -491,9 +534,20 @@ struct Cones {
 
 impl Cones {
     /// Cone `k`, ascending.
+    #[cfg(test)]
     fn get(&self, k: usize) -> &[u32] {
-        let start = k.checked_sub(1).map_or(0, |p| self.ends[p]);
-        &self.gates[start..self.ends[k]]
+        self.at(self.spans[k])
+    }
+
+    /// The cone stored at `(start, end)`.
+    fn at(&self, (start, end): (usize, usize)) -> &[u32] {
+        &self.gates[start..end]
+    }
+
+    /// Appends an entry that reuses the last entry's cone.
+    fn share_last(&mut self) {
+        let last = *self.spans.last().expect("a cone to share");
+        self.spans.push(last);
     }
 }
 
@@ -769,26 +823,52 @@ mod tests {
         assert_eq!(cones.get(0), &[4]);
         assert!(cones.get(1).is_empty());
         assert_eq!(cones.get(2), &[0, 3, 5, 6]);
+        // A shared entry points at the last cone without growing the
+        // arena.
+        let len = cones.gates.len();
+        cones.share_last();
+        assert_eq!(cones.get(3), &[0, 3, 5, 6]);
+        assert_eq!(cones.gates.len(), len);
     }
 
     #[test]
-    fn cone_overlay_matches_full_faulty_pass_and_restores_good() {
+    fn same_gates_compares_every_site_not_pins_or_values() {
+        let a = [line(1, None, true), line(3, Some(0), false)];
+        let pins_and_values_differ = [line(1, Some(1), false), line(3, None, true)];
+        assert!(same_gates(&a, &pins_and_values_differ));
+        assert!(!same_gates(&a, &[line(1, None, true), line(4, None, true)]));
+        assert!(!same_gates(&a, &a[..1]));
+        assert!(same_gates(&[], &[]));
+    }
+
+    #[test]
+    fn cone_overlay_matches_full_faulty_pass() {
         let engine = Engine::new(&branchy_netlist());
         let wide = InputPlan::Exhaustive.wide_stream::<4>(3).next().unwrap();
         let mut good = Vec::new();
         engine.eval_wide_into(&wide, &[], &mut good);
+        // Pairs on one cone run back to back without a restore between
+        // them; every other switch restores the previous cone first.
         let groups = [
             vec![line(0, None, true)],
+            vec![line(0, None, false)],
             vec![line(1, None, false), line(4, Some(0), false)],
+            vec![line(1, None, true), line(4, None, true)],
             vec![line(3, Some(0), true), line(3, None, false)],
+            vec![line(3, Some(1), false), line(3, Some(0), false)],
             vec![line(6, Some(1), false)],
             vec![line(2, None, true), line(5, Some(1), false)],
             vec![],
         ];
         let mut overlay = good.clone();
         let mut full = Vec::new();
+        let mut dirty: Vec<u32> = Vec::new();
         for faults in &groups {
             let cone = cone_of(&engine, faults);
+            if cone != dirty {
+                restore(&good, &mut overlay, &dirty);
+                assert_eq!(overlay, good, "good values restored before {faults:?}");
+            }
             let got = engine.eval_cone_wide(&good, &mut overlay, &cone, faults, wide.mask);
             engine.eval_wide_into(&wide, faults, &mut full);
             assert_eq!(
@@ -796,7 +876,7 @@ mod tests {
                 engine.compare_wide(&good, &full, wide.mask),
                 "{faults:?}"
             );
-            assert_eq!(overlay, good, "good values restored after {faults:?}");
+            dirty = cone;
         }
     }
 

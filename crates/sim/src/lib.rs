@@ -94,8 +94,8 @@ mod words;
 
 pub use batch::{BatchStream, InputBatch, InputPlan, WideBatch, WideStream, LANES};
 pub use campaign::{
-    correlated_coverage, dedicated_coverage, Campaign, CampaignSummary, DropPolicy, EngineCampaign,
-    FaultEngine, FaultOutcome, SeqCampaign, Verdict, XvalReport,
+    correlated_coverage, dedicated_coverage, BlockWork, Campaign, CampaignSummary, DropPolicy,
+    EngineCampaign, FaultEngine, FaultOutcome, SeqCampaign, Verdict, XvalReport,
 };
 pub use engine::{BatchOutcome, Engine, WideOutcome};
 pub use error::SimError;

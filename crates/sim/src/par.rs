@@ -57,8 +57,14 @@ pub fn default_threads() -> usize {
 /// about 9% of the netlist on the w8 FIR/Both datapath (7,402 gates,
 /// mean cone 672, largest 1,371). At 128 groups per block the good
 /// machine is ~8% of the gate evaluations there, against ~26% at 32
-/// groups (1.37× slower end to end) and ~4% at 256 (no faster), and a
-/// block's cone arena stays under 128 × 1,371 `u32`s (~0.7 MB).
+/// groups (1.37× slower end to end) and ~4% at 256 (no faster; a cap
+/// of 512 is no faster with shared cones either). A block builds one
+/// cone per run of consecutive groups on the same site gates, and that
+/// universe lists each site's stuck-at-0/1 and pin faults together
+/// (5,182 groups, 952 cones), so its cone arena holds 15,662 `u32`s
+/// per block on average (~63 KB; largest 23,760) instead of 84,915
+/// (~340 KB) with one cone per group. It is bounded by 128 × 1,371
+/// `u32`s (~0.7 MB) when no two neighbours share sites.
 ///
 /// Sequential campaigns share this geometry (one driver runs both
 /// engines): blocks of up to 128 groups, one block per campaign on a

@@ -25,7 +25,7 @@
 //!   engine).
 
 use crate::batch::{InputBatch, InputPlan};
-use crate::campaign::{FaultEngine, Verdict};
+use crate::campaign::{BlockWork, FaultEngine, Verdict};
 use crate::engine::{apply2, check_lines, BatchOutcome, WideOutcome};
 use crate::error::SimError;
 use crate::words::LaneWord;
@@ -418,7 +418,7 @@ impl FaultEngine for SeqEngine {
         plan: InputPlan,
         cycles: u32,
         mut tally: F,
-    ) -> u64
+    ) -> BlockWork
     where
         F: FnMut(usize, &Verdict<'_, L>) -> bool,
     {
@@ -460,7 +460,10 @@ impl FaultEngine for SeqEngine {
                 )
             });
         }
-        good_evals
+        BlockWork {
+            good_evals,
+            cones_built: 0,
+        }
     }
 }
 
@@ -593,8 +596,14 @@ mod tests {
             )],
             FaultDuration::Permanent,
         );
-        let summary = SeqCampaign::new(&engine, vec![stuck], 4).threads(1).run();
+        let rec = std::sync::Arc::new(scdp_obs::Recorder::new());
+        let summary = SeqCampaign::new(&engine, vec![stuck], 4)
+            .threads(1)
+            .recorder(std::sync::Arc::clone(&rec))
+            .run();
         assert_eq!(summary.simulated, 2);
+        // Full passes every cycle: no fanout cones to build.
+        assert_eq!(rec.snapshot().counter("pool.cones_built"), Some(0));
         // Both lanes detected at cycle 2; the x = 1 lane is also wrong.
         assert_eq!(summary.first_detect, vec![0, 0, 2, 0]);
         assert_eq!(summary.tally.error_detected, 1);

@@ -8,6 +8,12 @@
 //! per-fault row of the campaign must equal the reference row, at every
 //! lane width, drop policy and thread count, on random netlists and on
 //! the elaborated FIR/IIR/Dot/Matvec datapaths.
+//!
+//! Consecutive groups on the same site gates share one cone, and run
+//! over it with no restore of the good values in between; the
+//! shared-site universes below hold runs of such groups, broken by
+//! skipped groups and decoys that share only their first site, with
+//! runs straddling the block boundaries of every thread count tested.
 
 mod common;
 
@@ -15,8 +21,10 @@ use common::{random_faults, random_netlist};
 use scdp_campaign::{DatapathScenario, DfgSource};
 use scdp_core::Technique;
 use scdp_netlist::{GateKind, Netlist, StuckAtLine, StuckSite};
+use scdp_obs::Recorder;
 use scdp_rng::{Rng, Xoshiro256StarStar};
-use scdp_sim::{DropPolicy, Engine, EngineCampaign, FaultOutcome, InputPlan, Lanes};
+use scdp_sim::{par, DropPolicy, Engine, EngineCampaign, FaultOutcome, InputPlan, Lanes};
+use std::sync::Arc;
 
 const DROPS: [DropPolicy; 3] = [
     DropPolicy::Never,
@@ -76,7 +84,22 @@ fn assert_cone_equivalent(
     let skip: Vec<usize> = (0..groups.len())
         .filter(|&k| groups[k].is_empty())
         .collect();
+    assert_cone_equivalent_skipping(engine, groups, &skip, plan, threads, what);
+}
+
+/// [`assert_cone_equivalent`] with an explicit skip list: the second
+/// run skips the groups in `skip`, whose rows must then equal the
+/// fault-free reference while every other row keeps its own.
+fn assert_cone_equivalent_skipping(
+    engine: &Engine,
+    groups: &[Vec<StuckAtLine>],
+    skip: &[usize],
+    plan: InputPlan,
+    threads: &[usize],
+    what: &str,
+) {
     for drop in DROPS {
+        let fault_free = reference_row(engine, &[], plan, drop);
         let reference: Vec<FaultOutcome> = groups
             .iter()
             .map(|g| reference_row(engine, g, plan, drop))
@@ -97,11 +120,15 @@ fn assert_cone_equivalent(
                     );
                 }
                 if !skip.is_empty() {
-                    let skipped = campaign.skip_resolved(skip.clone()).run();
-                    assert_eq!(
-                        skipped.per_fault, reference,
-                        "{what}: skipped empty groups, {drop:?} {lanes:?} {t} threads"
-                    );
+                    let skipped = campaign.skip_resolved(skip.to_vec()).run();
+                    for (k, (got, want)) in skipped.per_fault.iter().zip(&reference).enumerate() {
+                        let want = if skip.contains(&k) { &fault_free } else { want };
+                        assert_eq!(
+                            got, want,
+                            "{what}: group {k} {:?} with skips, {drop:?} {lanes:?} {t} threads",
+                            groups[k]
+                        );
+                    }
                 }
             }
         }
@@ -227,4 +254,157 @@ fn cone_overlay_equals_full_passes_on_the_datapath_workloads() {
             );
         }
     }
+}
+
+/// A random line on `gate`: its stem or one of its input pins.
+fn any_line(rng: &mut impl Rng, nl: &Netlist, gate: usize) -> StuckAtLine {
+    let pins = nl.gates()[gate].kind.pins();
+    let pin = (pins > 0 && rng.gen_bool()).then(|| rng.gen_range(u64::from(pins)) as u8);
+    line(gate, pin, rng.gen_bool())
+}
+
+/// `count` distinct random gates, ascending.
+fn distinct_gates(rng: &mut impl Rng, nl: &Netlist, count: usize) -> Vec<usize> {
+    let mut gates = Vec::new();
+    while gates.len() < count.min(nl.gates().len()) {
+        let g = rng.gen_range(nl.gates().len() as u64) as usize;
+        if !gates.contains(&g) {
+            gates.push(g);
+        }
+    }
+    gates.sort_unstable();
+    gates
+}
+
+/// Runs of groups that share one site set, until the universe holds at
+/// least `min_groups`, plus the skip list to test it with. Each run is
+/// one of: every single-line fault of one gate (stem stuck-at-0 and -1,
+/// each input pin at both values), multi-line groups on the same gates
+/// with random pins and values, or a decoy pair that shares only its
+/// first site. Empty groups and skipped groups fall between and inside
+/// runs.
+fn shared_site_universe(
+    rng: &mut impl Rng,
+    nl: &Netlist,
+    min_groups: usize,
+) -> (Vec<Vec<StuckAtLine>>, Vec<usize>) {
+    let mut groups: Vec<Vec<StuckAtLine>> = Vec::new();
+    let mut skip = Vec::new();
+    while groups.len() < min_groups {
+        match rng.gen_range(3) {
+            0 => {
+                let g = distinct_gates(rng, nl, 1)[0];
+                let pins = nl.gates()[g].kind.pins();
+                for pin in std::iter::once(None).chain((0..pins).map(Some)) {
+                    for value in [false, true] {
+                        groups.push(vec![line(g, pin, value)]);
+                    }
+                }
+            }
+            1 => {
+                let count = 2 + rng.gen_range(2) as usize;
+                let gates = distinct_gates(rng, nl, count);
+                for _ in 0..2 + rng.gen_range(4) {
+                    groups.push(gates.iter().map(|&g| any_line(rng, nl, g)).collect());
+                }
+            }
+            _ => {
+                let gates = distinct_gates(rng, nl, 3);
+                let first = any_line(rng, nl, gates[0]);
+                groups.push(vec![first, any_line(rng, nl, gates[1])]);
+                groups.push(vec![first, any_line(rng, nl, gates[2])]);
+            }
+        }
+        // Inside a run or between runs: skip a group sharing the sites
+        // of its neighbours, or insert an empty group.
+        match rng.gen_range(4) {
+            0 if groups.len() >= 2 => skip.push(groups.len() - 2),
+            1 => groups.push(Vec::new()),
+            _ => {}
+        }
+    }
+    (groups, skip)
+}
+
+/// Whether some run of consecutive groups on equal site gates crosses a
+/// boundary of `block`-sized blocks.
+fn a_run_crosses_a_block(groups: &[Vec<StuckAtLine>], block: usize) -> bool {
+    let gates = |g: &[StuckAtLine]| g.iter().map(|f| f.site.gate).collect::<Vec<_>>();
+    (block..groups.len())
+        .step_by(block)
+        .any(|b| !groups[b].is_empty() && gates(&groups[b - 1]) == gates(&groups[b]))
+}
+
+#[test]
+fn shared_cones_equal_full_passes_across_skips_and_block_boundaries() {
+    let mut rng = Xoshiro256StarStar::from_seed(0x5A_4ED);
+    let threads = [1, 2, 3];
+    let mut crossings = [0usize; 3];
+    for case in 0..6 {
+        let inputs = 3 + rng.gen_range(8) as u32;
+        let gates = 30 + rng.gen_range(80) as usize;
+        let nl = random_netlist(&mut rng, inputs, gates);
+        let engine = Engine::new(&nl);
+        // More groups than one block holds at one thread.
+        let (groups, skip) = shared_site_universe(&mut rng, &nl, 150);
+        for (c, &t) in crossings.iter_mut().zip(&threads) {
+            let block = par::auto_block(groups.len(), t);
+            *c += usize::from(a_run_crosses_a_block(&groups, block));
+        }
+        let plan = if inputs <= 8 {
+            InputPlan::Exhaustive
+        } else {
+            InputPlan::Sampled {
+                vectors: 600,
+                seed: 0x5_4A2E ^ case,
+            }
+        };
+        let what = format!("shared-site case {case}");
+        assert_cone_equivalent_skipping(&engine, &groups, &skip, plan, &threads, &what);
+    }
+    assert!(
+        crossings.iter().all(|&c| c >= 3),
+        "runs must straddle block boundaries at every thread count: {crossings:?}"
+    );
+}
+
+#[test]
+fn groups_on_one_site_set_build_one_cone_per_block() {
+    let dp = DatapathScenario::new(DfgSource::Fir, 8)
+        .technique(Technique::Both)
+        .elaborate();
+    let engine = Engine::new(&dp.netlist);
+    let (groups, _) = dp.fault_universe();
+    let rec = Arc::new(Recorder::new());
+    let summary = EngineCampaign::over(&engine, groups.clone())
+        .plan(InputPlan::Sampled {
+            vectors: 64,
+            seed: 0xC0_4E,
+        })
+        .lanes(Lanes::L1)
+        .threads(1)
+        .recorder(Arc::clone(&rec))
+        .run();
+    assert_eq!(summary.per_fault.len(), groups.len());
+    // The count the driver should reach: one cone per run of groups on
+    // equal site gates within each block.
+    let block = par::auto_block(groups.len(), 1);
+    let gates = |g: &[StuckAtLine]| g.iter().map(|f| f.site.gate).collect::<Vec<_>>();
+    let runs: usize = groups
+        .chunks(block)
+        .map(|chunk| {
+            1 + chunk
+                .windows(2)
+                .filter(|w| gates(&w[0]) != gates(&w[1]))
+                .count()
+        })
+        .sum();
+    let built = rec.snapshot().counter("pool.cones_built");
+    assert_eq!(built, Some(runs as u64));
+    // 952 cones for 5,182 groups at the time of writing.
+    assert!(
+        runs * 5 < groups.len(),
+        "{runs} cones for {} groups",
+        groups.len()
+    );
 }
