@@ -73,22 +73,31 @@ fn main() {
     // >= 1.3x) since the run cost is linear in the group count.
     let cu = CollapsedUniverse::build(&dp.netlist);
     let rep_groups = cu.collapse_groups(&groups).rep_groups;
-    let uncollapsed = bench.sample_elements("campaign_uncollapsed_w4", 10, situations, &mut || {
-        black_box(
-            EngineCampaign::over(&engine, groups.clone())
-                .threads(1)
-                .run()
-                .simulated,
-        )
-    });
-    let collapsed = bench.sample_elements("campaign_collapsed_w4", 10, situations, &mut || {
-        black_box(
-            EngineCampaign::over(&engine, rep_groups.clone())
-                .threads(1)
-                .run()
-                .simulated,
-        )
-    });
+    // Timed in one alternating loop so host drift cannot move the
+    // ratio between the two medians.
+    let medians = bench.sample_interleaved(
+        &mut [
+            ("campaign_uncollapsed_w4", &mut || {
+                black_box(
+                    EngineCampaign::over(&engine, groups.clone())
+                        .threads(1)
+                        .run()
+                        .simulated,
+                );
+            }),
+            ("campaign_collapsed_w4", &mut || {
+                black_box(
+                    EngineCampaign::over(&engine, rep_groups.clone())
+                        .threads(1)
+                        .run()
+                        .simulated,
+                );
+            }),
+        ],
+        10,
+        situations,
+    );
+    let (uncollapsed, collapsed) = (medians[0], medians[1]);
     let collapse_ratio = uncollapsed / collapsed;
 
     // A width-8 engine-only run — infeasible on the scalar path inside a

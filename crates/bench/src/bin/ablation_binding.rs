@@ -17,7 +17,7 @@
 //! the gate-level cross-check re-runs the same allocations on the
 //! structural datapath.
 
-use scdp_bench::{pct, CliArgs};
+use scdp_bench::{pct, CliArgs, OrUsageExit};
 use scdp_campaign::{Backend, ExecPolicy, Scenario, TechIndex};
 use scdp_core::{Allocation, Operator, Technique};
 use scdp_fir::fir_body_dfg;
@@ -35,7 +35,7 @@ fn main() {
             .allocation(alloc)
             .campaign()
             .run()
-            .expect("valid functional scenario")
+            .or_usage_exit()
     };
     let shared = functional(Allocation::SingleUnit);
     let dedicated = functional(Allocation::Dedicated);
@@ -68,9 +68,9 @@ fn main() {
                 .allocation(alloc)
                 .campaign()
                 .backend(Backend::GateLevel)
-                .exec(ExecPolicy::new().threads(args.threads()))
+                .exec(ExecPolicy::new().threads(args.threads().or_usage_exit()))
                 .run()
-                .expect("valid gate scenario")
+                .or_usage_exit()
         };
         let shared = gate(Allocation::SingleUnit);
         let dedicated = gate(Allocation::Dedicated);

@@ -24,20 +24,27 @@
 //! failure.
 
 use scdp_bench::regression::{check_dirs, CheckConfig, Severity};
-use scdp_bench::CliArgs;
+use scdp_bench::{CliArgs, OrUsageExit};
 use std::path::PathBuf;
 
 fn main() {
     let args = CliArgs::parse();
     let baseline = args
         .value::<String>("--baseline")
+        .or_usage_exit()
         .map_or_else(default_baseline_dir, PathBuf::from);
-    let Some(fresh) = args.value::<String>("--fresh").map(PathBuf::from) else {
+    let Some(fresh) = args
+        .value::<String>("--fresh")
+        .or_usage_exit()
+        .map(PathBuf::from)
+    else {
         eprintln!("bench_check: --fresh DIR is required");
         std::process::exit(2);
     };
     let mut cfg = CheckConfig {
-        tolerance: args.value_or("--tolerance", CheckConfig::default().tolerance),
+        tolerance: args
+            .value_or("--tolerance", CheckConfig::default().tolerance)
+            .or_usage_exit(),
         medians_fail: !args.flag("--cross-machine"),
         ..CheckConfig::default()
     };

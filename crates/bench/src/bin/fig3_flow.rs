@@ -25,7 +25,7 @@
 //! the step-`[7]` datapath report as `scdp.campaign.report/v2` JSON and
 //! `--seq-report FILE` the step-`[8]` sequential report as v3.
 
-use scdp_bench::CliArgs;
+use scdp_bench::{CliArgs, OrUsageExit};
 use scdp_campaign::{
     Backend, DatapathScenario, DfgSource, ExecPolicy, FaultDuration, FaultModel, InputSpace,
     Scenario,
@@ -108,20 +108,21 @@ fn main() {
 
     // Operator-level validation: one scenario, both engines,
     // bit-identical tallies. Exhaustive inputs are what make the
-    // cross-backend equality exact, so the validation width is clamped
-    // to keep the 2^(2w) pair space bounded.
-    let width = args.width(4).clamp(1, 8);
+    // cross-backend equality exact, so the validation width is capped
+    // at 8 to keep the 2^(2w) pair space bounded.
+    let width = args.width(4).or_usage_exit();
+    if !(1..=8).contains(&width) {
+        eprintln!("error: --width {width} is outside 1..=8, the exhaustive validation range");
+        std::process::exit(2);
+    }
     let op_width = if quick { width.min(2) } else { width };
     let scenario = Scenario::new(Operator::Add, op_width).technique(Technique::Tech1);
     let spec = scenario
         .campaign()
         .fault_model(FaultModel::FaGate)
-        .exec(ExecPolicy::new().threads(args.threads()));
-    let functional = spec.clone().run().expect("functional campaign");
-    let gate = spec
-        .backend(Backend::GateLevel)
-        .run()
-        .expect("gate-level campaign");
+        .exec(ExecPolicy::new().threads(args.threads().or_usage_exit()));
+    let functional = spec.clone().run().or_usage_exit();
+    let gate = spec.backend(Backend::GateLevel).run().or_usage_exit();
     println!(
         "[6] operator validation (+, {op_width}-bit, Tech1): functional {:.2}% vs \
          gate-level {:.2}% — {}",
@@ -137,17 +138,17 @@ fn main() {
     // System-level validation: the scheduled, bound FIR datapath as one
     // circuit, fault-graded per physical functional unit.
     let dp_width = if quick { width.min(2) } else { width.min(4) };
-    let samples = args.samples(if quick { 256 } else { 2048 });
+    let samples = args.samples(if quick { 256 } else { 2048 }).or_usage_exit();
     let report = DatapathScenario::new(DfgSource::Fir, dp_width)
         .technique(Technique::Tech1)
         .campaign()
         .input_space(InputSpace::Sampled {
             per_fault: samples,
-            seed: args.seed(),
+            seed: args.seed().or_usage_exit(),
         })
-        .exec(ExecPolicy::new().threads(args.threads()))
+        .exec(ExecPolicy::new().threads(args.threads().or_usage_exit()))
         .run()
-        .expect("datapath campaign");
+        .or_usage_exit();
     let details = report.datapath.as_ref().expect("datapath section");
     println!(
         "[7] datapath validation (FIR, {dp_width}-bit, Tech1, {} vectors): \
@@ -184,7 +185,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.value::<String>("--report") {
+    if let Some(path) = args.value::<String>("--report").or_usage_exit() {
         std::fs::write(&path, report.to_json()).expect("write report");
         println!("      wrote {path} ({})", scdp_campaign::REPORT_SCHEMA_V2);
     }
@@ -198,7 +199,7 @@ fn main() {
     let total_cycles = machine.total_cycles;
     let seq_space = InputSpace::Sampled {
         per_fault: samples,
-        seed: args.seed(),
+        seed: args.seed().or_usage_exit(),
     };
     let mut seq_reports = Vec::new();
     for duration in [
@@ -212,9 +213,9 @@ fn main() {
             .seq_campaign()
             .duration(duration)
             .input_space(seq_space)
-            .exec(ExecPolicy::new().threads(args.threads()))
+            .exec(ExecPolicy::new().threads(args.threads().or_usage_exit()))
             .run_on(&machine)
-            .expect("sequential campaign");
+            .or_usage_exit();
         seq_reports.push((duration, r));
     }
     println!(
@@ -240,7 +241,7 @@ fn main() {
         }
         println!();
     }
-    if let Some(path) = args.value::<String>("--seq-report") {
+    if let Some(path) = args.value::<String>("--seq-report").or_usage_exit() {
         let (_, permanent) = &seq_reports[0];
         std::fs::write(&path, permanent.to_json()).expect("write seq report");
         println!("      wrote {path} ({})", scdp_campaign::REPORT_SCHEMA_V3);

@@ -28,7 +28,7 @@
 //! Exit codes: 0 on success, 2 for a scenario the campaign API rejects
 //! (e.g. `--width 0`), 1 if the report cannot be written.
 
-use scdp_bench::{pct, scalar_add_oracle, timed, CliArgs};
+use scdp_bench::{pct, scalar_add_oracle, timed, CliArgs, OrUsageExit};
 use scdp_campaign::{Backend, CampaignReport, ExecPolicy, InputSpace, Scenario};
 use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::AdderRealisation;
@@ -43,9 +43,9 @@ fn fail(code: i32, message: impl Display) -> ! {
 
 fn main() {
     let args = CliArgs::parse();
-    let width = args.width(4);
-    let threads = args.threads();
-    let space = args.space(width, 1 << 16);
+    let width = args.width(4).or_usage_exit();
+    let threads = args.threads().or_usage_exit();
+    let space = args.space(width, 1 << 16).or_usage_exit();
 
     match space {
         InputSpace::Exhaustive => println!(
@@ -83,7 +83,7 @@ fn main() {
                 r.fault_count() / 2,
             ));
             if tech == Technique::Both && real == AdderRealisation::RippleCarry {
-                if let Some(path) = args.value::<String>("--report") {
+                if let Some(path) = args.value::<String>("--report").or_usage_exit() {
                     std::fs::write(&path, r.to_json())
                         .unwrap_or_else(|e| fail(1, format!("cannot write {path}: {e}")));
                     eprintln!("[wrote {path}]");

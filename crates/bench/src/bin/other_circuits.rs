@@ -10,7 +10,7 @@
 //! Usage:
 //!   other_circuits [--width N] [--samples N] [--seed S] [--threads N]
 
-use scdp_bench::{pct, timed, CliArgs};
+use scdp_bench::{pct, timed, CliArgs, OrUsageExit};
 use scdp_campaign::{Backend, ExecPolicy, InputSpace, Scenario};
 use scdp_core::{Operator, Technique};
 use scdp_fir::{dot_body_dfg, iir_biquad_dfg, matvec_row_dfg};
@@ -34,12 +34,12 @@ fn main() {
     // (12 bits) whose 2^24-pair input space forces Monte-Carlo
     // sampling: the carry-save realisation cross-validated against the
     // ripple-carry baseline, and the array multiplier worst case.
-    let width = args.width(12);
+    let width = args.width(12).or_usage_exit();
     let space = InputSpace::Sampled {
-        per_fault: args.samples(1 << 14),
-        seed: args.seed(),
+        per_fault: args.samples(1 << 14).or_usage_exit(),
+        seed: args.seed().or_usage_exit(),
     };
-    let threads = args.threads();
+    let threads = args.threads().or_usage_exit();
     let gate = |op: Operator, tech: Technique, real: AdderRealisation| {
         Scenario::new(op, width)
             .technique(tech)
@@ -49,7 +49,7 @@ fn main() {
             .input_space(space)
             .exec(ExecPolicy::new().threads(threads))
             .run()
-            .expect("valid companion-generator scenario")
+            .or_usage_exit()
     };
     println!(
         "\nCompanion generators, {width}-bit, Monte-Carlo ({} vectors):",
@@ -93,7 +93,7 @@ fn main() {
             .input_space(space)
             .exec(ExecPolicy::new().threads(threads))
             .run()
-            .expect("valid multiplier scenario")
+            .or_usage_exit()
     });
     println!(
         "Array multiplier, {mul_width}-bit Monte-Carlo worst case: x coverage {} \

@@ -15,7 +15,7 @@
 //! Usage:
 //!   table1 [--width N] [--samples N] [--seed S] [--exhaustive] [--gate]
 
-use scdp_bench::{pct, timed, CliArgs};
+use scdp_bench::{pct, timed, CliArgs, OrUsageExit};
 use scdp_campaign::{Backend, ExecPolicy, InputSpace, Scenario, TechIndex};
 use scdp_core::{Operator, Technique};
 
@@ -28,9 +28,9 @@ const PAPER: [(Operator, f64, f64, Option<f64>); 4] = [
 
 fn main() {
     let args = CliArgs::parse();
-    let width = args.width(8);
-    let samples = args.samples(1 << 14);
-    let seed = args.seed();
+    let width = args.width(8).or_usage_exit();
+    let samples = args.samples(1 << 14).or_usage_exit();
+    let seed = args.seed().or_usage_exit();
     let exhaustive = args.flag("--exhaustive");
 
     println!("Table 1 — overloading techniques and fault coverage ({width}-bit, worst case)");
@@ -50,7 +50,7 @@ fn main() {
                 .campaign()
                 .input_space(space)
                 .run()
-                .expect("valid Table 1 scenario")
+                .or_usage_exit()
         });
         println!("\n{op}  (ris = op1 {op} op2; {} faults)", r.fault_count());
         for (tech, idx, paper) in [
@@ -78,8 +78,8 @@ fn main() {
 /// shared-unit) analysis run on generated structural datapaths through
 /// the gate-level backend of the unified API.
 fn gate_section(args: &CliArgs, width: u32) {
-    let space = args.space(width, 1 << 14);
-    let threads = args.threads();
+    let space = args.space(width, 1 << 14).or_usage_exit();
+    let threads = args.threads().or_usage_exit();
     println!("\nGate-level structural campaigns ({width}-bit, bit-parallel engine):");
     for op in [Operator::Add, Operator::Sub, Operator::Mul] {
         let mut cells = Vec::new();
@@ -92,7 +92,7 @@ fn gate_section(args: &CliArgs, width: u32) {
                     .input_space(space)
                     .exec(ExecPolicy::new().threads(threads))
                     .run()
-                    .expect("valid gate scenario")
+                    .or_usage_exit()
             });
             cells.push(format!("{tech} {}", pct(r.coverage())));
         }

@@ -16,7 +16,7 @@
 //!   table2 [--detail] [--dual-unit] [--model gate|cell] [--samples N]
 //!          [--seed S] [--gate] [--report FILE]
 
-use scdp_bench::{pct, timed, CliArgs};
+use scdp_bench::{pct, timed, CliArgs, OrUsageExit};
 use scdp_campaign::{
     Backend, CampaignReport, ExecPolicy, FaultModel, InputSpace, Scenario, TechIndex,
 };
@@ -35,7 +35,7 @@ const PAPER: [(u32, &str, f64, f64, f64); 6] = [
 ];
 
 fn model_from(args: &CliArgs) -> FaultModel {
-    match args.value::<String>("--model").as_deref() {
+    match args.value::<String>("--model").or_usage_exit().as_deref() {
         Some("cell") => FaultModel::Cell,
         _ => FaultModel::FaGate,
     }
@@ -44,8 +44,8 @@ fn model_from(args: &CliArgs) -> FaultModel {
 fn main() {
     let args = CliArgs::parse();
     let model = model_from(&args);
-    let samples = args.samples(1 << 17);
-    let seed = args.seed();
+    let samples = args.samples(1 << 17).or_usage_exit();
+    let seed = args.seed().or_usage_exit();
     let alloc = if args.flag("--dual-unit") {
         Allocation::Dedicated
     } else {
@@ -73,7 +73,7 @@ fn main() {
                 .fault_model(model)
                 .input_space(space)
                 .run()
-                .expect("valid Table 2 scenario")
+                .or_usage_exit()
         });
         let cov = |t: TechIndex| pct(report.coverage_of(t).expect("functional fills all columns"));
         println!(
@@ -96,7 +96,7 @@ fn main() {
         }
         let _ = paper_situations;
         if bits == 4 {
-            if let Some(path) = args.value::<String>("--report") {
+            if let Some(path) = args.value::<String>("--report").or_usage_exit() {
                 std::fs::write(&path, report.to_json()).expect("write report JSON");
                 eprintln!("[wrote {path}]");
             }
@@ -116,14 +116,14 @@ fn main() {
 /// coverage of the generated structural self-checking adder (correlated
 /// shared-unit stuck-ats on every gate of one instance) versus width.
 fn gate_section(args: &CliArgs) {
-    let threads = args.threads();
+    let threads = args.threads().or_usage_exit();
     println!("\nGate-level structural adder (bit-parallel engine, correlated faults):");
     println!(
         "{:>4} {:>9} {:>9} {:>9}",
         "bits", "Tech1", "Tech2", "Tech 1&2"
     );
     for bits in [1u32, 2, 3, 4, 8, 16] {
-        let space = args.space(bits, 1 << 17);
+        let space = args.space(bits, 1 << 17).or_usage_exit();
         let mut cov = Vec::new();
         for tech in Technique::ALL {
             let report = Scenario::new(Operator::Add, bits)
@@ -133,7 +133,7 @@ fn gate_section(args: &CliArgs) {
                 .input_space(space)
                 .exec(ExecPolicy::new().threads(threads))
                 .run()
-                .expect("valid gate scenario");
+                .or_usage_exit();
             cov.push(report.coverage());
         }
         println!(
@@ -158,7 +158,7 @@ fn detail(model: FaultModel) {
             .campaign()
             .fault_model(model)
             .run()
-            .expect("valid detail scenario")
+            .or_usage_exit()
     };
     let both = run(Technique::Both);
     println!();

@@ -11,7 +11,7 @@
 //! Usage:
 //!   table3 [--taps N] [--sw-samples N]
 
-use scdp_bench::{timed, Bench, CliArgs};
+use scdp_bench::{timed, Bench, CliArgs, OrUsageExit};
 use scdp_codesign::{CodesignFlow, Goal};
 use scdp_fir::{fir_body_dfg, EmbeddedFir, PlainFir, SckFir};
 use scdp_hls::SckStyle;
@@ -37,8 +37,8 @@ const PAPER_SW: [(&str, f64, u32); 3] = [
 
 fn main() {
     let args = CliArgs::parse();
-    let taps: usize = args.value_or("--taps", 64);
-    let sw_samples: usize = args.value_or("--sw-samples", 200_000);
+    let taps: usize = args.value_or("--taps", 64).or_usage_exit();
+    let sw_samples: usize = args.value_or("--sw-samples", 200_000).or_usage_exit();
 
     let flow = CodesignFlow::default();
     let body = fir_body_dfg();

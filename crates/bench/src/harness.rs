@@ -86,31 +86,55 @@ impl Bench {
         elements: u64,
         f: &mut impl FnMut() -> R,
     ) -> f64 {
-        let samples = Self::scaled(samples);
-        black_box(f()); // warmup
-        let mut times: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(f());
-                start.elapsed().as_nanos() as f64
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        let min = times[0];
-        let rec = Record {
-            id: id.to_string(),
-            median_ns: median,
-            min_ns: min,
-            samples,
-            elements,
+        let mut run = || {
+            black_box(f());
         };
-        match rec.meps() {
-            Some(m) => eprintln!("{id:<40} {:>12.1} ns/iter  {m:>10.2} Melem/s", median),
-            None => eprintln!("{id:<40} {:>12.1} ns/iter", median),
+        self.sample_interleaved(&mut [(id, &mut run)], samples, elements)[0]
+    }
+
+    /// Measures several workloads in one alternating loop (`a`, `b`,
+    /// `a`, `b`, …, after one warmup call each), so host drift during
+    /// the run moves every median alike and ratios between them stay
+    /// steady. Records each and returns the medians in ns, in order.
+    pub fn sample_interleaved(
+        &mut self,
+        runs: &mut [(&str, &mut dyn FnMut())],
+        samples: usize,
+        elements: u64,
+    ) -> Vec<f64> {
+        let samples = Self::scaled(samples);
+        for (_, f) in runs.iter_mut() {
+            f(); // warmup
         }
-        self.records.push(rec);
-        median
+        let mut times = vec![Vec::with_capacity(samples); runs.len()];
+        for _ in 0..samples {
+            for ((_, f), t) in runs.iter_mut().zip(&mut times) {
+                let start = Instant::now();
+                f();
+                t.push(start.elapsed().as_nanos() as f64);
+            }
+        }
+        let mut medians = Vec::new();
+        for ((id, _), mut times) in runs.iter().zip(times) {
+            times.sort_by(f64::total_cmp);
+            let rec = Record {
+                id: id.to_string(),
+                median_ns: times[times.len() / 2],
+                min_ns: times[0],
+                samples,
+                elements,
+            };
+            match rec.meps() {
+                Some(m) => eprintln!(
+                    "{id:<40} {:>12.1} ns/iter  {m:>10.2} Melem/s",
+                    rec.median_ns
+                ),
+                None => eprintln!("{id:<40} {:>12.1} ns/iter", rec.median_ns),
+            }
+            medians.push(rec.median_ns);
+            self.records.push(rec);
+        }
+        medians
     }
 
     /// The median of a previously recorded id (for speedup reporting).

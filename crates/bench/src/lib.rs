@@ -17,8 +17,10 @@
 //! | `bench_check` | the bench-regression gate: fresh `BENCH_*.json` vs committed baselines ([`regression`]) |
 //!
 //! Every binary constructs its campaigns through the unified
-//! `scdp_campaign::{Scenario, CampaignSpec}` surface and parses its
-//! command line with the shared [`cli::CliArgs`] module.
+//! `scdp_campaign::{Scenario, CampaignSpec}` surface. The `scdp` verbs
+//! that describe a campaign read their flags through the
+//! `scdp_campaign::RunSpec` key table; the table binaries parse theirs
+//! with the shared [`cli::CliArgs`] module.
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,7 @@ pub mod regression;
 pub mod scdp_cli;
 pub mod trace;
 
-pub use cli::{CliArgs, DEFAULT_SEED};
+pub use cli::{CliArgs, OrUsageExit, UsageError};
 pub use harness::{Bench, Record};
 pub use regression::{BenchFile, CheckConfig};
 

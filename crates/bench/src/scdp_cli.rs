@@ -19,75 +19,85 @@
 //! The module lives in the library (rather than the binary) so the
 //! wrapper binaries can delegate and tests can drive it directly.
 
-use crate::cli::CliArgs;
+use crate::cli::{CliArgs, UsageError};
 use crate::pct;
 use crate::trace;
 use scdp_campaign::{
-    drop_from_label, duration_from_label, duration_label, op_from_label, realisation_from_label,
-    style_from_label, style_label, technique_from_label, Backend, CampaignJob, CampaignReport,
-    CampaignRunner, DatapathScenario, DfgSource, ExecPolicy, FaultDuration, InputSpace, Lanes,
-    Scenario, ShardState,
+    duration_label, style_label, CampaignJob, CampaignReport, CampaignRunner, DatapathScenario,
+    DfgSource, FaultDuration, RunSpec, ShardState,
 };
 use scdp_core::{Allocation, Technique};
-use scdp_hls::SckStyle;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Bare flags (no value argument) of every subcommand — everything
-/// else starting with `--` consumes the following argument.
-const BARE_FLAGS: &[&str] = &[
-    "--seq",
-    "--dedicated",
-    "--monte-carlo",
-    "--exhaustive",
-    "--quiet",
-    "--per-fu",
-    "--progress",
-    "--telemetry",
-    "--collapse",
-    "--prune",
-    "--strict",
-    "--json",
-    "--wait",
+/// Bare flags (no value argument) of the verbs that take file
+/// arguments — every other flag there consumes the following argument.
+const BARE_FLAGS: &[&str] = &["--per-fu", "--wait"];
+
+/// A campaign verb's own flags, `(flag, takes a value)`. Every other
+/// flag of `run`, `lint`, `analyze` and `sweep` is a run-spec key
+/// ([`scdp_campaign::KEYS`]); anything else is a usage error.
+type OwnFlags = &'static [(&'static str, bool)];
+
+const RUN_FLAGS: OwnFlags = &[
+    ("--dir", true),
+    ("--max-shards", true),
+    ("--report", true),
+    ("--trace", true),
+    ("--progress", false),
+    ("--quiet", false),
+    ("--per-fu", false),
+];
+const LINT_FLAGS: OwnFlags = &[("--strict", false), ("--json", false)];
+const ANALYZE_FLAGS: OwnFlags = &[("--json", false)];
+const SWEEP_FLAGS: OwnFlags = &[("--report-dir", true)];
+
+/// Run-spec keys `sweep` fixes itself: it runs every workload and
+/// technique (and, with `--seq`, three durations) unsharded.
+const SWEEP_AXES: &[&str] = &[
+    "--kind",
+    "--workload",
+    "--technique",
+    "--duration",
+    "--shards",
 ];
 
 const USAGE: &str = "\
 scdp — self-checking data-path campaigns
 
 USAGE:
-  scdp run [SCENARIO] [EXECUTION] [SHARDING] [OBSERVABILITY] [--report FILE]
+  scdp run [RUN SPEC] [SHARDING] [OBSERVABILITY] [--report FILE] [--per-fu]
   scdp merge (--dir DIR | FILE...) [--out FILE]
   scdp validate FILE...
   scdp table (--dir DIR | FILE...)
-  scdp sweep [--seq] [SCENARIO] [EXECUTION] [--report-dir DIR]
-  scdp lint [SCENARIO] [--strict] [--json]
-  scdp analyze [SCENARIO] [--json]
+  scdp sweep [--seq] [RUN SPEC] [--report-dir DIR]   (all workloads
+             x techniques; not --kind/--workload/--technique/--duration/--shards)
+  scdp lint [RUN SPEC] [--strict] [--json]
+  scdp analyze [RUN SPEC] [--json]
   scdp trace summarize FILE...
   scdp serve [--addr A] [--dir DIR] [--jobs N]
   scdp submit SPEC.json [--addr A] [--wait] [--out FILE]
 
-SCENARIO (pick an operator or a workload):
-  --op add|sub|mul|div          checked operator scenario (default: add)
-  --realisation rca|cla|csa     adder realisation (operator scenarios)
-  --backend functional|gate-level  engine for operator scenarios
-  --workload fir|iir|dot|matvec whole-datapath scenario
-  --seq                         cycle-accurate sequential campaign
-  --duration permanent|transient@C  fault duration (sequential)
-  --width N  --technique tech1|tech2|both  --style plain|full|embedded
-  --dedicated                   dedicated-checker allocation
-
-EXECUTION:
-  --samples N  --seed S  --monte-carlo  --exhaustive
+RUN SPEC (the keys of a POST /jobs spec as --key, `_` written `-`; a
+bad, repeated or unknown flag, or one foreign to the kind, exits 2;
+types and defaults: docs/CAMPAIGN_API.md):
+  --kind operator|datapath|sequential  (default: datapath with a
+                                workload, else operator)
+  --op add|sub|mul|div  --realisation rca|cla|csa  (operator)
+  --backend functional|gate-level  (operator)
+  --fault-model auto|fa-gate|cell|structural  (operator)
+  --workload fir|iir|dot|matvec  --style plain|full|embedded  (datapath)
+  --seq (= --kind sequential)  --duration permanent|transient@C  (sequential)
+  --width N  --technique tech1|tech2|both  --allocation single-unit|dedicated
+  --dedicated (= --allocation dedicated)
+  --samples N  --seed S  --exhaustive   sampled unless --exhaustive
   --threads N  --drop never|on-detect|on-escape
-  --lanes auto|1|4|8  packed-engine lane width in 64-bit limbs
-                    (results are bit-identical at every width)
-  --collapse        simulate one representative per fault-equivalence
-                    class and fan verdicts back out (bit-identical
-                    reports, fewer simulated faults)
-  --prune           settle faults with an untestability proof from the
-                    fault-free baseline probe instead of simulating them
-                    (bit-identical reports; the `deduce` section records
-                    the provenance)
+  --lanes auto|1|4|8  packed-engine lane width (bit-identical results)
+  --collapse        simulate one fault per equivalence class
+  --prune           settle provably untestable faults unsimulated
+                    (both bit-identical; `deduce` records the proofs)
+  --telemetry       embed spans, counters and histograms in the report
+  --shards N        fault-universe partitions (default 1; server 4)
 
 LINT (scdp lint — static netlist analysis, no simulation):
   lints the scenario's generated netlist (floating nets, combinational
@@ -103,7 +113,6 @@ ANALYZE (scdp analyze — deductive pruning preview, no simulation):
   --json            machine-readable breakdown
 
 SHARDING (scdp run):
-  --shards N        partition the fault universe into N shards
   --dir DIR         checkpoint each shard to DIR/shard-NNN.json; an
                     interrupted sweep resumes from DIR next invocation
   --max-shards K    stop after K fresh shards (deterministic interrupt)
@@ -123,9 +132,11 @@ OBSERVABILITY (scdp run):
                     JSONL (summarise later with `scdp trace summarize`)
   --progress        live progress on stderr: shard bar, faults/s,
                     drop rate, ETA
-  --telemetry       embed a telemetry section (spans, counters,
-                    histograms) in the report(s)
 ";
+
+/// What a verb returns: its exit code, or why it stopped — a
+/// [`UsageError`] (exit 2) or any other error (exit 1).
+type Outcome = Result<i32, Box<dyn std::error::Error>>;
 
 /// Entry point used by the `scdp` binary: parses the process
 /// arguments and returns the exit code.
@@ -137,7 +148,7 @@ pub fn main_from_env() -> i32 {
 /// Runs one `scdp` invocation over an explicit argument vector
 /// (exposed for the wrapper binaries and tests). Returns the process
 /// exit code: 0 on success, 1 on campaign/report errors, 2 on usage
-/// errors.
+/// errors (including every invalid run spec).
 #[must_use]
 pub fn run(raw: Vec<String>) -> i32 {
     let Some(verb) = raw.first().cloned() else {
@@ -145,9 +156,8 @@ pub fn run(raw: Vec<String>) -> i32 {
         return 2;
     };
     let rest: Vec<String> = raw[1..].to_vec();
-    let files = positionals(&rest);
     let wants_help = rest.iter().any(|a| a == "--help" || a == "-h");
-    let args = CliArgs::from_vec(rest);
+    let files = positionals(&rest);
     let outcome = match verb.as_str() {
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
@@ -161,16 +171,18 @@ pub fn run(raw: Vec<String>) -> i32 {
             print!("{USAGE}");
             return 0;
         }
-        "run" => cmd_run(&args),
-        "merge" => cmd_merge(&args, &files),
+        "run" => campaign_args(&rest, RUN_FLAGS).and_then(|(own, spec)| cmd_run(&own, spec)),
+        "lint" => campaign_args(&rest, LINT_FLAGS).and_then(|(own, spec)| cmd_lint(&own, &spec)),
+        "analyze" => {
+            campaign_args(&rest, ANALYZE_FLAGS).and_then(|(own, spec)| cmd_analyze(&own, &spec))
+        }
+        "sweep" => cmd_sweep(&rest),
+        "merge" => cmd_merge(&CliArgs::from_vec(rest), &files),
         "validate" => cmd_validate(&files),
-        "table" => cmd_table(&args, &files),
-        "sweep" => cmd_sweep(&args),
-        "lint" => cmd_lint(&args),
-        "analyze" => cmd_analyze(&args),
+        "table" => cmd_table(&CliArgs::from_vec(rest), &files),
         "trace" => cmd_trace(&files),
-        "serve" => cmd_serve(&args),
-        "submit" => cmd_submit(&args, &files),
+        "serve" => cmd_serve(&CliArgs::from_vec(rest)),
+        "submit" => cmd_submit(&CliArgs::from_vec(rest), &files),
         other => {
             eprintln!("unknown subcommand `{other}`\n");
             eprint!("{USAGE}");
@@ -179,9 +191,13 @@ pub fn run(raw: Vec<String>) -> i32 {
     };
     match outcome {
         Ok(code) => code,
-        Err(message) => {
-            eprintln!("scdp {verb}: {message}");
-            1
+        Err(e) => {
+            eprintln!("scdp {verb}: {e}");
+            if e.is::<UsageError>() {
+                2
+            } else {
+                1
+            }
         }
     }
 }
@@ -205,125 +221,40 @@ fn positionals(raw: &[String]) -> Vec<String> {
     out
 }
 
-/// Parses a `--lanes auto|1|4|8` argument into a lane-width choice.
-fn lanes_from_args(args: &CliArgs) -> Result<Lanes, String> {
-    match args.value::<String>("--lanes") {
-        None => Ok(Lanes::Auto),
-        Some(s) if s == "auto" => Ok(Lanes::Auto),
-        Some(s) => s
-            .parse::<usize>()
-            .ok()
-            .and_then(Lanes::from_limbs)
-            .ok_or(format!("unknown lane width `{s}` (auto|1|4|8)")),
-    }
-}
-
-/// Builds the [`ExecPolicy`] a `run`/`sweep` invocation describes:
-/// threads, lane width, drop policy and collapsing in one value.
-fn exec_from_args(args: &CliArgs) -> Result<ExecPolicy, String> {
-    let drop = match args.value::<String>("--drop") {
-        None => scdp_campaign::DropPolicy::Never,
-        Some(s) => drop_from_label(&s).ok_or(format!("unknown drop policy `{s}`"))?,
-    };
-    Ok(ExecPolicy::new()
-        .threads(args.threads())
-        .lanes(lanes_from_args(args)?)
-        .drop_policy(drop)
-        .collapse(args.flag("--collapse"))
-        .prune(args.flag("--prune")))
-}
-
-/// Builds the campaign job a `run` invocation describes.
-fn job_from_args(args: &CliArgs) -> Result<CampaignJob, String> {
-    let width = args.width(4);
-    let samples = args.samples(1024);
-    let seed = args.seed();
-    let exec = exec_from_args(args)?;
-    let technique = match args.value::<String>("--technique") {
-        None => Technique::Both,
-        Some(s) => technique_from_label(&s).ok_or(format!("unknown technique `{s}`"))?,
-    };
-    let allocation = if args.flag("--dedicated") {
-        Allocation::Dedicated
-    } else {
-        Allocation::SingleUnit
-    };
-
-    if let Some(workload) = args.value::<String>("--workload") {
-        let source =
-            DfgSource::from_label(&workload).ok_or(format!("unknown workload `{workload}`"))?;
-        let style = match args.value::<String>("--style") {
-            None => SckStyle::Full,
-            Some(s) => style_from_label(&s).ok_or(format!("unknown style `{s}`"))?,
-        };
-        let space = if args.flag("--exhaustive") {
-            InputSpace::Exhaustive
-        } else {
-            InputSpace::Sampled {
-                per_fault: samples,
-                seed,
+/// Splits a campaign verb's arguments into its own flags (with their
+/// values) and the run-spec flags, and resolves the latter through the
+/// one key table.
+fn campaign_args(
+    raw: &[String],
+    own: OwnFlags,
+) -> Result<(CliArgs, RunSpec), Box<dyn std::error::Error>> {
+    let (mut mine, mut spec) = (Vec::new(), Vec::new());
+    let mut args = raw.iter();
+    while let Some(arg) = args.next() {
+        match own.iter().find(|(flag, _)| flag == arg) {
+            Some(&(_, takes_value)) => {
+                if mine.contains(arg) {
+                    return Err(UsageError(format!("`{arg}` given twice")).into());
+                }
+                mine.push(arg.clone());
+                if takes_value {
+                    mine.extend(args.next().cloned());
+                }
             }
-        };
-        let scenario = DatapathScenario::new(source, width)
-            .technique(technique)
-            .style(style)
-            .allocation(allocation);
-        if args.flag("--seq") || args.value::<String>("--duration").is_some() {
-            let duration = match args.value::<String>("--duration") {
-                None => FaultDuration::Permanent,
-                Some(s) => duration_from_label(&s).ok_or(format!("unknown duration `{s}`"))?,
-            };
-            Ok(CampaignJob::Sequential(
-                scenario
-                    .seq_campaign()
-                    .duration(duration)
-                    .input_space(space)
-                    .exec(exec),
-            ))
-        } else {
-            Ok(CampaignJob::Datapath(
-                scenario.campaign().input_space(space).exec(exec),
-            ))
+            None => spec.push(arg.as_str()),
         }
-    } else {
-        let op_label = args
-            .value::<String>("--op")
-            .unwrap_or_else(|| "add".to_string());
-        let op = op_from_label(&op_label).ok_or(format!("unknown operator `{op_label}`"))?;
-        let backend = match args.value::<String>("--backend") {
-            None => Backend::Functional,
-            Some(s) => Backend::from_label(&s).ok_or(format!("unknown backend `{s}`"))?,
-        };
-        let mut scenario = Scenario::new(op, width)
-            .technique(technique)
-            .allocation(allocation);
-        if let Some(r) = args.value::<String>("--realisation") {
-            scenario = scenario.realisation(
-                realisation_from_label(&r).ok_or(format!("unknown realisation `{r}`"))?,
-            );
-        }
-        let space = if args.flag("--exhaustive") {
-            InputSpace::Exhaustive
-        } else {
-            args.space(width, samples)
-        };
-        Ok(CampaignJob::Operator(
-            scenario
-                .campaign()
-                .backend(backend)
-                .input_space(space)
-                .exec(exec),
-        ))
     }
+    let spec = RunSpec::from_argv(&spec).map_err(|e| UsageError(e.to_string()))?;
+    Ok((CliArgs::from_vec(mine), spec))
 }
 
-fn cmd_run(args: &CliArgs) -> Result<i32, String> {
-    let mut job = job_from_args(args)?;
-    let shards = args.value_or("--shards", 1u32);
-    let dir = args.value::<String>("--dir");
+fn cmd_run(args: &CliArgs, spec: RunSpec) -> Outcome {
+    let RunSpec { mut job, shards } = spec;
+    let dir = args.value::<String>("--dir")?;
+    let max_shards = args.value::<u32>("--max-shards")?;
+    let report_path = args.value::<String>("--report")?;
+    let trace_path = args.value::<String>("--trace")?;
     let quiet = args.flag("--quiet");
-    let telemetry = args.flag("--telemetry");
-    let trace_path = args.value::<String>("--trace");
     let mut sinks = Vec::new();
     if let Some(path) = &trace_path {
         sinks.push(trace::trace_sink(path)?);
@@ -332,17 +263,13 @@ fn cmd_run(args: &CliArgs) -> Result<i32, String> {
         sinks.push(trace::progress_sink());
     }
     let sink = trace::fan_out(sinks);
-    // Any explicit shard count (including the invalid 0, which the
-    // runner rejects with a typed error) or a checkpoint directory
+    // A shard count above one, a checkpoint directory or a shard budget
     // routes through the runner; only the plain single-shot case runs
     // directly.
-    let report = if shards != 1 || dir.is_some() {
+    let report = if shards != 1 || dir.is_some() || max_shards.is_some() {
         let mut runner = CampaignRunner::new(job, shards);
         if let Some(sink) = sink {
             runner = runner.events(sink);
-        }
-        if telemetry {
-            runner = runner.telemetry(true);
         }
         if !quiet {
             runner = runner.on_shard(Arc::new(|index, count, state| {
@@ -357,10 +284,10 @@ fn cmd_run(args: &CliArgs) -> Result<i32, String> {
         if let Some(d) = &dir {
             runner = runner.checkpoint_dir(d);
         }
-        if let Some(max) = args.value::<u32>("--max-shards") {
+        if let Some(max) = max_shards {
             runner = runner.max_shards(max);
         }
-        let outcome = runner.run().map_err(|e| e.to_string())?;
+        let outcome = runner.run()?;
         let (resumed, ran, pending) = outcome.counts();
         match outcome.report {
             Some(report) => {
@@ -382,90 +309,26 @@ fn cmd_run(args: &CliArgs) -> Result<i32, String> {
         if let Some(sink) = sink {
             job = job.events(sink);
         }
-        if telemetry {
-            job = job.telemetry(true);
-        }
-        job.run().map_err(|e| e.to_string())?
+        job.run()?
     };
     print_summary(&report, args.flag("--per-fu"));
     if let Some(path) = &trace_path {
         eprintln!("wrote trace {path}");
     }
-    if let Some(path) = args.value::<String>("--report") {
+    if let Some(path) = report_path {
         std::fs::write(&path, report.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(0)
 }
 
-/// Elaborates the netlist a `lint`/`analyze` invocation describes —
-/// the same SCENARIO grammar as `run`, minus the input space (static
-/// analysis needs no vectors).
-fn netlist_from_args(args: &CliArgs) -> Result<scdp_netlist::Netlist, String> {
-    use scdp_netlist::gen::{self_checking, self_checking_add_with, SelfCheckingSpec};
-
-    let width = args.width(4);
-    let technique = match args.value::<String>("--technique") {
-        None => Technique::Both,
-        Some(s) => technique_from_label(&s).ok_or(format!("unknown technique `{s}`"))?,
-    };
-    let netlist = if let Some(workload) = args.value::<String>("--workload") {
-        let source =
-            DfgSource::from_label(&workload).ok_or(format!("unknown workload `{workload}`"))?;
-        let style = match args.value::<String>("--style") {
-            None => SckStyle::Full,
-            Some(s) => style_from_label(&s).ok_or(format!("unknown style `{s}`"))?,
-        };
-        let allocation = if args.flag("--dedicated") {
-            Allocation::Dedicated
-        } else {
-            Allocation::SingleUnit
-        };
-        let scenario = DatapathScenario::new(source, width)
-            .technique(technique)
-            .style(style)
-            .allocation(allocation);
-        if args.flag("--seq") {
-            scenario.elaborate_seq().netlist
-        } else {
-            scenario.elaborate().netlist
-        }
-    } else {
-        let op_label = args
-            .value::<String>("--op")
-            .unwrap_or_else(|| "add".to_string());
-        let op = op_from_label(&op_label).ok_or(format!("unknown operator `{op_label}`"))?;
-        let realisation = match args.value::<String>("--realisation") {
-            None => scdp_netlist::gen::AdderRealisation::RippleCarry,
-            Some(r) => realisation_from_label(&r).ok_or(format!("unknown realisation `{r}`"))?,
-        };
-        match op {
-            scdp_core::Operator::Add => self_checking_add_with(width, technique, realisation),
-            scdp_core::Operator::Sub | scdp_core::Operator::Mul => {
-                self_checking(SelfCheckingSpec {
-                    op,
-                    technique,
-                    width,
-                })
-            }
-            scdp_core::Operator::Div => {
-                return Err("gate-level division checking is out of scope; \
-                            analyse an add/sub/mul scenario or a --workload"
-                    .to_string())
-            }
-        }
-        .netlist
-    };
-    Ok(netlist)
-}
-
 /// `scdp lint` — static analysis of the scenario's generated netlist:
 /// structural lints plus the fault-collapsing statistics, without
 /// running a single simulation vector. Exits 1 when lint errors exist.
-fn cmd_lint(args: &CliArgs) -> Result<i32, String> {
+fn cmd_lint(args: &CliArgs, spec: &RunSpec) -> Outcome {
     use scdp_analyze::{lint, CollapsedUniverse, LintOptions};
 
-    let netlist = netlist_from_args(args)?;
+    let netlist = spec.job.netlist()?;
     let report = lint(
         &netlist,
         &LintOptions {
@@ -499,10 +362,10 @@ fn cmd_lint(args: &CliArgs) -> Result<i32, String> {
 /// scenario's stuck-at line universe without simulating and prints
 /// what a `--prune` campaign would settle — untestability proofs by
 /// reason, and the resulting prune ratio.
-fn cmd_analyze(args: &CliArgs) -> Result<i32, String> {
+fn cmd_analyze(args: &CliArgs, spec: &RunSpec) -> Outcome {
     use scdp_analyze::{CollapsedUniverse, PrunedUniverse, UntestableReason, Verdict};
 
-    let netlist = netlist_from_args(args)?;
+    let netlist = spec.job.netlist()?;
     let lines = netlist.fault_lines();
     let groups: Vec<Vec<scdp_netlist::StuckAtLine>> = lines.iter().map(|&l| vec![l]).collect();
     let pu = PrunedUniverse::build(&netlist, &groups);
@@ -547,17 +410,15 @@ fn cmd_analyze(args: &CliArgs) -> Result<i32, String> {
 
 /// `scdp trace summarize FILE...` — fold a `--trace` JSONL file back
 /// into event counts, span totals and a per-shard outcome table.
-fn cmd_trace(files: &[String]) -> Result<i32, String> {
+fn cmd_trace(files: &[String]) -> Outcome {
     let (action, files) = files
         .split_first()
         .ok_or("usage: scdp trace summarize FILE...")?;
     if action != "summarize" {
-        return Err(format!(
-            "unknown trace action `{action}` (expected `summarize`)"
-        ));
+        return Err(format!("unknown trace action `{action}` (expected `summarize`)").into());
     }
     if files.is_empty() {
-        return Err("pass trace files to summarize".to_string());
+        return Err("pass trace files to summarize".into());
     }
     for file in files {
         if files.len() > 1 {
@@ -597,29 +458,29 @@ fn load_report(path: &Path) -> Result<CampaignReport, String> {
     CampaignReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn cmd_merge(args: &CliArgs, files: &[String]) -> Result<i32, String> {
-    let paths: Vec<PathBuf> = match args.value::<String>("--dir") {
+fn cmd_merge(args: &CliArgs, files: &[String]) -> Outcome {
+    let paths: Vec<PathBuf> = match args.value::<String>("--dir")? {
         Some(dir) => shard_files(&dir)?,
-        None if files.is_empty() => return Err("pass shard report files or --dir DIR".to_string()),
+        None if files.is_empty() => return Err("pass shard report files or --dir DIR".into()),
         None => files.iter().map(PathBuf::from).collect(),
     };
     let reports: Vec<CampaignReport> = paths
         .iter()
         .map(|p| load_report(p))
         .collect::<Result<_, _>>()?;
-    let merged = CampaignReport::merge(&reports).map_err(|e| e.to_string())?;
+    let merged = CampaignReport::merge(&reports)?;
     eprintln!("merged {} shard report(s)", reports.len());
     print_summary(&merged, args.flag("--per-fu"));
-    if let Some(path) = args.value::<String>("--out") {
+    if let Some(path) = args.value::<String>("--out")? {
         std::fs::write(&path, merged.to_json()).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(0)
 }
 
-fn cmd_validate(files: &[String]) -> Result<i32, String> {
+fn cmd_validate(files: &[String]) -> Outcome {
     if files.is_empty() {
-        return Err("pass report files to validate".to_string());
+        return Err("pass report files to validate".into());
     }
     let mut failures = 0usize;
     for file in files {
@@ -653,8 +514,8 @@ fn schema_of(report: &CampaignReport) -> &'static str {
     }
 }
 
-fn cmd_table(args: &CliArgs, files: &[String]) -> Result<i32, String> {
-    let paths: Vec<PathBuf> = match args.value::<String>("--dir") {
+fn cmd_table(args: &CliArgs, files: &[String]) -> Outcome {
+    let paths: Vec<PathBuf> = match args.value::<String>("--dir")? {
         Some(dir) => {
             let entries = std::fs::read_dir(&dir).map_err(|e| format!("read {dir}: {e}"))?;
             let mut v: Vec<PathBuf> = entries
@@ -668,7 +529,7 @@ fn cmd_table(args: &CliArgs, files: &[String]) -> Result<i32, String> {
         None => files.iter().map(PathBuf::from).collect(),
     };
     if paths.is_empty() {
-        return Err("pass report files or --dir DIR".to_string());
+        return Err("pass report files or --dir DIR".into());
     }
     println!("{}", table_header());
     for path in &paths {
@@ -821,11 +682,11 @@ const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7878";
 /// `scdp serve` — run the campaign job server in the foreground until
 /// killed. Jobs (specs, checkpoints and merged reports) persist under
 /// `--dir`; interrupted jobs resume on the next start.
-fn cmd_serve(args: &CliArgs) -> Result<i32, String> {
+fn cmd_serve(args: &CliArgs) -> Outcome {
     let config = scdp_serve::ServerConfig {
-        addr: args.value_or("--addr", DEFAULT_SERVE_ADDR.to_string()),
-        dir: PathBuf::from(args.value_or("--dir", "scdp-jobs".to_string())),
-        workers: args.value_or("--jobs", 2usize),
+        addr: args.value_or("--addr", DEFAULT_SERVE_ADDR.to_string())?,
+        dir: PathBuf::from(args.value_or("--dir", "scdp-jobs".to_string())?),
+        workers: args.value_or("--jobs", 2usize)?,
     };
     let handle = scdp_serve::Server::start(&config)
         .map_err(|e| format!("start server on {}: {e}", config.addr))?;
@@ -839,20 +700,22 @@ fn cmd_serve(args: &CliArgs) -> Result<i32, String> {
     Ok(0)
 }
 
-/// `scdp submit` — POST a spec file to a running server, report the
-/// cache verdict, and optionally wait for (and fetch) the result.
-fn cmd_submit(args: &CliArgs, files: &[String]) -> Result<i32, String> {
+/// `scdp submit` — check a spec file against the run-spec table, POST
+/// it to a running server, report the cache verdict, and optionally
+/// wait for (and fetch) the result.
+fn cmd_submit(args: &CliArgs, files: &[String]) -> Outcome {
     let Some(spec_path) = files.first() else {
-        return Err("usage: scdp submit SPEC.json [--addr A] [--wait] [--out FILE]".to_string());
+        return Err("usage: scdp submit SPEC.json [--addr A] [--wait] [--out FILE]".into());
     };
-    let addr = args.value_or("--addr", DEFAULT_SERVE_ADDR.to_string());
+    let addr = args.value_or("--addr", DEFAULT_SERVE_ADDR.to_string())?;
+    let out = args.value::<String>("--out")?;
     let spec = std::fs::read_to_string(spec_path).map_err(|e| format!("read {spec_path}: {e}"))?;
+    RunSpec::from_json(&spec).map_err(|e| UsageError(format!("{spec_path}: {e}")))?;
     let submitted = scdp_serve::client::submit(&addr, &spec)?;
     println!(
         "job {}  cache: {}  status: {}",
         submitted.id, submitted.cache, submitted.status
     );
-    let out = args.value::<String>("--out");
     if !args.flag("--wait") && out.is_none() {
         return Ok(0);
     }
@@ -873,36 +736,46 @@ fn cmd_submit(args: &CliArgs, files: &[String]) -> Result<i32, String> {
 /// The workload × technique sweep: the former `table_datapath`
 /// (unrolled) and, with `--seq`, `table_seq` (cycle-accurate with a
 /// duration axis) binaries.
-fn cmd_sweep(args: &CliArgs) -> Result<i32, String> {
-    let seq = args.flag("--seq");
-    let width = args.width(3).clamp(1, 16);
-    let samples = args.samples(1024);
-    let seed = args.seed();
-    let exec = exec_from_args(args)?;
-    let style = match args.value::<String>("--style") {
-        None => SckStyle::Full,
-        Some(s) => style_from_label(&s).ok_or(format!("unknown style `{s}`"))?,
+fn cmd_sweep(raw: &[String]) -> Outcome {
+    if let Some(axis) = raw.iter().find(|a| SWEEP_AXES.contains(&a.as_str())) {
+        return Err(UsageError(format!(
+            "`{axis}` does not apply to sweep: it runs every workload and technique \
+             (and, with --seq, three durations) unsharded"
+        ))
+        .into());
+    }
+    // A placeholder workload makes the spec a datapath one, so
+    // operator-only keys are wrong-shape errors; the loop below sets
+    // the real workload of every row.
+    let mut argv = raw.to_vec();
+    argv.extend(["--workload".to_string(), "fir".to_string()]);
+    let (args, spec) = campaign_args(&argv, SWEEP_FLAGS)?;
+    let (base, space, exec, seq) = match spec.job {
+        CampaignJob::Datapath(s) => (s.scenario, s.space, s.exec, false),
+        CampaignJob::Sequential(s) => (s.scenario, s.space, s.exec, true),
+        CampaignJob::Operator(_) => return Err("sweep needs a datapath spec".into()),
     };
-    let allocation = if args.flag("--dedicated") {
-        Allocation::Dedicated
-    } else {
-        Allocation::SingleUnit
-    };
-    let report_dir = args.value::<String>("--report-dir");
+    let report_dir = args.value::<String>("--report-dir")?;
     if let Some(dir) = &report_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
     }
 
+    let inputs = match space {
+        scdp_campaign::InputSpace::Sampled { per_fault, seed } => {
+            format!("{per_fault} vectors/fault (seed {seed:#x})")
+        }
+        scdp_campaign::InputSpace::Exhaustive => "exhaustive inputs".to_string(),
+    };
     println!(
-        "{} campaigns: width {width}, style {}, {} allocation, \
-         {samples} vectors/fault (seed {seed:#x})",
+        "{} campaigns: width {}, style {}, {} allocation, {inputs}",
         if seq {
             "Sequential datapath"
         } else {
             "Datapath"
         },
-        style_label(style),
-        if allocation == Allocation::Dedicated {
+        base.width,
+        style_label(base.style),
+        if base.allocation == Allocation::Dedicated {
             "dedicated-checker"
         } else {
             "shared (worst-case)"
@@ -923,13 +796,10 @@ fn cmd_sweep(args: &CliArgs) -> Result<i32, String> {
     for source in DfgSource::BUILTIN {
         for technique in Technique::ALL {
             let label = source.label();
-            let scenario = DatapathScenario::new(source.clone(), width)
-                .technique(technique)
-                .style(style)
-                .allocation(allocation);
-            let space = InputSpace::Sampled {
-                per_fault: samples,
-                seed,
+            let scenario = DatapathScenario {
+                source: source.clone(),
+                technique,
+                ..base.clone()
             };
             let tech = format!("{technique:?}").to_lowercase();
             if seq {
@@ -951,14 +821,8 @@ fn cmd_sweep(args: &CliArgs) -> Result<i32, String> {
                         .duration(duration)
                         .input_space(space)
                         .exec(exec)
-                        .run_on(&machine)
-                        .map_err(|e| e.to_string())?;
-                    let details = report.sequential.as_ref().ok_or_else(|| {
-                        format!(
-                            "sweep {label}/{tech}: sequential campaign report is \
-                             missing its sequential section"
-                        )
-                    })?;
+                        .run_on(&machine)?;
+                    let details = report.sequential.as_ref().ok_or("no sequential section")?;
                     let latency = details
                         .mean_detection_latency()
                         .map_or("-".to_string(), |l| format!("{l:.2}c"));
@@ -973,29 +837,12 @@ fn cmd_sweep(args: &CliArgs) -> Result<i32, String> {
                         pct(report.detection_rate()),
                         latency,
                     );
-                    if let Some(dir) = &report_dir {
-                        let path = format!(
-                            "{dir}/seq_{label}_{tech}_{}.json",
-                            duration_label(duration).replace('@', "_"),
-                        );
-                        std::fs::write(&path, report.to_json())
-                            .map_err(|e| format!("write {path}: {e}"))?;
-                        eprintln!("    wrote {path}");
-                    }
+                    let name = format!("seq_{label}_{tech}_{}", duration_label(duration));
+                    write_sweep_report(report_dir.as_deref(), &name.replace('@', "_"), &report)?;
                 }
             } else {
-                let report = scenario
-                    .campaign()
-                    .input_space(space)
-                    .exec(exec)
-                    .run()
-                    .map_err(|e| e.to_string())?;
-                let details = report.datapath.as_ref().ok_or_else(|| {
-                    format!(
-                        "sweep {label}/{tech}: datapath campaign report is \
-                         missing its datapath section"
-                    )
-                })?;
+                let report = scenario.campaign().input_space(space).exec(exec).run()?;
+                let details = report.datapath.as_ref().ok_or("no datapath section")?;
                 println!(
                     "{:<8} {:<6} {:>6} {:>7} {:>7} {:>10} {:>10} {:>10}",
                     label,
@@ -1008,24 +855,56 @@ fn cmd_sweep(args: &CliArgs) -> Result<i32, String> {
                     pct(report.safe_rate()),
                 );
                 print_per_fu(details);
-                if let Some(dir) = &report_dir {
-                    let path = format!("{dir}/dp_{label}_{tech}.json");
-                    std::fs::write(&path, report.to_json())
-                        .map_err(|e| format!("write {path}: {e}"))?;
-                    eprintln!("    wrote {path}");
-                }
+                write_sweep_report(
+                    report_dir.as_deref(),
+                    &format!("dp_{label}_{tech}"),
+                    &report,
+                )?;
             }
         }
     }
     Ok(0)
 }
 
+/// Writes one sweep row's report to `dir/name.json` when a report
+/// directory was asked for.
+fn write_sweep_report(
+    dir: Option<&str>,
+    name: &str,
+    report: &CampaignReport,
+) -> Result<(), String> {
+    if let Some(dir) = dir {
+        let path = format!("{dir}/{name}.json");
+        std::fs::write(&path, report.to_json()).map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("    wrote {path}");
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scdp_campaign::{CampaignError, Key, KeyType, Kind, Lanes, KEYS};
+    use scdp_serve::jobspec;
 
     fn strings(list: &[&str]) -> Vec<String> {
         list.iter().map(ToString::to_string).collect()
+    }
+
+    /// The job `scdp run` builds from these flags.
+    fn job(argv: &[&str]) -> CampaignJob {
+        campaign_args(&strings(argv), RUN_FLAGS)
+            .expect("valid run spec")
+            .1
+            .job
+    }
+
+    fn exec_of(job: &CampaignJob) -> scdp_campaign::ExecPolicy {
+        match job {
+            CampaignJob::Operator(s) => s.exec,
+            CampaignJob::Datapath(s) => s.exec,
+            CampaignJob::Sequential(s) => s.exec,
+        }
     }
 
     #[test]
@@ -1034,10 +913,10 @@ mod tests {
             "--dir",
             "ckpt",
             "a.json",
-            "--seq",
+            "--per-fu",
             "b.json",
-            "--samples",
-            "64",
+            "--out",
+            "merged.json",
         ]);
         assert_eq!(positionals(&raw), strings(&["a.json", "b.json"]));
     }
@@ -1053,7 +932,7 @@ mod tests {
     fn help_after_a_verb_prints_usage_instead_of_running() {
         for verb in ["run", "lint", "analyze"] {
             let bad = strings(&[verb, "--workload", "nope"]);
-            assert_eq!(run(bad), 1, "{verb} runs and fails without --help");
+            assert_eq!(run(bad), 2, "{verb} rejects the spec without --help");
             for help in ["--help", "-h"] {
                 let raw = strings(&[verb, "--workload", "nope", help]);
                 assert_eq!(run(raw), 0, "{verb} {help}");
@@ -1066,30 +945,58 @@ mod tests {
 
     #[test]
     fn bad_scenario_flags_are_reported_not_panicked() {
-        assert_eq!(run(strings(&["run", "--workload", "nope"])), 1);
-        assert_eq!(run(strings(&["run", "--op", "nope"])), 1);
-        assert_eq!(run(strings(&["run", "--technique", "nope"])), 1);
+        assert_eq!(run(strings(&["run", "--workload", "nope"])), 2);
+        assert_eq!(run(strings(&["run", "--op", "nope"])), 2);
+        assert_eq!(run(strings(&["run", "--technique", "nope"])), 2);
         assert_eq!(run(strings(&["validate"])), 1);
         assert_eq!(run(strings(&["merge"])), 1);
+        assert_eq!(
+            run(strings(&["merge", "--dir"])),
+            2,
+            "a flag without its value"
+        );
+    }
+
+    /// Every boundary case the CI smoke checks: a misspelled flag, an
+    /// unparseable value, another verb's flag, a key foreign to the
+    /// resolved shape and an out-of-range sweep width all exit 2
+    /// before any campaign runs.
+    #[test]
+    fn boundary_mistakes_are_usage_errors_not_default_campaigns() {
+        for argv in [
+            &["run", "--widht", "4"][..],
+            &["run", "--width", "foo"],
+            &["run", "--out", "x.json"],
+            &["run", "--workload", "fir", "--op", "mul"],
+            &["run", "--workload", "fir", "--realisation", "cla"],
+            &["run", "--width", "4", "stray"],
+            &["run", "--monte-carlo"],
+            &["run", "--max-shards", "two"],
+            &["run", "--report", "a.json", "--report", "b.json"],
+            &["analyze", "--workload", "fir", "--duration", "transient@1"],
+            &["lint", "--op", "add", "--report", "x.json"],
+            &["sweep", "--width", "40"],
+            &["sweep", "--workload", "fir"],
+            &["sweep", "--technique", "tech1"],
+            &["sweep", "--op", "mul"],
+            &["sweep", "--shards", "2"],
+        ] {
+            assert_eq!(run(strings(argv)), 2, "{argv:?}");
+        }
     }
 
     #[test]
     fn job_construction_covers_all_three_shapes() {
-        let op = job_from_args(&CliArgs::from_vec(strings(&[
-            "--op", "add", "--width", "3",
-        ])));
-        assert!(matches!(op, Ok(CampaignJob::Operator(_))));
-        let dp = job_from_args(&CliArgs::from_vec(strings(&["--workload", "dot"])));
-        assert!(matches!(dp, Ok(CampaignJob::Datapath(_))));
-        let seq = job_from_args(&CliArgs::from_vec(strings(&[
-            "--workload",
-            "fir",
-            "--seq",
-            "--duration",
-            "transient@2",
-        ])));
-        match seq {
-            Ok(CampaignJob::Sequential(spec)) => {
+        assert!(matches!(
+            job(&["--op", "add", "--width", "3"]),
+            CampaignJob::Operator(_)
+        ));
+        assert!(matches!(
+            job(&["--workload", "dot"]),
+            CampaignJob::Datapath(_)
+        ));
+        match job(&["--workload", "fir", "--seq", "--duration", "transient@2"]) {
+            CampaignJob::Sequential(spec) => {
                 assert_eq!(spec.duration, FaultDuration::Transient { cycle: 2 });
             }
             other => panic!("expected sequential job, got {other:?}"),
@@ -1111,7 +1018,7 @@ mod tests {
             ])),
             0
         );
-        assert_eq!(run(strings(&["lint", "--workload", "nope"])), 1);
+        assert_eq!(run(strings(&["lint", "--workload", "nope"])), 2);
         assert_eq!(run(strings(&["lint", "--op", "div"])), 1);
     }
 
@@ -1132,13 +1039,43 @@ mod tests {
             0
         );
         assert_eq!(run(strings(&["analyze", "--workload", "dot", "--seq"])), 0);
-        assert_eq!(run(strings(&["analyze", "--workload", "nope"])), 1);
+        assert_eq!(run(strings(&["analyze", "--workload", "nope"])), 2);
         assert_eq!(run(strings(&["analyze", "--op", "div"])), 1);
+    }
+
+    /// `lint`/`analyze` inspect exactly the netlist a gate-level run of
+    /// the same spec compiles: both come from `Scenario::elaborate`.
+    #[test]
+    fn lint_and_analyze_inspect_the_gate_level_campaign_netlist() {
+        use scdp_campaign::ObsEvent;
+        use std::sync::Mutex;
+        for spec in [
+            &["--op", "add", "--width", "3", "--realisation", "cla"][..],
+            &["--op", "mul", "--width", "2", "--technique", "tech2"],
+        ] {
+            let netlist = job(spec).netlist().expect("a gate-level netlist");
+            let compiled: Arc<Mutex<Vec<(String, u64)>>> = Arc::default();
+            let tap = Arc::clone(&compiled);
+            let gate_level = [spec, &["--backend", "gate-level", "--samples", "8"]].concat();
+            job(&gate_level)
+                .events(Arc::new(move |e: &ObsEvent| {
+                    if let ObsEvent::NetlistCompiled { name, gates, .. } = e {
+                        tap.lock().unwrap().push((name.clone(), *gates));
+                    }
+                }))
+                .run()
+                .expect("gate-level run");
+            assert_eq!(
+                compiled.lock().unwrap().as_slice(),
+                [(netlist.name().to_string(), netlist.gate_count() as u64)],
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]
     fn prune_flag_reaches_the_job_and_preserves_results() {
-        let scenario = strings(&[
+        let scenario = [
             "--workload",
             "fir",
             "--technique",
@@ -1149,19 +1086,12 @@ mod tests {
             "64",
             "--threads",
             "2",
-        ]);
-        let mut with = scenario.clone();
-        with.push("--prune".to_string());
-        let exec = exec_from_args(&CliArgs::from_vec(with.clone())).expect("parses");
-        assert!(exec.prune, "--prune reaches the policy");
-        let plain = job_from_args(&CliArgs::from_vec(scenario))
-            .expect("job")
-            .run()
-            .expect("runs");
-        let pruned = job_from_args(&CliArgs::from_vec(with))
-            .expect("job")
-            .run()
-            .expect("runs");
+        ];
+        let mut with = scenario.to_vec();
+        with.push("--prune");
+        assert!(exec_of(&job(&with)).prune, "--prune reaches the policy");
+        let plain = job(&scenario).run().expect("runs");
+        let pruned = job(&with).run().expect("runs");
         assert!(plain.same_results(&pruned));
         assert_eq!(plain.per_fault, pruned.per_fault);
         let d = pruned.deduce.as_ref().expect("pruned runs carry deduce");
@@ -1170,7 +1100,7 @@ mod tests {
 
     #[test]
     fn collapse_flag_reaches_the_job_and_preserves_results() {
-        let scenario = strings(&[
+        let scenario = [
             "--workload",
             "dot",
             "--width",
@@ -1179,17 +1109,11 @@ mod tests {
             "64",
             "--threads",
             "2",
-        ]);
-        let mut with = scenario.clone();
-        with.push("--collapse".to_string());
-        let plain = job_from_args(&CliArgs::from_vec(scenario))
-            .expect("job")
-            .run()
-            .expect("runs");
-        let collapsed = job_from_args(&CliArgs::from_vec(with))
-            .expect("job")
-            .run()
-            .expect("runs");
+        ];
+        let mut with = scenario.to_vec();
+        with.push("--collapse");
+        let plain = job(&scenario).run().expect("runs");
+        let collapsed = job(&with).run().expect("runs");
         assert!(plain.same_results(&collapsed));
         assert_eq!(plain.per_fault, collapsed.per_fault);
     }
@@ -1204,34 +1128,363 @@ mod tests {
             ("4", Lanes::L4),
             ("8", Lanes::L8),
         ] {
-            let exec =
-                exec_from_args(&CliArgs::from_vec(strings(&["--lanes", arg]))).expect("parses");
-            assert_eq!(exec.lanes, lanes, "--lanes {arg}");
+            assert_eq!(
+                exec_of(&job(&["--lanes", arg])).lanes,
+                lanes,
+                "--lanes {arg}"
+            );
         }
-        for bad in ["2", "16", "wide"] {
-            assert!(exec_from_args(&CliArgs::from_vec(strings(&["--lanes", bad]))).is_err());
+        for bad in ["0", "2", "16", "wide"] {
+            assert!(campaign_args(&strings(&["--lanes", bad]), RUN_FLAGS).is_err());
         }
 
         // Semantics: lane width never moves a result.
-        let base = strings(&["--workload", "dot", "--width", "2", "--samples", "64"]);
-        let narrow = {
-            let mut a = base.clone();
-            a.extend(strings(&["--lanes", "1"]));
-            job_from_args(&CliArgs::from_vec(a))
-                .expect("job")
-                .run()
-                .expect("runs")
-        };
-        let wide = {
-            let mut a = base;
-            a.extend(strings(&["--lanes", "8"]));
-            job_from_args(&CliArgs::from_vec(a))
-                .expect("job")
-                .run()
-                .expect("runs")
-        };
+        let base = ["--workload", "dot", "--width", "2", "--samples", "64"];
+        let narrow = job(&[&base[..], &["--lanes", "1"]].concat())
+            .run()
+            .expect("runs");
+        let wide = job(&[&base[..], &["--lanes", "8"]].concat())
+            .run()
+            .expect("runs");
         assert!(narrow.same_results(&wide));
         assert_eq!(narrow.per_fault, wide.per_fault);
+    }
+
+    /// The command-line spelling of a key.
+    fn flag(key: &Key) -> String {
+        format!("--{}", key.name.replace('_', "-"))
+    }
+
+    /// A valid value of `key`: its command-line words and JSON text.
+    fn valid(key: &Key) -> (Vec<String>, String) {
+        match key.ty {
+            KeyType::Label(labels) => {
+                let label = labels.split('|').next().expect("a label");
+                (vec![flag(key), label.to_string()], format!("\"{label}\""))
+            }
+            KeyType::U64 { min, .. } => (vec![flag(key), min.to_string()], min.to_string()),
+            KeyType::Bool => (vec![flag(key)], "true".to_string()),
+            KeyType::Lanes => (vec![flag(key), "4".to_string()], "4".to_string()),
+        }
+    }
+
+    /// Keys that make `key` apply: command-line words, JSON members.
+    fn context(key: &Key) -> (Vec<String>, Vec<String>) {
+        if key.shapes.contains(&Kind::Operator) || key.name == "workload" {
+            (Vec::new(), Vec::new())
+        } else if key.shapes.contains(&Kind::Datapath) {
+            (
+                strings(&["--workload", "fir"]),
+                strings(&[r#""workload":"fir""#]),
+            )
+        } else {
+            (
+                strings(&["--seq", "--workload", "fir"]),
+                strings(&[r#""kind":"sequential""#, r#""workload":"fir""#]),
+            )
+        }
+    }
+
+    /// One invalid spec in both spellings and the field its typed
+    /// error must name.
+    struct Bad {
+        what: String,
+        argv: Vec<String>,
+        json: String,
+        argv_field: &'static str,
+        json_field: &'static str,
+    }
+
+    /// For every key of the table: a misspelling, a wrong type, each
+    /// bad label or out-of-range bound, a wrong shape (keys that do
+    /// not apply to all three) and a duplicate.
+    fn negative_matrix() -> Vec<Bad> {
+        let mut out = Vec::new();
+        for key in KEYS {
+            let (ctx_argv, ctx_json) = context(key);
+            let (ok_argv, ok_json) = valid(key);
+            let name = key.name;
+            // Every case but the wrong-shape one sits in a context where
+            // the key applies.
+            let mut push = |what: &str,
+                            argv: Vec<String>,
+                            json: Vec<String>,
+                            argv_field: &'static str,
+                            json_field: &'static str| {
+                let (ctx_argv, ctx_json) = if what == "wrong shape" {
+                    (Vec::new(), Vec::new())
+                } else {
+                    (ctx_argv.clone(), ctx_json.clone())
+                };
+                out.push(Bad {
+                    what: format!("{name}: {what}"),
+                    argv: [ctx_argv, argv].concat(),
+                    json: format!("{{{}}}", [ctx_json, json].concat().join(",")),
+                    argv_field,
+                    json_field,
+                });
+            };
+            let mut typo = ok_argv.clone();
+            typo[0].push('x');
+            push(
+                "misspelled",
+                typo,
+                vec![format!("\"{name}x\":{ok_json}")],
+                "spec",
+                "spec",
+            );
+            let (wrong_argv, wrong_json, wrong_field) = match key.ty {
+                KeyType::Label(_) => (vec![flag(key)], "1", name),
+                KeyType::U64 { .. } => (vec![flag(key), "four".to_string()], "\"4\"", name),
+                KeyType::Bool => (vec![flag(key), "yes".to_string()], "\"yes\"", "spec"),
+                KeyType::Lanes => (vec![flag(key), "wide".to_string()], "true", name),
+            };
+            push(
+                "wrong type",
+                wrong_argv,
+                vec![format!("\"{name}\":{wrong_json}")],
+                wrong_field,
+                name,
+            );
+            let bad_values: Vec<(String, String)> = match key.ty {
+                KeyType::Label(_) => {
+                    vec![("nope".to_string(), "\"nope\"".to_string())]
+                }
+                KeyType::U64 { min, max } => {
+                    let mut v = Vec::new();
+                    if min > 0 {
+                        v.push((min - 1).to_string());
+                    }
+                    v.push((u128::from(max) + 1).to_string());
+                    v.into_iter().map(|n| (n.clone(), n)).collect()
+                }
+                KeyType::Bool => Vec::new(),
+                KeyType::Lanes => vec![("2".to_string(), "2".to_string())],
+            };
+            for (text, json) in bad_values {
+                push(
+                    &format!("bad value {text}"),
+                    vec![flag(key), text],
+                    vec![format!("\"{name}\":{json}")],
+                    name,
+                    name,
+                );
+            }
+            if key.shapes.len() < 3 {
+                let (other_argv, other_json) = if key.shapes.contains(&Kind::Operator) {
+                    (strings(&["--workload", "fir"]), r#""workload":"fir""#)
+                } else if key.shapes.contains(&Kind::Datapath) {
+                    (strings(&["--kind", "operator"]), r#""kind":"operator""#)
+                } else {
+                    (strings(&["--kind", "datapath"]), r#""kind":"datapath""#)
+                };
+                push(
+                    "wrong shape",
+                    [other_argv, ok_argv.clone()].concat(),
+                    vec![other_json.to_string(), format!("\"{name}\":{ok_json}")],
+                    name,
+                    name,
+                );
+            }
+            push(
+                "duplicate",
+                [ok_argv.clone(), ok_argv.clone()].concat(),
+                vec![
+                    format!("\"{name}\":{ok_json}"),
+                    format!("\"{name}\":{ok_json}"),
+                ],
+                name,
+                name,
+            );
+        }
+        out
+    }
+
+    /// The negative matrix against both front-ends: the typed error
+    /// names the offending key, `scdp run` exits 2, and `POST /jobs`
+    /// answers 400 without creating a job directory.
+    #[test]
+    fn every_key_rejects_typos_types_values_shapes_and_duplicates_on_both_front_ends() {
+        let dir = std::env::temp_dir().join(format!("scdp_cli_matrix_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = scdp_serve::Server::start(&scdp_serve::ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            dir: dir.clone(),
+            workers: 1,
+        })
+        .expect("bind");
+        let addr = handle.addr().to_string();
+        let matrix = negative_matrix();
+        assert!(
+            matrix.len() >= 5 * KEYS.len() - 20,
+            "{} cases",
+            matrix.len()
+        );
+        for bad in &matrix {
+            let field = |r: Result<RunSpec, CampaignError>| match r {
+                Err(CampaignError::Schema { field, .. }) => field,
+                other => panic!("{}: expected a schema error, got {other:?}", bad.what),
+            };
+            assert_eq!(
+                field(RunSpec::from_argv(&bad.argv)),
+                bad.argv_field,
+                "{}: {:?}",
+                bad.what,
+                bad.argv
+            );
+            assert_eq!(
+                field(jobspec::parse(&bad.json)),
+                bad.json_field,
+                "{}: {}",
+                bad.what,
+                bad.json
+            );
+            let mut argv = strings(&["run"]);
+            argv.extend(bad.argv.iter().cloned());
+            assert_eq!(run(argv), 2, "{}: scdp run {:?}", bad.what, bad.argv);
+            let response =
+                scdp_serve::client::request(&addr, "POST", "/jobs", Some(&bad.json)).expect("POST");
+            assert_eq!(response.status, 400, "{}: {}", bad.what, bad.json);
+        }
+        let jobs = std::fs::read_dir(&dir).expect("job dir").count();
+        assert_eq!(jobs, 0, "rejected specs leave no job directory");
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every key's command-line and JSON spellings resolve to the same
+    /// job: `scdp run`'s resolver and `POST /jobs` agree on the
+    /// configuration fingerprint (the job id) and the shard count.
+    #[test]
+    fn every_key_means_the_same_job_on_the_command_line_and_on_the_wire() {
+        const SMALL: &[&str] = &["--width", "2", "--samples", "8"];
+        const SMALL_JSON: &str = r#""width":2,"samples":8"#;
+        let cases: &[(&[&str], &str)] = &[
+            (&["--kind", "operator"], r#""kind":"operator""#),
+            (
+                &["--kind", "sequential", "--workload", "dot"],
+                r#""kind":"sequential","workload":"dot""#,
+            ),
+            (
+                &["--seq", "--workload", "dot"],
+                r#""kind":"sequential","workload":"dot""#,
+            ),
+            (&["--technique", "tech1"], r#""technique":"tech1""#),
+            (
+                &["--allocation", "dedicated"],
+                r#""allocation":"dedicated""#,
+            ),
+            (&["--dedicated"], r#""allocation":"dedicated""#),
+            (&["--op", "mul"], r#""op":"mul""#),
+            (
+                &["--realisation", "cla", "--backend", "gate-level"],
+                r#""realisation":"cla","backend":"gate-level""#,
+            ),
+            (
+                &["--backend", "gate-level", "--fault-model", "structural"],
+                r#""backend":"gate-level","fault_model":"structural""#,
+            ),
+            (&["--workload", "iir"], r#""workload":"iir""#),
+            (
+                &["--workload", "fir", "--style", "embedded"],
+                r#""workload":"fir","style":"embedded""#,
+            ),
+            (
+                &["--seq", "--workload", "fir", "--duration", "transient@1"],
+                r#""kind":"sequential","workload":"fir","duration":"transient@1""#,
+            ),
+            (&["--seed", "9"], r#""seed":9"#),
+            (&["--exhaustive"], r#""exhaustive":true"#),
+            (&["--threads", "1"], r#""threads":1"#),
+            (&["--lanes", "4"], r#""lanes":4"#),
+            (&["--lanes", "auto"], r#""lanes":"auto""#),
+            (
+                &["--backend", "gate-level", "--drop", "on-detect"],
+                r#""backend":"gate-level","drop":"on-detect""#,
+            ),
+            (
+                &["--backend", "gate-level", "--collapse", "--prune"],
+                r#""backend":"gate-level","collapse":true,"prune":true"#,
+            ),
+            (&["--telemetry"], r#""telemetry":true"#),
+            (&["--shards", "3"], r#""shards":3"#),
+        ];
+        let dir = std::env::temp_dir().join(format!("scdp_cli_parity_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = scdp_serve::Server::start(&scdp_serve::ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            dir: dir.clone(),
+            workers: 1,
+        })
+        .expect("bind");
+        let addr = handle.addr().to_string();
+        let mut covered = std::collections::BTreeSet::new();
+        for (argv, json) in cases {
+            // Both surfaces default the shard count differently (1 on
+            // the command line, 4 on the server), so it is always
+            // explicit here unless it is the key under test.
+            let shards = if argv.contains(&"--shards") {
+                ""
+            } else {
+                "--shards 2"
+            };
+            let argv: Vec<String> = [SMALL, argv, &shards.split_whitespace().collect::<Vec<_>>()]
+                .concat()
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            let shards_json = if shards.is_empty() {
+                ""
+            } else {
+                r#","shards":2"#
+            };
+            let json = format!("{{{SMALL_JSON},{json}{shards_json}}}");
+            let (_, cli) = campaign_args(&argv, RUN_FLAGS).expect("scdp run accepts it");
+            let wire = jobspec::parse(&json).expect("the server accepts it");
+            assert_eq!(
+                cli.job.config_fingerprint(),
+                wire.job.config_fingerprint(),
+                "{argv:?} vs {json}"
+            );
+            assert_eq!(cli.shards, wire.shards, "{argv:?} vs {json}");
+            let posted = scdp_serve::client::submit(&addr, &json).expect("POST /jobs");
+            assert_eq!(posted.id, scdp_serve::job_id(&cli.job), "{argv:?}");
+            let doc = scdp_campaign::json::parse(&json).expect("json");
+            if let scdp_campaign::json::Json::Obj(members) = doc {
+                covered.extend(members.into_iter().map(|(k, _)| k));
+            }
+        }
+        let missing: Vec<&str> = KEYS
+            .iter()
+            .map(|k| k.name)
+            .filter(|k| !covered.contains(*k))
+            .collect();
+        assert!(missing.is_empty(), "parity cases miss {missing:?}");
+        assert_eq!(campaign_args(&[], RUN_FLAGS).expect("empty").1.shards, 1);
+        assert_eq!(jobspec::parse("{}").expect("empty").shards, 4);
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_takes_the_table_keys_and_fixes_its_axes() {
+        assert_eq!(
+            run(strings(&[
+                "sweep",
+                "--width",
+                "1",
+                "--samples",
+                "8",
+                "--threads",
+                "1",
+                "--style",
+                "plain",
+                "--dedicated",
+            ])),
+            0
+        );
+        assert_eq!(run(strings(&["sweep", "--width", "0"])), 2);
+        assert_eq!(run(strings(&["sweep", "--fault-model", "cell"])), 2);
     }
 
     #[test]
@@ -1291,11 +1544,7 @@ mod tests {
         // The merged telemetry's count-typed counters equal an
         // unsharded run's.
         let tel = merged.telemetry.as_ref().expect("merged telemetry");
-        let full = job_from_args(&CliArgs::from_vec(strings(scenario)))
-            .expect("job")
-            .telemetry(true)
-            .run()
-            .expect("unsharded run");
+        let full = job(scenario).telemetry(true).run().expect("unsharded run");
         let full_tel = full.telemetry.as_ref().expect("unsharded telemetry");
         assert_eq!(
             tel.deterministic_counters(),

@@ -127,9 +127,11 @@ pub enum CampaignError {
         /// What went wrong.
         message: String,
     },
-    /// The JSON parsed but does not match the report schema.
+    /// A report's JSON parsed but does not match the report schema,
+    /// or a run spec (JSON or command line) does not match the
+    /// [`KEYS`](crate::KEYS) table.
     Schema {
-        /// The offending field (dotted path).
+        /// The offending field (dotted report path, or the spec key).
         field: &'static str,
         /// What went wrong.
         message: String,
@@ -227,7 +229,7 @@ impl fmt::Display for CampaignError {
                 write!(f, "report JSON parse error at byte {offset}: {message}")
             }
             CampaignError::Schema { field, message } => {
-                write!(f, "report JSON schema error at `{field}`: {message}")
+                write!(f, "schema error at `{field}`: {message}")
             }
         }
     }

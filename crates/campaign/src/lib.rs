@@ -20,6 +20,10 @@
 //! * [`reduce`] — the one fault-universe pipeline behind every
 //!   gate-level shape: shard slice → collapse → prune → campaign
 //!   driver → fan-out, bit-identical to simulating everything.
+//! * [`RunSpec`] — the one run-spec vocabulary: the [`KEYS`] table
+//!   and a strict resolver behind both the command line
+//!   ([`RunSpec::from_argv`]) and the job server
+//!   ([`RunSpec::from_json`]).
 //! * [`CampaignReport`] — one result type for both engines: four-way
 //!   situation tallies, per-fault outcomes, detection/safe rates,
 //!   simulated-situation counts, wall-clock, and a stable hand-written
@@ -75,6 +79,7 @@ mod obs;
 mod reduce;
 mod report;
 mod runner;
+mod runspec;
 mod scenario;
 mod seq;
 mod shard;
@@ -92,6 +97,9 @@ pub use report::{
     REPORT_SCHEMA_V2, REPORT_SCHEMA_V3, REPORT_SCHEMA_V4,
 };
 pub use runner::{write_atomic, CampaignJob, CampaignRunner, RunnerOutcome, ShardState};
+pub use runspec::{
+    Default, Key, KeyType, Kind, RunSpec, Value, DEFAULT_SEED, KEYS, MAX_SHARDS, MAX_THREADS,
+};
 pub use scenario::{
     allocation_from_label, allocation_label, op_from_label, realisation_from_label,
     realisation_label, technique_from_label, technique_label, Backend, FaultModel, Scenario,

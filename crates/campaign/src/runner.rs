@@ -41,6 +41,7 @@ use crate::seq::SeqDatapathCampaignSpec;
 use crate::shard::ShardPlan;
 use crate::spec::{check_width, CampaignSpec, ExecPolicy};
 use scdp_netlist::gen::{ElaboratedDatapath, SeqDatapath};
+use scdp_netlist::Netlist;
 use scdp_obs::{EventSink, ObsEvent};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -166,6 +167,31 @@ impl CampaignJob {
                     unreachable!("cache filled with this job's machine kind");
                 };
                 spec.clone().shard(index, count).run_on(dp)
+            }
+        }
+    }
+
+    /// The netlist this job's campaign simulates: the operator's
+    /// self-checking circuit, the unrolled datapath or the sequential
+    /// machine — what `scdp lint` and `scdp analyze` inspect.
+    ///
+    /// # Errors
+    ///
+    /// A width outside `1..=MAX_WIDTH`, or an operator with no
+    /// gate-level realisation ([`crate::Scenario::elaborate`]).
+    pub fn netlist(&self) -> Result<Netlist, CampaignError> {
+        match self {
+            CampaignJob::Operator(spec) => {
+                check_width(spec.scenario.width)?;
+                Ok(spec.scenario.elaborate()?.netlist)
+            }
+            CampaignJob::Datapath(spec) => {
+                check_width(spec.scenario.width)?;
+                Ok(spec.scenario.elaborate().netlist)
+            }
+            CampaignJob::Sequential(spec) => {
+                check_width(spec.scenario.width)?;
+                Ok(spec.scenario.elaborate_seq().netlist)
             }
         }
     }

@@ -1,8 +1,11 @@
 //! The specification-level description of one reliability analysis.
 
+use crate::error::CampaignError;
 use scdp_core::{Allocation, Operator, Technique};
 use scdp_coverage::TechIndex;
-use scdp_netlist::gen::AdderRealisation;
+use scdp_netlist::gen::{
+    self_checking, self_checking_add_with, AdderRealisation, SelfCheckingDatapath, SelfCheckingSpec,
+};
 use std::fmt;
 
 /// Which engine executes a campaign.
@@ -177,6 +180,40 @@ impl Scenario {
     #[must_use]
     pub fn campaign(self) -> crate::CampaignSpec {
         crate::CampaignSpec::new(self)
+    }
+
+    /// Generates the scenario's gate-level self-checking netlist — the
+    /// circuit a [`Backend::GateLevel`] campaign simulates and `scdp
+    /// lint`/`analyze` inspect.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::UnsupportedOperator`] for division (no
+    /// gate-level checker) and [`CampaignError::UnsupportedRealisation`]
+    /// for a non-ripple realisation of anything but `+`.
+    pub fn elaborate(&self) -> Result<SelfCheckingDatapath, CampaignError> {
+        match self.op {
+            Operator::Add => Ok(self_checking_add_with(
+                self.width,
+                self.technique,
+                self.realisation,
+            )),
+            Operator::Sub | Operator::Mul if self.realisation != AdderRealisation::RippleCarry => {
+                Err(CampaignError::UnsupportedRealisation {
+                    realisation: self.realisation,
+                    op: self.op,
+                })
+            }
+            Operator::Sub | Operator::Mul => Ok(self_checking(SelfCheckingSpec {
+                op: self.op,
+                technique: self.technique,
+                width: self.width,
+            })),
+            Operator::Div => Err(CampaignError::UnsupportedOperator {
+                op: self.op,
+                backend: Backend::GateLevel,
+            }),
+        }
     }
 
     /// The technique column this scenario's report is canonical for.

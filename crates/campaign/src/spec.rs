@@ -10,9 +10,7 @@ use crate::scenario::{
 use crate::shard::{self, ShardInfo};
 use scdp_core::{Allocation, Operator};
 use scdp_coverage::{AdderFaultModel, InputSpace, OperatorKind, Tally, TechIndex};
-use scdp_netlist::gen::{
-    self_checking, self_checking_add_with, AdderRealisation, SelfCheckingSpec,
-};
+use scdp_netlist::gen::AdderRealisation;
 use scdp_obs::EventSink;
 use scdp_sim::{DropPolicy, Engine, EngineCampaign, InputPlan, Lanes};
 use std::fmt;
@@ -354,19 +352,9 @@ impl CampaignSpec {
                     });
                 }
             }
+            // Operators and realisations without a netlist are
+            // rejected by `Scenario::elaborate` in `run_gate`.
             Backend::GateLevel => {
-                if s.op == Operator::Div {
-                    return Err(CampaignError::UnsupportedOperator {
-                        op: s.op,
-                        backend: self.backend,
-                    });
-                }
-                if s.realisation != AdderRealisation::RippleCarry && s.op != Operator::Add {
-                    return Err(CampaignError::UnsupportedRealisation {
-                        realisation: s.realisation,
-                        op: s.op,
-                    });
-                }
                 if model == FaultModel::Cell {
                     return Err(CampaignError::UnsupportedFaultModel {
                         model,
@@ -465,15 +453,7 @@ impl CampaignSpec {
     fn run_gate(&self, model: FaultModel, ctx: &RunCtx) -> Result<CampaignReport, CampaignError> {
         let s = &self.scenario;
         let compile = ctx.span("compile");
-        let dp = match s.op {
-            Operator::Add => self_checking_add_with(s.width, s.technique, s.realisation),
-            Operator::Sub | Operator::Mul => self_checking(SelfCheckingSpec {
-                op: s.op,
-                technique: s.technique,
-                width: s.width,
-            }),
-            Operator::Div => unreachable!("rejected by validate()"),
-        };
+        let dp = s.elaborate()?;
         let correlated = s.allocation == Allocation::SingleUnit;
         let groups = match model {
             FaultModel::Structural => {

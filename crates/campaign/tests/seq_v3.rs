@@ -582,7 +582,7 @@ fn negative_paths_have_stable_display_messages() {
     };
     assert_eq!(
         err.to_string(),
-        "report JSON schema error at `sequential.first_detect_hist`: \
+        "schema error at `sequential.first_detect_hist`: \
          missing or not an array"
     );
 }

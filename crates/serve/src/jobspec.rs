@@ -1,114 +1,25 @@
-//! The wire format of a submitted campaign: one flat JSON object
-//! mirroring the `scdp run` flag vocabulary, parsed into a
-//! [`CampaignJob`] plus a shard count.
+//! The wire format of a submitted campaign: one flat JSON object over
+//! the [`scdp_campaign::KEYS`] run-spec table — the same vocabulary as
+//! the `scdp run` flags — resolved into a [`CampaignJob`] plus a shard
+//! count by [`RunSpec::from_json`].
 //!
-//! The parser is strict — unknown keys, wrong types and out-of-range
-//! values are typed [`CampaignError`]s, never panics — because this is
-//! the first thing untrusted bytes from the network reach after
-//! [`scdp_campaign::json::parse`].
+//! The resolver is strict — unknown, duplicate, mistyped, out-of-range
+//! and wrong-shape keys are typed [`CampaignError`]s, never panics or
+//! silent defaults — because this is the first thing untrusted bytes
+//! from the network reach after [`scdp_campaign::json::parse`].
 //!
 //! ```json
 //! {"kind": "sequential", "workload": "fir", "width": 4,
 //!  "technique": "tech1", "samples": 64, "shards": 4}
 //! ```
+//!
+//! [`CampaignJob`]: scdp_campaign::CampaignJob
 
-use scdp_campaign::{
-    allocation_from_label, drop_from_label, duration_from_label, json, op_from_label,
-    realisation_from_label, style_from_label, technique_from_label, Backend, CampaignError,
-    CampaignJob, DatapathScenario, DfgSource, ExecPolicy, FaultDuration, FaultModel, InputSpace,
-    Lanes, Scenario,
-};
-use scdp_core::{Allocation, Technique};
-use scdp_hls::SckStyle;
+use scdp_campaign::{CampaignError, RunSpec};
 
-/// The seed a spec without an explicit `"seed"` uses — the same
-/// default as the `scdp` CLI, so a submitted spec and the equivalent
-/// `scdp run` invocation fingerprint identically.
-pub const DEFAULT_SEED: u64 = 0xDA7E_2005;
-
-/// Default shard count of a submitted job.
-pub const DEFAULT_SHARDS: u32 = 4;
-
-/// Every key a spec object may carry. Anything else is a schema error
-/// — a typoed `"widht"` must not silently fall back to the default.
-const KNOWN_KEYS: &[&str] = &[
-    "kind",
-    "width",
-    "technique",
-    "allocation",
-    "op",
-    "realisation",
-    "backend",
-    "fault_model",
-    "workload",
-    "style",
-    "duration",
-    "samples",
-    "seed",
-    "exhaustive",
-    "threads",
-    "lanes",
-    "drop",
-    "collapse",
-    "prune",
-    "telemetry",
-    "shards",
-];
-
-/// A fully parsed submission: the job to run and its shard geometry.
-#[derive(Clone, Debug)]
-pub struct JobSpec {
-    /// The campaign, ready for [`scdp_campaign::CampaignRunner`].
-    pub job: CampaignJob,
-    /// How many shards to partition the fault universe into.
-    pub shards: u32,
-}
-
-fn schema(field: &'static str, message: impl Into<String>) -> CampaignError {
-    CampaignError::Schema {
-        field,
-        message: message.into(),
-    }
-}
-
-/// A string field, or a schema error when present with another type.
-fn str_field<'a>(
-    obj: &'a json::Json,
-    key: &str,
-    field: &'static str,
-) -> Result<Option<&'a str>, CampaignError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| schema(field, "expected a string")),
-    }
-}
-
-/// An unsigned integer field, or a schema error.
-fn u64_field(
-    obj: &json::Json,
-    key: &str,
-    field: &'static str,
-) -> Result<Option<u64>, CampaignError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| schema(field, "expected an unsigned integer")),
-    }
-}
-
-/// A boolean field, or a schema error.
-fn bool_field(obj: &json::Json, key: &str, field: &'static str) -> Result<bool, CampaignError> {
-    match obj.get(key) {
-        None => Ok(false),
-        Some(json::Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(schema(field, "expected a boolean")),
-    }
-}
+/// A fully parsed submission: the job to run (`job`) and how many
+/// shards to partition its fault universe into (`shards`, default 4).
+pub type JobSpec = RunSpec;
 
 /// Parses one submitted spec document into a [`JobSpec`].
 ///
@@ -117,164 +28,22 @@ fn bool_field(obj: &json::Json, key: &str, field: &'static str) -> Result<bool, 
 /// [`CampaignError::Parse`] when the text is not JSON,
 /// [`CampaignError::Schema`] when it is JSON but not a valid spec.
 pub fn parse(text: &str) -> Result<JobSpec, CampaignError> {
-    let doc = json::parse(text)?;
-    let json::Json::Obj(members) = &doc else {
-        return Err(schema("spec", "expected a JSON object"));
-    };
-    if let Some((key, _)) = members
-        .iter()
-        .find(|(k, _)| !KNOWN_KEYS.contains(&k.as_str()))
-    {
-        return Err(schema("spec", format!("unknown key `{key}`")));
-    }
-
-    let width = u32::try_from(u64_field(&doc, "width", "spec.width")?.unwrap_or(4))
-        .map_err(|_| schema("spec.width", "width out of range"))?;
-    let samples = u64_field(&doc, "samples", "spec.samples")?.unwrap_or(1024);
-    let seed = u64_field(&doc, "seed", "spec.seed")?.unwrap_or(DEFAULT_SEED);
-    let shards = u32::try_from(
-        u64_field(&doc, "shards", "spec.shards")?.unwrap_or(u64::from(DEFAULT_SHARDS)),
-    )
-    .map_err(|_| schema("spec.shards", "shard count out of range"))?;
-
-    let technique = match str_field(&doc, "technique", "spec.technique")? {
-        None => Technique::Both,
-        Some(s) => technique_from_label(s)
-            .ok_or_else(|| schema("spec.technique", format!("unknown technique `{s}`")))?,
-    };
-    let allocation = match str_field(&doc, "allocation", "spec.allocation")? {
-        None => Allocation::SingleUnit,
-        Some(s) => allocation_from_label(s)
-            .ok_or_else(|| schema("spec.allocation", format!("unknown allocation `{s}`")))?,
-    };
-    let space = if bool_field(&doc, "exhaustive", "spec.exhaustive")? {
-        InputSpace::Exhaustive
-    } else {
-        InputSpace::Sampled {
-            per_fault: samples,
-            seed,
-        }
-    };
-    let exec = exec_from(&doc)?;
-
-    let kind = str_field(&doc, "kind", "spec.kind")?
-        .ok_or_else(|| schema("spec.kind", "missing (operator|datapath|sequential)"))?;
-    let job = match kind {
-        "operator" => {
-            let op_label = str_field(&doc, "op", "spec.op")?.unwrap_or("add");
-            let op = op_from_label(op_label)
-                .ok_or_else(|| schema("spec.op", format!("unknown operator `{op_label}`")))?;
-            let mut scenario = Scenario::new(op, width)
-                .technique(technique)
-                .allocation(allocation);
-            if let Some(r) = str_field(&doc, "realisation", "spec.realisation")? {
-                scenario = scenario.realisation(realisation_from_label(r).ok_or_else(|| {
-                    schema("spec.realisation", format!("unknown realisation `{r}`"))
-                })?);
-            }
-            let backend = match str_field(&doc, "backend", "spec.backend")? {
-                None => Backend::Functional,
-                Some(s) => Backend::from_label(s)
-                    .ok_or_else(|| schema("spec.backend", format!("unknown backend `{s}`")))?,
-            };
-            let mut spec = scenario.campaign().backend(backend).input_space(space);
-            if let Some(m) = str_field(&doc, "fault_model", "spec.fault_model")? {
-                spec = spec.fault_model(FaultModel::from_label(m).ok_or_else(|| {
-                    schema("spec.fault_model", format!("unknown fault model `{m}`"))
-                })?);
-            }
-            CampaignJob::Operator(spec.exec(exec))
-        }
-        "datapath" | "sequential" => {
-            let workload = str_field(&doc, "workload", "spec.workload")?
-                .ok_or_else(|| schema("spec.workload", "missing (fir|iir|dot|matvec)"))?;
-            let source = DfgSource::from_label(workload)
-                .ok_or_else(|| schema("spec.workload", format!("unknown workload `{workload}`")))?;
-            let style = match str_field(&doc, "style", "spec.style")? {
-                None => SckStyle::Full,
-                Some(s) => style_from_label(s)
-                    .ok_or_else(|| schema("spec.style", format!("unknown style `{s}`")))?,
-            };
-            let scenario = DatapathScenario::new(source, width)
-                .technique(technique)
-                .style(style)
-                .allocation(allocation);
-            if kind == "sequential" {
-                let duration = match str_field(&doc, "duration", "spec.duration")? {
-                    None => FaultDuration::Permanent,
-                    Some(s) => duration_from_label(s).ok_or_else(|| {
-                        schema("spec.duration", format!("unknown duration `{s}`"))
-                    })?,
-                };
-                CampaignJob::Sequential(
-                    scenario
-                        .seq_campaign()
-                        .duration(duration)
-                        .input_space(space)
-                        .exec(exec),
-                )
-            } else {
-                if doc.get("duration").is_some() {
-                    return Err(schema(
-                        "spec.duration",
-                        "durations apply to sequential campaigns only",
-                    ));
-                }
-                CampaignJob::Datapath(scenario.campaign().input_space(space).exec(exec))
-            }
-        }
-        other => {
-            return Err(schema(
-                "spec.kind",
-                format!("unknown kind `{other}` (operator|datapath|sequential)"),
-            ))
-        }
-    };
-    Ok(JobSpec { job, shards })
-}
-
-/// The execution-policy subset of a spec: threads, lanes, drop policy,
-/// collapsing, pruning and telemetry.
-fn exec_from(doc: &json::Json) -> Result<ExecPolicy, CampaignError> {
-    let mut exec = ExecPolicy::new()
-        .collapse(bool_field(doc, "collapse", "spec.collapse")?)
-        .prune(bool_field(doc, "prune", "spec.prune")?)
-        .telemetry(bool_field(doc, "telemetry", "spec.telemetry")?);
-    if let Some(threads) = u64_field(doc, "threads", "spec.threads")? {
-        let threads = usize::try_from(threads)
-            .map_err(|_| schema("spec.threads", "thread count out of range"))?;
-        exec = exec.threads(threads);
-    }
-    if let Some(drop) = str_field(doc, "drop", "spec.drop")? {
-        exec = exec.drop_policy(
-            drop_from_label(drop)
-                .ok_or_else(|| schema("spec.drop", format!("unknown drop policy `{drop}`")))?,
-        );
-    }
-    match doc.get("lanes") {
-        None => {}
-        Some(json::Json::Str(s)) if s == "auto" => {}
-        Some(v) => {
-            let lanes = v
-                .as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .and_then(Lanes::from_limbs)
-                .ok_or_else(|| schema("spec.lanes", "expected \"auto\", 1, 4 or 8"))?;
-            exec = exec.lanes(lanes);
-        }
-    }
-    Ok(exec)
+    RunSpec::from_json(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scdp_campaign::{
+        CampaignJob, DatapathScenario, DfgSource, FaultDuration, InputSpace, DEFAULT_SEED,
+    };
+    use scdp_core::Technique;
 
     #[test]
     fn all_three_kinds_parse_with_defaults() {
         let op = parse(r#"{"kind":"operator"}"#).expect("operator spec");
         assert!(matches!(op.job, CampaignJob::Operator(_)));
-        assert_eq!(op.shards, DEFAULT_SHARDS);
+        assert_eq!(op.shards, 4);
         let dp = parse(r#"{"kind":"datapath","workload":"dot","shards":2}"#).expect("dp spec");
         assert!(matches!(dp.job, CampaignJob::Datapath(_)));
         assert_eq!(dp.shards, 2);
@@ -345,12 +114,119 @@ mod tests {
                 r#"{"kind":"datapath","workload":"dot","duration":"permanent"}"#,
                 false,
             ),
+            (r#"{"kind":"operator","workload":"fir"}"#, false),
+            (r#"{"width":4,"width":8}"#, false),
+            (r#"{"shards":0}"#, false),
+            (r#"{"width":100}"#, false),
+            (r#"{"threads":0}"#, false),
+            (r#"{"samples":0}"#, false),
         ] {
             match parse(text) {
                 Err(CampaignError::Parse { .. }) => assert!(expect_parse, "{text}"),
                 Err(CampaignError::Schema { .. }) => assert!(!expect_parse, "{text}"),
                 other => panic!("{text}: expected a typed error, got {other:?}"),
             }
+        }
+    }
+
+    /// Job ids (and shard counts) of specs accepted before the run-spec
+    /// table existed, pinned so saved jobs and cache entries survive:
+    /// together they name every key and all three kinds.
+    #[test]
+    fn job_ids_of_previously_accepted_specs_are_unchanged() {
+        let pinned = [
+            (r#"{"kind":"operator"}"#, "a6f19649c84b7dd5", 4),
+            (
+                r#"{"kind":"operator","op":"mul","width":6,"technique":"tech1","samples":256,"seed":7}"#,
+                "0a1d88ed919849c7",
+                4,
+            ),
+            (
+                r#"{"kind":"operator","op":"add","realisation":"cla","backend":"gate-level","fault_model":"structural","width":8,"drop":"on-detect","threads":2,"lanes":4}"#,
+                "516b68c5df889643",
+                4,
+            ),
+            (
+                r#"{"kind":"operator","op":"sub","backend":"functional","fault_model":"cell","exhaustive":true,"allocation":"dedicated","width":3}"#,
+                "ea05a9931005bee7",
+                4,
+            ),
+            (
+                r#"{"kind":"operator","op":"add","backend":"gate-level","fault_model":"fa-gate","width":4,"exhaustive":true,"collapse":true,"prune":true,"telemetry":true,"shards":2}"#,
+                "54ffd6460d831c15",
+                2,
+            ),
+            (
+                r#"{"kind":"operator","op":"div","width":5,"samples":32,"seed":0,"shards":1}"#,
+                "1157fd3326987d0e",
+                1,
+            ),
+            (
+                r#"{"kind":"datapath","workload":"fir"}"#,
+                "a485406014e33f69",
+                4,
+            ),
+            (
+                r#"{"kind":"datapath","workload":"iir","width":3,"technique":"tech2","style":"plain","samples":64,"seed":1,"lanes":"auto","shards":3}"#,
+                "f3a22eee3e2963e3",
+                3,
+            ),
+            (
+                r#"{"kind":"datapath","workload":"dot","style":"embedded","allocation":"dedicated","drop":"on-escape","collapse":true,"threads":1}"#,
+                "b3f70e4b1c521077",
+                4,
+            ),
+            (
+                r#"{"kind":"datapath","workload":"matvec","width":2,"exhaustive":true,"prune":true,"lanes":1}"#,
+                "e14663f1f7c567d1",
+                4,
+            ),
+            (
+                r#"{"kind":"datapath","workload":"fir","width":4,"technique":"tech1","samples":64,"shards":2,"prune":true}"#,
+                "b90b6c715f351352",
+                2,
+            ),
+            (
+                r#"{"kind":"datapath","workload":"fir","width":8,"samples":64,"seed":3,"threads":1,"shards":4}"#,
+                "a9c7870504b1b171",
+                4,
+            ),
+            (
+                r#"{"kind":"sequential","workload":"fir"}"#,
+                "e08bd420767eade5",
+                4,
+            ),
+            (
+                r#"{"kind":"sequential","workload":"fir","width":4,"technique":"tech1","samples":64,"shards":4}"#,
+                "cab8e028b6be4988",
+                4,
+            ),
+            (
+                r#"{"kind":"sequential","workload":"dot","duration":"transient@2","style":"full","allocation":"single-unit","samples":128,"seed":99,"telemetry":true,"lanes":8}"#,
+                "ee8d8133ea5fbf53",
+                4,
+            ),
+            (
+                r#"{"kind":"sequential","workload":"iir","duration":"permanent","drop":"on-detect","width":5,"exhaustive":false,"technique":"both"}"#,
+                "a457b8fcf341a280",
+                4,
+            ),
+        ];
+        let mut keys = std::collections::BTreeSet::new();
+        for (text, id, shards) in pinned {
+            let spec = parse(text).expect(text);
+            assert_eq!(crate::job_id(&spec.job), id, "{text}");
+            assert_eq!(spec.shards, shards, "{text}");
+            if let Ok(scdp_campaign::json::Json::Obj(members)) = scdp_campaign::json::parse(text) {
+                keys.extend(members.into_iter().map(|(k, _)| k));
+            }
+        }
+        for key in scdp_campaign::KEYS {
+            assert!(
+                keys.contains(key.name),
+                "no pinned spec names `{}`",
+                key.name
+            );
         }
     }
 }

@@ -187,7 +187,8 @@ impl ServerHandle {
 
 /// Registers finished jobs and re-enqueues unfinished ones from a
 /// previous server life. Directories whose name does not match their
-/// spec's fingerprint are foreign and skipped.
+/// spec's fingerprint are foreign and skipped; a saved spec that no
+/// longer parses is skipped with its path and error on stderr.
 fn scan_dir(dir: &Path) -> (HashMap<String, JobState>, VecDeque<String>) {
     let mut jobs = HashMap::new();
     let mut queue = VecDeque::new();
@@ -207,8 +208,15 @@ fn scan_dir(dir: &Path) -> (HashMap<String, JobState>, VecDeque<String>) {
         let Ok(text) = std::fs::read_to_string(path.join("spec.json")) else {
             continue;
         };
-        let Ok(spec) = jobspec::parse(&text) else {
-            continue;
+        let spec = match jobspec::parse(&text) {
+            Ok(spec) => spec,
+            Err(e) => {
+                eprintln!(
+                    "scdp serve: skipping {}: saved spec no longer parses: {e}",
+                    path.join("spec.json").display()
+                );
+                continue;
+            }
         };
         if job_id(&spec.job) != id {
             continue;
@@ -341,7 +349,9 @@ fn route(inner: &Arc<Inner>, request: &Request) -> (u16, String) {
     }
 }
 
-/// `POST /jobs`: parse, content-address, dedupe, enqueue.
+/// `POST /jobs`: parse, content-address, dedupe, enqueue. A spec the
+/// run-spec table rejects is a 400 and never reaches the job
+/// directory.
 fn handle_submit(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
     let Ok(text) = std::str::from_utf8(body) else {
         return (400, error_body("request body is not UTF-8"));

@@ -171,6 +171,38 @@ fn malformed_input_and_bad_routes_get_typed_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Specs that could only fail once they run — zero shards, an
+/// out-of-range width, zero threads, a repeated key — are refused at
+/// submission: a 400 naming the key, and no job directory on disk.
+#[test]
+fn unrunnable_specs_are_refused_at_submit_time() {
+    let dir = temp_dir("unrunnable");
+    let (handle, addr) = start(&dir);
+    for (spec, key) in [
+        (r#"{"kind":"operator","shards":0}"#, "shards"),
+        (r#"{"kind":"operator","width":0}"#, "width"),
+        (r#"{"kind":"operator","width":100}"#, "width"),
+        (r#"{"kind":"operator","threads":0}"#, "threads"),
+        (r#"{"kind":"operator","width":4,"width":8}"#, "width"),
+        (
+            r#"{"kind":"operator","workload":"fir","duration":"transient@2"}"#,
+            "workload",
+        ),
+    ] {
+        let response = client::request(&addr, "POST", "/jobs", Some(spec)).expect("response");
+        assert_eq!(response.status, 400, "{spec}: {}", response.body);
+        assert!(response.body.contains(key), "{spec}: {}", response.body);
+    }
+    let jobs: Vec<_> = std::fs::read_dir(&dir)
+        .expect("job dir")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .collect();
+    assert!(jobs.is_empty(), "refused specs created {jobs:?}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_restarted_server_resumes_interrupted_jobs_from_checkpoints() {
     let dir = temp_dir("resume");
