@@ -17,14 +17,14 @@
 //! the gate-level cross-check re-runs the same allocations on the
 //! structural datapath.
 
-use scdp_bench::{pct, CliArgs, OrUsageExit};
+use scdp_bench::{pct, CliArgs, Flag, OrUsageExit};
 use scdp_campaign::{Backend, ExecPolicy, Scenario, TechIndex};
 use scdp_core::{Allocation, Operator, Technique};
 use scdp_fir::fir_body_dfg;
 use scdp_hls::{area, bind, expand_sck, sched, BindOptions, ErrorHandling, ResourceSet, SckStyle};
 
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(&[Flag::THREADS]).or_usage_exit();
     println!("Reliability-aware binding ablation (8-bit adder campaigns, FIR datapath)\n");
     println!(
         "{:<10} {:>16} {:>16}",

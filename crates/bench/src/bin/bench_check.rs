@@ -24,11 +24,19 @@
 //! failure.
 
 use scdp_bench::regression::{check_dirs, CheckConfig, Severity};
-use scdp_bench::{CliArgs, OrUsageExit};
+use scdp_bench::{CliArgs, Flag, OrUsageExit};
 use std::path::PathBuf;
 
+const FLAGS: &[Flag] = &[
+    Flag::switch("--check"),
+    Flag::text("--fresh"),
+    Flag::text("--baseline"),
+    Flag::real("--tolerance"),
+    Flag::switch("--cross-machine"),
+];
+
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let baseline = args
         .value::<String>("--baseline")
         .or_usage_exit()

@@ -25,7 +25,7 @@
 //! the step-`[7]` datapath report as `scdp.campaign.report/v2` JSON and
 //! `--seq-report FILE` the step-`[8]` sequential report as v3.
 
-use scdp_bench::{CliArgs, OrUsageExit};
+use scdp_bench::{CliArgs, Flag, OrUsageExit};
 use scdp_campaign::{
     Backend, DatapathScenario, DfgSource, ExecPolicy, FaultDuration, FaultModel, InputSpace,
     Scenario,
@@ -35,8 +35,21 @@ use scdp_core::{Operator, Technique};
 use scdp_fir::fir_body_dfg;
 use scdp_hls::{expand_sck, SckStyle};
 
+const FLAGS: &[Flag] = &[
+    // Exhaustive inputs are what make step [6]'s cross-backend
+    // equality exact, so the validation width is capped at 8 to keep
+    // the 2^(2w) pair space bounded.
+    Flag::int("--width", 1, 8),
+    Flag::THREADS,
+    Flag::SAMPLES,
+    Flag::SEED,
+    Flag::switch("--quick"),
+    Flag::text("--report"),
+    Flag::text("--seq-report"),
+];
+
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let quick = args.flag("--quick");
     let flow = CodesignFlow::default();
     let body = fir_body_dfg();
@@ -107,14 +120,8 @@ fn main() {
     println!("      total latency {latency:.1} us, area used {area:.0} slices");
 
     // Operator-level validation: one scenario, both engines,
-    // bit-identical tallies. Exhaustive inputs are what make the
-    // cross-backend equality exact, so the validation width is capped
-    // at 8 to keep the 2^(2w) pair space bounded.
+    // bit-identical tallies over exhaustive inputs.
     let width = args.width(4).or_usage_exit();
-    if !(1..=8).contains(&width) {
-        eprintln!("error: --width {width} is outside 1..=8, the exhaustive validation range");
-        std::process::exit(2);
-    }
     let op_width = if quick { width.min(2) } else { width };
     let scenario = Scenario::new(Operator::Add, op_width).technique(Technique::Tech1);
     let spec = scenario

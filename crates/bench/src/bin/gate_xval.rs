@@ -19,16 +19,17 @@
 //!
 //! Usage:
 //!   gate_xval [--width N] [--samples N] [--seed S] [--threads N]
-//!             [--oracle] [--report FILE]
+//!             [--monte-carlo] [--oracle] [--report FILE]
 //!
 //! Widths whose input space exceeds 2^20 vectors (width > 10) switch to
 //! seeded Monte-Carlo sampling automatically — `--width 16`, infeasible
 //! on the scalar path, completes in seconds this way.
 //!
-//! Exit codes: 0 on success, 2 for a scenario the campaign API rejects
-//! (e.g. `--width 0`), 1 if the report cannot be written.
+//! Exit codes: 0 on success, 2 for a command line it cannot honour
+//! (e.g. `--width 0`, an unknown flag), 1 if the report cannot be
+//! written.
 
-use scdp_bench::{pct, scalar_add_oracle, timed, CliArgs, OrUsageExit};
+use scdp_bench::{pct, scalar_add_oracle, timed, CliArgs, Flag, OrUsageExit};
 use scdp_campaign::{Backend, CampaignReport, ExecPolicy, InputSpace, Scenario};
 use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::AdderRealisation;
@@ -41,8 +42,18 @@ fn fail(code: i32, message: impl Display) -> ! {
     exit(code)
 }
 
+const FLAGS: &[Flag] = &[
+    Flag::WIDTH,
+    Flag::SAMPLES,
+    Flag::SEED,
+    Flag::THREADS,
+    Flag::MONTE_CARLO,
+    Flag::switch("--oracle"),
+    Flag::text("--report"),
+];
+
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let width = args.width(4).or_usage_exit();
     let threads = args.threads().or_usage_exit();
     let space = args.space(width, 1 << 16).or_usage_exit();

@@ -10,14 +10,16 @@
 //! Usage:
 //!   other_circuits [--width N] [--samples N] [--seed S] [--threads N]
 
-use scdp_bench::{pct, timed, CliArgs, OrUsageExit};
+use scdp_bench::{pct, timed, CliArgs, Flag, OrUsageExit};
 use scdp_campaign::{Backend, ExecPolicy, InputSpace, Scenario};
 use scdp_core::{Operator, Technique};
 use scdp_fir::{dot_body_dfg, iir_biquad_dfg, matvec_row_dfg};
 use scdp_netlist::gen::AdderRealisation;
 
+const FLAGS: &[Flag] = &[Flag::WIDTH, Flag::SAMPLES, Flag::SEED, Flag::THREADS];
+
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let flow = scdp_codesign::CodesignFlow::default();
     for body in [iir_biquad_dfg(), dot_body_dfg(), matvec_row_dfg()] {
         let name = body.name().to_string();

@@ -14,8 +14,11 @@
 //!
 //! Usage:
 //!   table1 [--width N] [--samples N] [--seed S] [--exhaustive] [--gate]
+//!          [--threads N] [--monte-carlo]
+//!
+//! `--threads` and `--monte-carlo` apply to the `--gate` section.
 
-use scdp_bench::{pct, timed, CliArgs, OrUsageExit};
+use scdp_bench::{pct, timed, CliArgs, Flag, OrUsageExit};
 use scdp_campaign::{Backend, ExecPolicy, InputSpace, Scenario, TechIndex};
 use scdp_core::{Operator, Technique};
 
@@ -26,8 +29,18 @@ const PAPER: [(Operator, f64, f64, Option<f64>); 4] = [
     (Operator::Div, 94.33, 97.16, None),
 ];
 
+const FLAGS: &[Flag] = &[
+    Flag::WIDTH,
+    Flag::SAMPLES,
+    Flag::SEED,
+    Flag::THREADS,
+    Flag::MONTE_CARLO,
+    Flag::switch("--exhaustive"),
+    Flag::switch("--gate"),
+];
+
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let width = args.width(8).or_usage_exit();
     let samples = args.samples(1 << 14).or_usage_exit();
     let seed = args.seed().or_usage_exit();

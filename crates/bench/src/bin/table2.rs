@@ -14,9 +14,10 @@
 //!
 //! Usage:
 //!   table2 [--detail] [--dual-unit] [--model gate|cell] [--samples N]
-//!          [--seed S] [--gate] [--report FILE]
+//!          [--seed S] [--gate] [--threads N] [--monte-carlo]
+//!          [--report FILE]
 
-use scdp_bench::{pct, timed, CliArgs, OrUsageExit};
+use scdp_bench::{pct, timed, CliArgs, Flag, OrUsageExit};
 use scdp_campaign::{
     Backend, CampaignReport, ExecPolicy, FaultModel, InputSpace, Scenario, TechIndex,
 };
@@ -34,6 +35,18 @@ const PAPER: [(u32, &str, f64, f64, f64); 6] = [
     (16, "6x2^30*", 98.18, 99.74, 99.80),
 ];
 
+const FLAGS: &[Flag] = &[
+    Flag::switch("--detail"),
+    Flag::switch("--dual-unit"),
+    Flag::one_of("--model", &["gate", "cell"]),
+    Flag::SAMPLES,
+    Flag::SEED,
+    Flag::THREADS,
+    Flag::MONTE_CARLO,
+    Flag::switch("--gate"),
+    Flag::text("--report"),
+];
+
 fn model_from(args: &CliArgs) -> FaultModel {
     match args.value::<String>("--model").or_usage_exit().as_deref() {
         Some("cell") => FaultModel::Cell,
@@ -42,7 +55,7 @@ fn model_from(args: &CliArgs) -> FaultModel {
 }
 
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let model = model_from(&args);
     let samples = args.samples(1 << 17).or_usage_exit();
     let seed = args.seed().or_usage_exit();

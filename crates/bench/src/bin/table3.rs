@@ -11,7 +11,7 @@
 //! Usage:
 //!   table3 [--taps N] [--sw-samples N]
 
-use scdp_bench::{timed, Bench, CliArgs, OrUsageExit};
+use scdp_bench::{timed, Bench, CliArgs, Flag, OrUsageExit};
 use scdp_codesign::{CodesignFlow, Goal};
 use scdp_fir::{fir_body_dfg, EmbeddedFir, PlainFir, SckFir};
 use scdp_hls::SckStyle;
@@ -35,8 +35,13 @@ const PAPER_SW: [(&str, f64, u32); 3] = [
     ("FIR embedded SCK", 7.90, 889),
 ];
 
+const FLAGS: &[Flag] = &[
+    Flag::int("--taps", 1, u64::MAX),
+    Flag::int("--sw-samples", 1, u64::MAX),
+];
+
 fn main() {
-    let args = CliArgs::parse();
+    let args = CliArgs::parse(FLAGS).or_usage_exit();
     let taps: usize = args.value_or("--taps", 64).or_usage_exit();
     let sw_samples: usize = args.value_or("--sw-samples", 200_000).or_usage_exit();
 

@@ -3,10 +3,14 @@
 //! Every binary used to hand-roll the same `--width/--samples/--seed/
 //! --threads` parsing with slightly different defaults; this module is
 //! the one place those knobs live, returning values the unified
-//! `scdp-campaign` API consumes directly. A value that does not parse
-//! is a [`UsageError`], never a silent fallback to the default.
+//! `scdp-campaign` API consumes directly. Each binary declares the
+//! [`Flag`]s it takes, and [`CliArgs::parse`] checks the whole command
+//! line against them before any work starts: an unknown, repeated or
+//! value-less flag, a stray argument, or a value that does not parse or
+//! is out of range is a [`UsageError`], never a silent fallback to the
+//! default.
 
-use scdp_campaign::{InputSpace, DEFAULT_SEED};
+use scdp_campaign::{InputSpace, DEFAULT_SEED, MAX_THREADS, MAX_WIDTH};
 use scdp_sim::par;
 use std::fmt;
 use std::str::FromStr;
@@ -41,6 +45,109 @@ impl<T, E: fmt::Display> OrUsageExit<T> for Result<T, E> {
     }
 }
 
+/// One flag a binary takes: its spelling and what its value must be.
+#[derive(Copy, Clone, Debug)]
+pub struct Flag {
+    name: &'static str,
+    value: Expect,
+}
+
+/// The value a [`Flag`] expects.
+#[derive(Copy, Clone, Debug)]
+enum Expect {
+    /// None: a bare switch.
+    Nothing,
+    /// Any text (a file or directory).
+    Text,
+    /// An integer in `lo..=hi`.
+    Int(u64, u64),
+    /// A decimal number.
+    Real,
+    /// One of these labels.
+    OneOf(&'static [&'static str]),
+}
+
+impl Flag {
+    /// A bare switch.
+    #[must_use]
+    pub const fn switch(name: &'static str) -> Self {
+        Self {
+            name,
+            value: Expect::Nothing,
+        }
+    }
+
+    /// A flag taking any text, such as a file name.
+    #[must_use]
+    pub const fn text(name: &'static str) -> Self {
+        Self {
+            name,
+            value: Expect::Text,
+        }
+    }
+
+    /// A flag taking an integer in `lo..=hi`.
+    #[must_use]
+    pub const fn int(name: &'static str, lo: u64, hi: u64) -> Self {
+        Self {
+            name,
+            value: Expect::Int(lo, hi),
+        }
+    }
+
+    /// A flag taking a decimal number.
+    #[must_use]
+    pub const fn real(name: &'static str) -> Self {
+        Self {
+            name,
+            value: Expect::Real,
+        }
+    }
+
+    /// A flag taking one of `labels`.
+    #[must_use]
+    pub const fn one_of(name: &'static str, labels: &'static [&'static str]) -> Self {
+        Self {
+            name,
+            value: Expect::OneOf(labels),
+        }
+    }
+
+    /// `--width N`, a campaign operand width.
+    pub const WIDTH: Flag = Flag::int("--width", 1, MAX_WIDTH as u64);
+    /// `--samples N`, Monte-Carlo vectors per fault / per campaign.
+    pub const SAMPLES: Flag = Flag::int("--samples", 1, u64::MAX);
+    /// `--seed S`.
+    pub const SEED: Flag = Flag::int("--seed", 0, u64::MAX);
+    /// `--threads N`, the worker count.
+    pub const THREADS: Flag = Flag::int("--threads", 1, MAX_THREADS);
+    /// `--monte-carlo`, sampled inputs at every width ([`CliArgs::space`]).
+    pub const MONTE_CARLO: Flag = Flag::switch("--monte-carlo");
+
+    /// Checks `text` as this flag's value.
+    fn check(&self, text: &str) -> Result<(), UsageError> {
+        let ok = match self.value {
+            Expect::Nothing | Expect::Text => true,
+            Expect::Int(lo, hi) => text.parse::<u64>().is_ok_and(|n| (lo..=hi).contains(&n)),
+            Expect::Real => text.parse::<f64>().is_ok(),
+            Expect::OneOf(labels) => labels.contains(&text),
+        };
+        if ok {
+            return Ok(());
+        }
+        let expected = match self.value {
+            Expect::Int(lo, hi) if hi == u64::MAX => format!("an integer ≥ {lo}"),
+            Expect::Int(lo, hi) => format!("an integer in {lo}..={hi}"),
+            Expect::OneOf(labels) => labels.join("|"),
+            _ => "a number".to_string(),
+        };
+        Err(UsageError(format!(
+            "invalid value `{text}` for `{}`: expected {expected}",
+            self.name
+        )))
+    }
+}
+
 /// Parsed command-line arguments (flag/value pairs and bare flags).
 #[derive(Clone, Debug, Default)]
 pub struct CliArgs {
@@ -48,15 +155,50 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Captures the process arguments (program name excluded).
-    #[must_use]
-    pub fn parse() -> Self {
-        Self {
-            raw: std::env::args().skip(1).collect(),
-        }
+    /// Captures the process arguments (program name excluded) and
+    /// checks them against `flags` ([`CliArgs::checked`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`CliArgs::checked`].
+    pub fn parse(flags: &[Flag]) -> Result<Self, UsageError> {
+        Self::checked(std::env::args().skip(1).collect(), flags)
     }
 
-    /// Builds from an explicit vector (tests).
+    /// Checks `raw` against `flags`: every argument must be one of
+    /// them, given once, followed by a valid value if it takes one.
+    ///
+    /// # Errors
+    ///
+    /// A [`UsageError`] naming the first argument that fails.
+    pub fn checked(raw: Vec<String>, flags: &[Flag]) -> Result<Self, UsageError> {
+        let mut seen = Vec::new();
+        let mut args = raw.iter();
+        while let Some(arg) = args.next() {
+            let Some(flag) = flags.iter().find(|f| f.name == arg) else {
+                let names: Vec<&str> = flags.iter().map(|f| f.name).collect();
+                return Err(UsageError(format!(
+                    "unknown argument `{arg}`; expected {}",
+                    names.join(", ")
+                )));
+            };
+            if seen.contains(&flag.name) {
+                return Err(UsageError(format!("`{arg}` given twice")));
+            }
+            seen.push(flag.name);
+            if !matches!(flag.value, Expect::Nothing) {
+                let text = args
+                    .next()
+                    .filter(|t| !t.starts_with("--"))
+                    .ok_or_else(|| UsageError(format!("`{arg}` expects a value")))?;
+                flag.check(text)?;
+            }
+        }
+        Ok(Self { raw })
+    }
+
+    /// Builds from an explicit vector without checking it (the `scdp`
+    /// verbs' arguments).
     #[must_use]
     pub fn from_vec(raw: Vec<String>) -> Self {
         Self { raw }
@@ -156,6 +298,67 @@ mod tests {
 
     fn args(list: &[&str]) -> CliArgs {
         CliArgs::from_vec(list.iter().map(ToString::to_string).collect())
+    }
+
+    const FLAGS: &[Flag] = &[
+        Flag::WIDTH,
+        Flag::THREADS,
+        Flag::switch("--gate"),
+        Flag::text("--report"),
+        Flag::real("--tolerance"),
+        Flag::one_of("--model", &["gate", "cell"]),
+    ];
+
+    fn checked(list: &[&str]) -> Result<CliArgs, UsageError> {
+        CliArgs::checked(list.iter().map(ToString::to_string).collect(), FLAGS)
+    }
+
+    #[test]
+    fn declared_flags_with_valid_values_pass() {
+        let a = checked(&[
+            "--width",
+            "8",
+            "--gate",
+            "--report",
+            "r.json",
+            "--tolerance",
+            "0.5",
+            "--model",
+            "cell",
+            "--threads",
+            "2",
+        ])
+        .expect("valid command line");
+        assert_eq!(a.width(4), Ok(8));
+        assert_eq!(a.threads(), Ok(2));
+        assert!(a.flag("--gate"));
+        assert!(checked(&[]).is_ok());
+    }
+
+    #[test]
+    fn every_mistake_is_caught_before_any_value_is_read() {
+        for bad in [
+            &["--widht", "2"][..],
+            &["--width", "2", "--width", "3"],
+            &["--width"],
+            &["--report", "--gate"],
+            &["--width", "0"],
+            &["--width", "33"],
+            &["--width", "tall"],
+            &["--threads", "0"],
+            &["--tolerance", "lots"],
+            &["--model", "switch"],
+            &["--gate", "3"],
+            &["stray"],
+        ] {
+            let err = checked(bad).expect_err(&format!("{bad:?} is rejected"));
+            assert!(!err.0.is_empty(), "{bad:?}");
+        }
+        let err = checked(&["--widht", "2"]).unwrap_err();
+        assert!(
+            err.0.contains("--widht") && err.0.contains("--width"),
+            "{err}"
+        );
     }
 
     #[test]

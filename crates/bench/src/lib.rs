@@ -30,7 +30,7 @@ pub mod regression;
 pub mod scdp_cli;
 pub mod trace;
 
-pub use cli::{CliArgs, OrUsageExit, UsageError};
+pub use cli::{CliArgs, Flag, OrUsageExit, UsageError};
 pub use harness::{Bench, Record};
 pub use regression::{BenchFile, CheckConfig};
 

@@ -9,6 +9,13 @@
 //! only change the gates in the transitive fanout of its sites, so the
 //! driver evaluates just that **cone**, overlaid on a copy of the good
 //! machine's values ([`Engine::eval_cone_wide`]).
+//!
+//! Every pass of both engines — the full forward pass, the cone pass
+//! and each cycle of [`crate::SeqEngine`] — is one loop,
+//! [`eval_gates`], around one inlined gate kernel, [`eval_gate`]: per
+//! gate, the two fanin words are loaded once, pin overrides are
+//! splatted into them, and one `match` on the gate's kind computes the
+//! output.
 
 use crate::batch::{InputBatch, InputPlan, WideBatch};
 use crate::campaign::{BlockWork, FaultEngine, Verdict};
@@ -18,17 +25,17 @@ use scdp_netlist::{GateKind, Netlist, StuckAtLine};
 
 /// A netlist compiled for bit-parallel evaluation.
 ///
-/// Construction copies the gate array into structure-of-arrays form
-/// (kind / input-a / input-b as parallel `Vec`s) and resolves the
-/// output roles: every bus named `error` is an *alarm* bus, every other
-/// output bus is part of the *result*. Netlists are already stored in
-/// topological order, so evaluation is one forward pass. Construction
-/// also builds the fanout table the campaign driver's cone passes walk.
+/// Construction copies the gate array into packed [`Gate`] records and
+/// resolves the output roles: every bus named `error` is an *alarm*
+/// bus, every other output bus is part of the *result*. Netlists are
+/// already stored in topological order, so evaluation is one forward
+/// pass. Construction also builds the fanout table the campaign
+/// driver's cone passes walk.
 #[derive(Clone, Debug)]
 pub struct Engine {
-    kinds: Vec<GateKind>,
-    a: Vec<u32>,
-    b: Vec<u32>,
+    gates: Vec<Gate>,
+    /// The input gates, in input-bit order.
+    inputs: Vec<u32>,
     /// Fanout in CSR form: the gates reading net `i` are
     /// `fanout[fanout_off[i]..fanout_off[i + 1]]`, ascending.
     fanout_off: Vec<u32>,
@@ -112,16 +119,8 @@ impl Engine {
             !netlist.is_sequential(),
             "combinational engine cannot evaluate a sequential netlist; use SeqEngine"
         );
-        let gates = netlist.gates();
-        let mut kinds = Vec::with_capacity(gates.len());
-        let mut a = Vec::with_capacity(gates.len());
-        let mut b = Vec::with_capacity(gates.len());
-        for g in gates {
-            kinds.push(g.kind);
-            a.push(g.a.map_or(0, |n| n.index() as u32));
-            b.push(g.b.map_or(0, |n| n.index() as u32));
-        }
-        let (fanout_off, fanout) = fanout_table(&kinds, &a, &b);
+        let (gates, inputs) = compile(netlist);
+        let (fanout_off, fanout) = fanout_table(&gates);
         let mut result_nets = Vec::new();
         let mut alarm_nets = Vec::new();
         for (name, bus) in netlist.outputs() {
@@ -133,9 +132,8 @@ impl Engine {
             target.extend(bus.iter().map(|n| n.index() as u32));
         }
         Self {
-            kinds,
-            a,
-            b,
+            gates,
+            inputs,
             fanout_off,
             fanout,
             input_bits: netlist.input_bits(),
@@ -154,7 +152,7 @@ impl Engine {
     /// Number of nets (= gates) in the compiled netlist.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.kinds.len()
+        self.gates.len()
     }
 
     /// Number of primary input bits expected per batch.
@@ -173,7 +171,7 @@ impl Engine {
     ///
     /// Returns the first [`SimError`] found, in fault-list order.
     pub fn check_faults(&self, faults: &[StuckAtLine]) -> Result<(), SimError> {
-        check_lines(&self.kinds, faults)
+        check_lines(&self.gates, faults)
     }
 
     /// Evaluates one packed batch under `faults` into `values` (one
@@ -224,44 +222,12 @@ impl Engine {
         values: &mut Vec<W>,
     ) {
         assert_eq!(bits.len(), self.input_bits, "input bit count mismatch");
-        debug_assert!(
-            faults.windows(2).all(|w| w[0].site.gate <= w[1].site.gate),
-            "fault list must be sorted by gate"
-        );
-        let n = self.kinds.len();
-        values.clear();
-        values.resize(n, W::ZERO);
-        let mut next_input = 0usize;
-        let mut fi = 0usize;
-        let mut fault_gate = faults.first().map_or(usize::MAX, |f| f.site.gate);
-        for i in 0..n {
-            let out = if i == fault_gate {
-                // Slow path: apply every fault attached to this gate.
-                let [pin0, pin1, stem] = overrides(faults, &mut fi, i);
-                fault_gate = faults.get(fi).map_or(usize::MAX, |f| f.site.gate);
-                let out = match self.kinds[i] {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
-                    _ => self.logic(i, pin0, pin1, values),
-                };
-                stem.map_or(out, W::splat)
-            } else {
-                match self.kinds[i] {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
-                    _ => self.logic(i, None, None, values),
-                }
-            };
-            // Lanes beyond the batch length hold junk; harmless, masked
-            // later.
-            values[i] = out;
-        }
+        // Every net is written before any gate uses it, so the buffer
+        // needs the right length, not clearing. Lanes beyond the batch
+        // length hold junk; harmless, masked later.
+        values.resize(self.gates.len(), W::ZERO);
+        hold(values, &self.inputs, bits);
+        eval_gates(&self.gates, 0..self.gates.len(), faults, values);
     }
 
     /// Evaluates the faulty machine of `faults` over `cone` only — the
@@ -289,40 +255,13 @@ impl Engine {
         faults: &[StuckAtLine],
         mask: Words<L>,
     ) -> WideOutcome<L> {
-        let mut fi = 0usize;
-        let mut fault_gate = faults.first().map_or(usize::MAX, |f| f.site.gate);
-        for &g in cone {
-            let i = g as usize;
-            values[i] = if i == fault_gate {
-                let [pin0, pin1, stem] = overrides(faults, &mut fi, i);
-                fault_gate = faults.get(fi).map_or(usize::MAX, |f| f.site.gate);
-                stem.map_or_else(|| self.logic(i, pin0, pin1, values), Words::splat)
-            } else {
-                self.logic(i, None, None, values)
-            };
-        }
+        eval_gates(
+            &self.gates,
+            cone.iter().map(|&g| g as usize),
+            faults,
+            values,
+        );
         self.compare_wide(good, values, mask)
-    }
-
-    /// Gate `i`'s function over the current `values`, with optional
-    /// stuck values on its input pins. An input gate keeps the value it
-    /// already holds (cone passes start from the good machine's).
-    #[inline(always)]
-    fn logic<W: LaneWord>(
-        &self,
-        i: usize,
-        pin0: Option<bool>,
-        pin1: Option<bool>,
-        values: &[W],
-    ) -> W {
-        let read = |pin: Option<bool>, net: u32| pin.map_or(values[net as usize], W::splat);
-        match self.kinds[i] {
-            GateKind::Input => values[i],
-            GateKind::Const(c) => W::splat(c),
-            GateKind::Not => !read(pin0, self.a[i]),
-            GateKind::Buf => read(pin0, self.a[i]),
-            kind => apply2(kind, read(pin0, self.a[i]), read(pin1, self.b[i])),
-        }
     }
 
     /// Appends the fanout cone of `faults` to `cones` as its next
@@ -340,7 +279,7 @@ impl Engine {
             stack,
         } = cones;
         let start = gates.len();
-        mark.resize(self.kinds.len().div_ceil(64), 0);
+        mark.resize(self.gates.len().div_ceil(64), 0);
         let mut visit = |g: usize, stack: &mut Vec<u32>| {
             let (word, bit) = (&mut mark[g / 64], 1u64 << (g % 64));
             if *word & bit == 0 {
@@ -554,27 +493,27 @@ impl Cones {
 /// Builds the fanout table in CSR form: offsets (one per net, plus a
 /// final end) and the reading gates of each net, ascending. A gate
 /// reading one net on both pins is listed once.
-fn fanout_table(kinds: &[GateKind], a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let fanins = |i: usize| {
-        let pins = kinds[i].pins();
-        let first = (pins >= 1).then_some(a[i]);
-        let second = (pins >= 2 && b[i] != a[i]).then_some(b[i]);
+fn fanout_table(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
+    let fanins = |g: Gate| {
+        let pins = g.kind.pins();
+        let first = (pins >= 1).then_some(g.a);
+        let second = (pins >= 2 && g.b != g.a).then_some(g.b);
         first.into_iter().chain(second)
     };
-    let mut off = vec![0u32; kinds.len() + 1];
-    for i in 0..kinds.len() {
-        for src in fanins(i) {
+    let mut off = vec![0u32; gates.len() + 1];
+    for (i, &g) in gates.iter().enumerate() {
+        for src in fanins(g) {
             debug_assert!((src as usize) < i, "netlists are topologically ordered");
             off[src as usize + 1] += 1;
         }
     }
-    for i in 0..kinds.len() {
+    for i in 0..gates.len() {
         off[i + 1] += off[i];
     }
     let mut next = off.clone();
-    let mut fanout = vec![0u32; off[kinds.len()] as usize];
-    for i in 0..kinds.len() {
-        for src in fanins(i) {
+    let mut fanout = vec![0u32; off[gates.len()] as usize];
+    for (i, &g) in gates.iter().enumerate() {
+        for src in fanins(g) {
             fanout[next[src as usize] as usize] = i as u32;
             next[src as usize] += 1;
         }
@@ -582,50 +521,60 @@ fn fanout_table(kinds: &[GateKind], a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>
     (off, fanout)
 }
 
-/// Collects the overrides the faults on gate `gate` apply — stuck
-/// values on pin 0, pin 1 and the stem — advancing `fi` past them.
-#[inline]
-fn overrides(faults: &[StuckAtLine], fi: &mut usize, gate: usize) -> [Option<bool>; 3] {
-    let mut out = [None; 3];
-    while let Some(f) = faults.get(*fi).filter(|f| f.site.gate == gate) {
-        match f.site.pin {
-            Some(0) => out[0] = Some(f.value),
-            Some(1) => out[1] = Some(f.value),
-            // Rejected by `check_faults`; ignored here so a line
-            // smuggled past validation through the raw batch API
-            // cannot abort a campaign.
-            Some(_) => {}
-            None => out[2] = Some(f.value),
-        }
-        *fi += 1;
-    }
-    out
+/// One compiled gate: its kind and the nets its two pins read. A Not
+/// or Buf reads its fanin on both pins; a gate that holds a value — an
+/// input, a Dff's state — reads itself on pin b, where the pass's
+/// caller puts that value ([`hold`]). A Dff's pin a is its D net, which
+/// the kernel never uses: the value it captures is taken after the
+/// cycle, and it may sit later in gate order.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Gate {
+    pub(crate) kind: GateKind,
+    pub(crate) a: u32,
+    pub(crate) b: u32,
 }
 
-/// The shared fault-list validation of both engines.
-pub(crate) fn check_lines(kinds: &[GateKind], faults: &[StuckAtLine]) -> Result<(), SimError> {
-    for f in faults {
-        let gate = f.site.gate;
-        let Some(kind) = kinds.get(gate) else {
-            return Err(SimError::GateOutOfRange {
-                gate,
-                gates: kinds.len(),
-            });
-        };
-        if let Some(pin) = f.site.pin {
-            let pins = kind.pins();
-            if pin >= pins {
-                return Err(SimError::PinOutOfRange { gate, pin, pins });
-            }
-        }
-    }
-    Ok(())
+/// Compiles `netlist`'s gates into [`Gate`] records, returning them and
+/// the input gates in input-bit order.
+pub(crate) fn compile(netlist: &Netlist) -> (Vec<Gate>, Vec<u32>) {
+    let mut inputs = Vec::new();
+    let gates = netlist
+        .gates()
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let own = i as u32;
+            let net = |n: Option<scdp_netlist::NetId>| n.map_or(own, |n| n.index() as u32);
+            let (a, b) = match g.kind {
+                GateKind::Input => {
+                    inputs.push(own);
+                    (own, own)
+                }
+                GateKind::Const(_) => (own, own),
+                GateKind::Dff => (net(g.a), own),
+                GateKind::Not | GateKind::Buf => (net(g.a), net(g.a)),
+                _ => (net(g.a), net(g.b)),
+            };
+            Gate { kind: g.kind, a, b }
+        })
+        .collect();
+    (gates, inputs)
 }
 
-/// The two-input gate functions, shared by both engines and all lane
-/// widths.
-#[inline]
-pub(crate) fn apply2<W: LaneWord>(kind: GateKind, a: W, b: W) -> W {
+/// Writes the values the holding gates `at` output this pass — input
+/// bits, Dff states — into their own nets.
+pub(crate) fn hold<W: LaneWord>(values: &mut [W], at: &[u32], held: &[W]) {
+    for (&g, &v) in at.iter().zip(held) {
+        values[g as usize] = v;
+    }
+}
+
+/// The one gate kernel of both engines at every lane width: the output
+/// of a gate of `kind` whose pins read `a` and `b` — fanin words with
+/// any pin override already splatted in. A holding gate returns `b`,
+/// its own net.
+#[inline(always)]
+pub(crate) fn eval_gate<W: LaneWord>(kind: GateKind, a: W, b: W) -> W {
     match kind {
         GateKind::And => a & b,
         GateKind::Or => a | b,
@@ -633,8 +582,85 @@ pub(crate) fn apply2<W: LaneWord>(kind: GateKind, a: W, b: W) -> W {
         GateKind::Nand => !(a & b),
         GateKind::Nor => !(a | b),
         GateKind::Xnor => !(a ^ b),
-        _ => unreachable!("two-input kinds only"),
+        GateKind::Not => !a,
+        GateKind::Buf => a,
+        GateKind::Const(c) => W::splat(c),
+        GateKind::Input | GateKind::Dff => b,
     }
+}
+
+/// The one evaluation loop of both engines: evaluates the gates in
+/// `order` (ascending) into `values` under `faults`, which must be
+/// sorted by gate, with every site in `order`. Each gate's fanins are
+/// read from `values` — the holding gates' values already in place —
+/// so a full pass runs over every gate and a cone pass over its cone,
+/// the rest of `values` holding the good machine. Faulted gates take a
+/// slow path: pin overrides are splatted into the fanin words before
+/// the kernel, the stem override replaces its output.
+pub(crate) fn eval_gates<W: LaneWord>(
+    gates: &[Gate],
+    order: impl Iterator<Item = usize>,
+    faults: &[StuckAtLine],
+    values: &mut [W],
+) {
+    debug_assert!(
+        faults.windows(2).all(|w| w[0].site.gate <= w[1].site.gate),
+        "fault list must be sorted by gate"
+    );
+    let mut fi = 0usize;
+    let mut fault_gate = faults.first().map_or(usize::MAX, |f| f.site.gate);
+    for i in order {
+        let g = gates[i];
+        let (a, b) = (values[g.a as usize], values[g.b as usize]);
+        values[i] = if i == fault_gate {
+            let [pin0, pin1, stem] = overrides(faults, &mut fi, i, g.kind.pins());
+            fault_gate = faults.get(fi).map_or(usize::MAX, |f| f.site.gate);
+            let a = pin0.map_or(a, W::splat);
+            let b = pin1.map_or(b, W::splat);
+            stem.map_or_else(|| eval_gate(g.kind, a, b), W::splat)
+        } else {
+            eval_gate(g.kind, a, b)
+        };
+    }
+}
+
+/// Collects the overrides the faults on gate `gate`, which has `pins`
+/// input pins, apply — stuck values on pin 0, pin 1 and the stem —
+/// advancing `fi` past them.
+fn overrides(faults: &[StuckAtLine], fi: &mut usize, gate: usize, pins: u8) -> [Option<bool>; 3] {
+    let mut out = [None; 3];
+    while let Some(f) = faults.get(*fi).filter(|f| f.site.gate == gate) {
+        match f.site.pin {
+            None => out[2] = Some(f.value),
+            Some(pin) if pin < pins => out[usize::from(pin)] = Some(f.value),
+            // Rejected by `check_faults`; ignored here so a line
+            // smuggled past validation through the raw batch API
+            // cannot abort a campaign.
+            Some(_) => {}
+        }
+        *fi += 1;
+    }
+    out
+}
+
+/// The shared fault-list validation of both engines.
+pub(crate) fn check_lines(gates: &[Gate], faults: &[StuckAtLine]) -> Result<(), SimError> {
+    for f in faults {
+        let gate = f.site.gate;
+        let Some(g) = gates.get(gate) else {
+            return Err(SimError::GateOutOfRange {
+                gate,
+                gates: gates.len(),
+            });
+        };
+        if let Some(pin) = f.site.pin {
+            let pins = g.kind.pins();
+            if pin >= pins {
+                return Err(SimError::PinOutOfRange { gate, pin, pins });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -50,9 +50,13 @@
 //! uses `std::thread::scope` and an atomic work index directly. The
 //! packing itself is lane-width generic ([`Words`], [`Lanes`]): the
 //! drivers default to 8×`u64` wide words — 512 situations per gate
-//! operation, auto-vectorised to the hardware's widest SIMD — and
-//! consume verdicts limb by limb so every tally, drop point and
-//! latency histogram stays bit-identical to the 64-lane path.
+//! operation, which amortise one gate-kind dispatch over 512 lanes
+//! (the limb ops compile to the x86-64 SSE2 baseline, two limbs per
+//! instruction) — and consume verdicts limb by limb so every tally,
+//! drop point and latency histogram stays bit-identical to the 64-lane
+//! path. Every evaluation loop of both engines runs one inlined gate
+//! kernel: the fanin words are loaded once, pin faults are splatted
+//! into them, and one `match` on the gate's kind computes the output.
 //!
 //! # Relation to the paper's situation taxonomy
 //!

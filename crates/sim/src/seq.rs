@@ -26,7 +26,7 @@
 
 use crate::batch::{InputBatch, InputPlan};
 use crate::campaign::{BlockWork, FaultEngine, Verdict};
-use crate::engine::{apply2, check_lines, BatchOutcome, WideOutcome};
+use crate::engine::{check_lines, compile, eval_gates, hold, BatchOutcome, Gate, WideOutcome};
 use crate::error::SimError;
 use crate::words::LaneWord;
 use scdp_netlist::{FaultDuration, GateKind, Netlist, StuckAtLine};
@@ -83,20 +83,20 @@ impl SeqBatchOutcome {
 
 /// A sequential netlist compiled for packed cycle-accurate evaluation.
 ///
-/// Construction mirrors [`crate::Engine`] (structure-of-arrays gate
-/// table, `error` buses split off as alarms) and additionally resolves
-/// every Dff's D net. Per-bus output metadata is kept so differential
-/// tests can read back whole words.
+/// Construction mirrors [`crate::Engine`] (packed gate records, `error`
+/// buses split off as alarms) and additionally lists the Dffs. Per-bus
+/// output metadata is kept so differential tests can read back whole
+/// words.
 #[derive(Clone, Debug)]
 pub struct SeqEngine {
-    kinds: Vec<GateKind>,
-    a: Vec<u32>,
-    b: Vec<u32>,
+    gates: Vec<Gate>,
+    /// The input gates, in input-bit order.
+    inputs: Vec<u32>,
     input_bits: usize,
     result_nets: Vec<u32>,
     alarm_nets: Vec<u32>,
-    /// `(gate index, D net)` of every Dff, gate order.
-    dffs: Vec<(u32, u32)>,
+    /// The Dff gates, gate order.
+    dffs: Vec<u32>,
     /// Dense gate → Dff index (unused slots are `u32::MAX`).
     dff_index: Vec<u32>,
     outputs: Vec<(String, Vec<u32>)>,
@@ -125,24 +125,18 @@ impl SeqEngine {
     /// Returns [`SimError::UnconnectedDff`] if a Dff cell has no
     /// connected D input.
     pub fn try_new(netlist: &Netlist) -> Result<Self, SimError> {
-        let gates = netlist.gates();
-        let mut kinds = Vec::with_capacity(gates.len());
-        let mut a = Vec::with_capacity(gates.len());
-        let mut b = Vec::with_capacity(gates.len());
         let mut dffs = Vec::new();
-        let mut dff_index = vec![u32::MAX; gates.len()];
-        for (i, g) in gates.iter().enumerate() {
-            kinds.push(g.kind);
-            a.push(g.a.map_or(0, |n| n.index() as u32));
-            b.push(g.b.map_or(0, |n| n.index() as u32));
+        let mut dff_index = vec![u32::MAX; netlist.gate_count()];
+        for (i, g) in netlist.gates().iter().enumerate() {
             if g.kind == GateKind::Dff {
-                let Some(d) = g.a else {
+                if g.a.is_none() {
                     return Err(SimError::UnconnectedDff { gate: i });
-                };
+                }
                 dff_index[i] = dffs.len() as u32;
-                dffs.push((i as u32, d.index() as u32));
+                dffs.push(i as u32);
             }
         }
+        let (gates, inputs) = compile(netlist);
         let mut result_nets = Vec::new();
         let mut alarm_nets = Vec::new();
         let mut outputs = Vec::new();
@@ -156,9 +150,8 @@ impl SeqEngine {
             outputs.push((name.clone(), nets));
         }
         Ok(Self {
-            kinds,
-            a,
-            b,
+            gates,
+            inputs,
             input_bits: netlist.input_bits(),
             result_nets,
             alarm_nets,
@@ -178,7 +171,7 @@ impl SeqEngine {
     /// Number of nets (= gates) in the compiled netlist.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.kinds.len()
+        self.gates.len()
     }
 
     /// Number of state bits.
@@ -201,7 +194,9 @@ impl SeqEngine {
 
     /// Evaluates one forward pass (one cycle) into `values`: Dff cells
     /// output `state`, faults in `faults` are forced (pass an empty
-    /// slice for inactive cycles), inputs come from `bits`.
+    /// slice for inactive cycles), inputs come from `bits`. A pin-0
+    /// fault on a Dff lands on its D pin, which the pass does not read:
+    /// it forces the value *captured* (handled in `step`).
     fn eval_cycle<W: LaneWord>(
         &self,
         bits: &[W],
@@ -209,74 +204,16 @@ impl SeqEngine {
         state: &[W],
         values: &mut [W],
     ) {
-        let n = self.kinds.len();
-        let mut next_input = 0usize;
-        let mut fi = 0usize;
-        let mut fault_gate = faults.first().map_or(usize::MAX, |f| f.site.gate);
-        for i in 0..n {
-            let out = if i == fault_gate {
-                // Slow path: apply every fault attached to this gate.
-                let mut pin0 = None;
-                let mut pin1 = None;
-                let mut stem = None;
-                while fi < faults.len() && faults[fi].site.gate == i {
-                    match faults[fi].site.pin {
-                        Some(0) => pin0 = Some(faults[fi].value),
-                        Some(1) => pin1 = Some(faults[fi].value),
-                        // Rejected by `check`; ignored here so a
-                        // line smuggled past validation through the raw
-                        // batch API cannot abort a campaign.
-                        Some(_) => {}
-                        None => stem = Some(faults[fi].value),
-                    }
-                    fi += 1;
-                }
-                fault_gate = faults.get(fi).map_or(usize::MAX, |f| f.site.gate);
-                let read = |pin: Option<bool>, net: u32, values: &[W]| -> W {
-                    pin.map_or(values[net as usize], W::splat)
-                };
-                let out = match self.kinds[i] {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
-                    GateKind::Const(c) => W::splat(c),
-                    // A Dff outputs its state; a pin-0 fault affects
-                    // the value *captured* (handled in `step`).
-                    GateKind::Dff => state[self.dff_index[i] as usize],
-                    GateKind::Not => !read(pin0, self.a[i], values),
-                    GateKind::Buf => read(pin0, self.a[i], values),
-                    kind => {
-                        let va = read(pin0, self.a[i], values);
-                        let vb = read(pin1, self.b[i], values);
-                        apply2(kind, va, vb)
-                    }
-                };
-                stem.map_or(out, W::splat)
-            } else {
-                match self.kinds[i] {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
-                    GateKind::Const(c) => W::splat(c),
-                    GateKind::Dff => state[self.dff_index[i] as usize],
-                    GateKind::Not => !values[self.a[i] as usize],
-                    GateKind::Buf => values[self.a[i] as usize],
-                    kind => apply2(kind, values[self.a[i] as usize], values[self.b[i] as usize]),
-                }
-            };
-            values[i] = out;
-        }
+        hold(values, &self.inputs, bits);
+        hold(values, &self.dffs, state);
+        eval_gates(&self.gates, 0..self.gates.len(), faults, values);
     }
 
     /// Captures the next state from the D nets, honouring pin-0 faults
     /// on Dff cells.
     fn step<W: LaneWord>(&self, faults: &[StuckAtLine], values: &[W], state: &mut [W]) {
-        for (k, &(_, d)) in self.dffs.iter().enumerate() {
-            state[k] = values[d as usize];
+        for (k, &dff) in self.dffs.iter().enumerate() {
+            state[k] = values[self.gates[dff as usize].a as usize];
         }
         for f in faults {
             if f.site.pin == Some(0) {
@@ -337,8 +274,10 @@ impl SeqEngine {
             fault.is_none_or(|f| f.lines.windows(2).all(|w| w[0].site.gate <= w[1].site.gate)),
             "fault lines must be sorted by gate"
         );
-        values.clear();
-        values.resize(self.kinds.len(), W::ZERO);
+        // Every net is written before any gate uses it (a Dff's D pin
+        // is read but never used), so the buffer needs the right
+        // length, not clearing.
+        values.resize(self.gates.len(), W::ZERO);
         state.clear();
         state.resize(self.dffs.len(), W::ZERO);
         let mut alarm_seen = W::ZERO;
@@ -404,7 +343,7 @@ impl FaultEngine for SeqEngine {
     }
 
     fn check(&self, group: &Self::Group) -> Result<(), SimError> {
-        check_lines(&self.kinds, &group.lines)
+        check_lines(&self.gates, &group.lines)
     }
 
     /// The good machine runs once per wide batch, shared across every
@@ -426,7 +365,7 @@ impl FaultEngine for SeqEngine {
         let mut faulty = Vec::new();
         let mut state = Vec::new();
         let mut good_evals = 0u64;
-        let gate_evals = self.kinds.len() as u64 * u64::from(cycles);
+        let gate_evals = self.gates.len() as u64 * u64::from(cycles);
         for wide in plan.wide_stream::<L>(self.input_bits) {
             if live.is_empty() {
                 break;

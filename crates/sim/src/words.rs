@@ -1,17 +1,26 @@
 //! Multi-word SIMD lanes: the `Words<const L: usize>` abstraction.
 //!
 //! The original engine packed 64 input vectors into one `u64` per net.
-//! Modern cores move 256/512 bits per vector instruction, so the packed
-//! evaluators are generic over a [`LaneWord`] — anything that behaves
-//! like a word of independent boolean lanes. Two implementations exist:
+//! The packed evaluators are generic over a [`LaneWord`] — anything
+//! that behaves like a word of independent boolean lanes. Two
+//! implementations exist:
 //!
 //! * `u64` — the classic single-word path, kept for the public
 //!   differential-test API;
 //! * [`Words<L>`] — `L` `u64` limbs evaluated together (`L ∈ {4, 8}` in
 //!   practice, i.e. 256/512 lanes per gate operation). The bitwise ops
-//!   are plain array loops; the compiler auto-vectorises them to
-//!   AVX2/AVX-512/NEON without any `unsafe` or intrinsics, which
-//!   matters because this workspace forbids `unsafe_code`.
+//!   are plain array loops without `unsafe` or intrinsics (the
+//!   workspace forbids `unsafe_code`, so there is no runtime CPU
+//!   feature dispatch either). The build sets no `target-cpu`, so on
+//!   x86-64 the compiler lowers them to the SSE2 baseline: 128-bit
+//!   ops, two limbs per instruction; AVX2/AVX-512 code appears only
+//!   under an explicit `-C target-cpu`.
+//!
+//! The wide word pays off less through vector width than through
+//! amortisation: per gate, the evaluation loop reads one gate record,
+//! bounds-checks its fanins and dispatches once on the gate's kind
+//! ([`crate::Engine`]'s gate kernel), and at 8 limbs that fixed cost is
+//! shared by 512 lanes instead of 64.
 //!
 //! Lane-order contract: limb `k` of a wide word corresponds to the
 //! `k`-th consecutive 64-vector scalar batch (see

@@ -1,15 +1,33 @@
 //! The engine's ground-truth contract: bit-parallel batched evaluation
 //! is bit-for-bit equivalent to the scalar oracle
 //! `Netlist::eval_nets` — across random netlists, random stuck-at
-//! faults (stems and pins, single and correlated-multiple) and random
-//! input batches.
+//! faults (stems and pins, single and correlated-multiple), random
+//! input batches and every lane width.
 
 mod common;
 
 use common::{random_faults, random_netlist};
-use scdp_netlist::{GateKind, NetlistBuilder};
+use scdp_netlist::{GateKind, NetlistBuilder, StuckAtLine};
 use scdp_rng::{Rng, Xoshiro256StarStar};
 use scdp_sim::{Engine, InputPlan};
+
+/// The wide full pass at `L` limbs over `plan`, one word per net for
+/// each scalar batch: limb `k` of wide batch `j` is batch `j * L + k`.
+fn wide_limbs<const L: usize>(
+    engine: &Engine,
+    plan: InputPlan,
+    faults: &[StuckAtLine],
+) -> Vec<Vec<u64>> {
+    let mut values = Vec::new();
+    let mut batches = Vec::new();
+    for wide in plan.wide_stream::<L>(engine.input_bits()) {
+        engine.eval_wide_into(&wide, faults, &mut values);
+        for k in 0..wide.limbs {
+            batches.push(values.iter().map(|w| w.limb(k)).collect());
+        }
+    }
+    batches
+}
 
 #[test]
 fn bit_parallel_equals_scalar_on_random_netlists() {
@@ -29,19 +47,27 @@ fn bit_parallel_equals_scalar_on_random_netlists() {
                 seed: 0xBA7C4 ^ case,
             }
         };
-        for batch in plan.stream(engine.input_bits()) {
+        let wide4 = wide_limbs::<4>(&engine, plan, &faults);
+        let wide8 = wide_limbs::<8>(&engine, plan, &faults);
+        let mut batches = 0;
+        for (j, batch) in plan.stream(engine.input_bits()).enumerate() {
             let packed = engine.eval_batch(&batch, &faults);
+            let passes = [("u64", &packed), ("L4", &wide4[j]), ("L8", &wide8[j])];
             for lane in 0..batch.len {
                 let scalar = nl.eval_nets(&batch.lane_bits(lane), &faults);
-                for (net, word) in packed.iter().enumerate() {
-                    assert_eq!(
-                        (word >> lane) & 1 != 0,
-                        scalar[net],
-                        "case {case}: net {net}, lane {lane}, faults {faults:?}"
-                    );
+                for (pass, words) in passes {
+                    for (net, word) in words.iter().enumerate() {
+                        assert_eq!(
+                            (word >> lane) & 1 != 0,
+                            scalar[net],
+                            "case {case}: {pass} pass, net {net}, lane {lane}, faults {faults:?}"
+                        );
+                    }
                 }
             }
+            batches += 1;
         }
+        assert_eq!((wide4.len(), wide8.len()), (batches, batches));
     }
 }
 
