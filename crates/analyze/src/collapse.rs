@@ -80,7 +80,6 @@ impl CollapsedUniverse {
     /// Collapses the full stuck-at universe of `netlist`.
     #[must_use]
     pub fn build(netlist: &Netlist) -> Self {
-        let readers = netlist.readers();
         let gates = netlist.gates();
         let lines = netlist.fault_lines();
         let consts = crate::lint::propagate_constants(netlist);
@@ -107,7 +106,7 @@ impl CollapsedUniverse {
         let mut members: HashMap<usize, Vec<StuckAtLine>> = HashMap::new();
         let mut redundant_rep: Option<StuckAtLine> = None;
         for &line in &lines {
-            let chased = chase(netlist, &readers, line);
+            let chased = chase(netlist, line);
             let r = if redundant(&chased) {
                 *redundant_rep.get_or_insert(chased)
             } else {
@@ -323,7 +322,7 @@ impl CollapsedGroups {
 /// fault strictly downstream (pin → own stem, stem → single reader
 /// pin), so the chase terminates; the visited guard makes that robust
 /// even for hand-built IR with Dff back-edges.
-fn chase(netlist: &Netlist, readers: &[Vec<(usize, u8)>], mut line: StuckAtLine) -> StuckAtLine {
+fn chase(netlist: &Netlist, mut line: StuckAtLine) -> StuckAtLine {
     let gates = netlist.gates();
     let mut visited = vec![line_key(&line)];
     loop {
@@ -347,11 +346,11 @@ fn chase(netlist: &Netlist, readers: &[Vec<(usize, u8)>], mut line: StuckAtLine)
                 // Stem fault: with structural fanout 1 and no output
                 // observer, only the single reader pin sees the net.
                 let n = line.site.gate;
-                match readers[n].as_slice() {
-                    [(h, p)] if !netlist.is_output_net(n) => Some(StuckAtLine::new(
+                match netlist.readers(n) {
+                    &[(h, p)] if !netlist.is_output_net(n) => Some(StuckAtLine::new(
                         StuckSite {
-                            gate: *h,
-                            pin: Some(*p),
+                            gate: h as usize,
+                            pin: Some(p),
                         },
                         line.value,
                     )),
@@ -670,9 +669,10 @@ mod tests {
         assert_eq!(cg.groups_after(), 2, "no unsound multi-line merge");
     }
 
-    /// Every member listed in the fan-out table maps back to its rep.
+    /// Every member listed in the class-member (fan-out) table maps back
+    /// to its rep.
     #[test]
-    fn fanout_table_is_consistent() {
+    fn class_member_table_is_consistent() {
         let mut b = NetlistBuilder::new("t");
         let a = b.input_bus("a", 3);
         let x = b.and(a[0], a[1]);

@@ -88,32 +88,23 @@ impl PrunedUniverse {
     /// `Redundant`.
     #[must_use]
     pub fn build(netlist: &Netlist, groups: &[Vec<StuckAtLine>]) -> Self {
-        let gates = netlist.gates();
-        let readers = netlist.readers();
         let consts = crate::lint::propagate_constants(netlist);
-        let observable: Vec<bool> = (0..gates.len()).map(|n| netlist.is_output_net(n)).collect();
-        // Tier-2 verdicts depend only on the set of touched gates, and
-        // campaign universes repeat those heavily (both polarities of a
-        // site, correlated FU groups), so the closure is memoised.
-        let mut cone_cache: HashMap<Vec<usize>, bool> = HashMap::new();
-        let mut untestable = 0usize;
-        let verdicts = groups
+        let mut cones = ConeProver {
+            netlist,
+            consts: &consts,
+            cache: HashMap::new(),
+            mark: vec![0; netlist.gate_count()],
+            touched: Vec::new(),
+            stack: Vec::new(),
+        };
+        let verdicts: Vec<Verdict> = groups
             .iter()
-            .map(|group| {
-                let v = classify(
-                    netlist,
-                    &readers,
-                    &consts,
-                    &observable,
-                    group,
-                    &mut cone_cache,
-                );
-                if matches!(v, Verdict::ProvenUntestable(_)) {
-                    untestable += 1;
-                }
-                v
-            })
+            .map(|group| classify(&mut cones, group))
             .collect();
+        let untestable = verdicts
+            .iter()
+            .filter(|v| matches!(v, Verdict::ProvenUntestable(_)))
+            .count();
         PrunedUniverse {
             verdicts,
             untestable,
@@ -162,18 +153,11 @@ impl PrunedUniverse {
     }
 }
 
-fn classify(
-    netlist: &Netlist,
-    readers: &[Vec<(usize, u8)>],
-    consts: &[Option<bool>],
-    observable: &[bool],
-    group: &[StuckAtLine],
-    cone_cache: &mut HashMap<Vec<usize>, bool>,
-) -> Verdict {
+fn classify(cones: &mut ConeProver<'_>, group: &[StuckAtLine]) -> Verdict {
     // Tier 1: every line individually a no-op.
     let kills: Vec<Option<Kill>> = group
         .iter()
-        .map(|line| kill_of(netlist, consts, line))
+        .map(|line| kill_of(cones.netlist, cones.consts, line))
         .collect();
     if kills.iter().all(Option::is_some) {
         let reason = if kills.contains(&Some(Kill::Blocked)) {
@@ -189,10 +173,7 @@ fn classify(
     let mut sources: Vec<usize> = group.iter().map(|l| l.site.gate).collect();
     sources.sort_unstable();
     sources.dedup();
-    let blind = *cone_cache
-        .entry(sources.clone())
-        .or_insert_with(|| cone_is_blind(netlist, readers, consts, observable, &sources));
-    if blind {
+    if cones.is_blind(sources) {
         Verdict::ProvenUntestable(UntestableReason::Unobservable)
     } else {
         Verdict::MustSimulate
@@ -226,78 +207,124 @@ fn kill_of(netlist: &Netlist, consts: &[Option<bool>], line: &StuckAtLine) -> Op
     (consts[other.index()] == Some(controlling)).then_some(Kill::Blocked)
 }
 
-/// `true` when no disturbance seeded at `sources` can reach an output
-/// or alarm net. Two forward closures over the reader graph:
-///
-/// * `tainted` — the unrestricted closure: a conservative superset of
-///   every net the group could *possibly* disturb (on any vector, in
-///   any cycle — Dff edges carry taint across cycles).
-/// * the blocked closure — like `tainted`, but a side-controlled
-///   AND/OR/NAND/NOR reader stops propagation when its other pin is
-///   proven constant at the controlling value and is *not* itself
-///   tainted (a tainted "constant" pin can no longer be trusted).
-///
-/// Any net outside `tainted` provably holds its fault-free value on
-/// every vector and cycle, which is what makes the blocking test
-/// valid; the truly-disturbed set is then contained in the blocked
-/// closure, so if that closure avoids all output nets the group is
-/// invisible.
-fn cone_is_blind(
-    netlist: &Netlist,
-    readers: &[Vec<(usize, u8)>],
-    consts: &[Option<bool>],
-    observable: &[bool],
-    sources: &[usize],
-) -> bool {
-    let gates = netlist.gates();
-    let mut tainted = vec![false; gates.len()];
-    let mut stack: Vec<usize> = sources.to_vec();
-    for &s in sources {
-        tainted[s] = true;
-    }
-    while let Some(n) = stack.pop() {
-        for &(h, _) in &readers[n] {
-            if !tainted[h] {
-                tainted[h] = true;
-                stack.push(h);
-            }
+/// Net mark: in the unrestricted closure of the current site set.
+const TAINTED: u8 = 1;
+/// Net mark: in the blocked closure of the current site set.
+const REACHED: u8 = 2;
+
+/// The tier-2 prover. Its verdicts depend only on the set of touched
+/// gates, and campaign universes repeat those heavily (both polarities
+/// of a site, correlated FU groups), so they are memoised. The per-net
+/// marks are reused across site sets: only the nets a closure marked
+/// are cleared after it, so a set costs its closures, not the netlist.
+struct ConeProver<'a> {
+    netlist: &'a Netlist,
+    consts: &'a [Option<bool>],
+    cache: HashMap<Vec<usize>, bool>,
+    /// `TAINTED | REACHED` per net; all clear between site sets.
+    mark: Vec<u8>,
+    /// Every net the current site set marked.
+    touched: Vec<usize>,
+    stack: Vec<usize>,
+}
+
+impl ConeProver<'_> {
+    /// `true` when no disturbance seeded at `sources` (sorted, deduped)
+    /// can reach an output or alarm net.
+    fn is_blind(&mut self, sources: Vec<usize>) -> bool {
+        if let Some(&blind) = self.cache.get(&sources) {
+            return blind;
         }
+        let blind = self.closures(&sources);
+        self.stack.clear();
+        for n in self.touched.drain(..) {
+            self.mark[n] = 0;
+        }
+        self.cache.insert(sources, blind);
+        blind
     }
-    let mut reached = vec![false; gates.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for &s in sources {
-        if observable[s] {
+
+    /// Sets `bit` on net `n`; `false` if it was already set.
+    fn mark(&mut self, n: usize, bit: u8) -> bool {
+        let m = &mut self.mark[n];
+        if *m & bit != 0 {
             return false;
         }
-        reached[s] = true;
-        stack.push(s);
+        if *m == 0 {
+            self.touched.push(n);
+        }
+        *m |= bit;
+        true
     }
-    while let Some(n) = stack.pop() {
-        for &(h, p) in &readers[n] {
-            if reached[h] {
-                continue;
-            }
-            let gate = &gates[h];
-            let blocked = match gate.kind {
-                GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor => {
-                    let controlling = matches!(gate.kind, GateKind::Or | GateKind::Nor);
-                    let other = if p == 0 { gate.b } else { gate.a };
-                    other.is_some_and(|o| {
-                        consts[o.index()] == Some(controlling) && !tainted[o.index()]
-                    })
+
+    /// Two forward closures over the reader table, seeded at `sources`.
+    /// Both follow Dff D-pin reads, so they cross cycles; a Dff can sit
+    /// below its D net, so neither may assume its nets lie above the
+    /// lowest source.
+    ///
+    /// * `TAINTED` — the unrestricted closure: a conservative superset
+    ///   of every net the group could *possibly* disturb (on any
+    ///   vector, in any cycle).
+    /// * `REACHED` — like `TAINTED`, but a side-controlled
+    ///   AND/OR/NAND/NOR reader stops propagation when its other pin is
+    ///   proven constant at the controlling value and is *not* itself
+    ///   tainted (a tainted "constant" pin can no longer be trusted).
+    ///
+    /// Any net outside `TAINTED` provably holds its fault-free value on
+    /// every vector and cycle, which is what makes the blocking test
+    /// valid; the truly-disturbed set is then contained in `REACHED`,
+    /// so if that closure avoids all output nets the group is
+    /// invisible. Returns on the first output net reached.
+    fn closures(&mut self, sources: &[usize]) -> bool {
+        let netlist = self.netlist;
+        let gates = netlist.gates();
+        for &s in sources {
+            self.mark(s, TAINTED);
+            self.stack.push(s);
+        }
+        while let Some(n) = self.stack.pop() {
+            for &(h, _) in netlist.readers(n) {
+                if self.mark(h as usize, TAINTED) {
+                    self.stack.push(h as usize);
                 }
-                _ => false,
-            };
-            if !blocked {
-                if observable[h] {
-                    return false;
-                }
-                reached[h] = true;
-                stack.push(h);
             }
         }
+        for &s in sources {
+            if netlist.is_output_net(s) {
+                return false;
+            }
+            self.mark(s, REACHED);
+            self.stack.push(s);
+        }
+        while let Some(n) = self.stack.pop() {
+            for &(h, p) in netlist.readers(n) {
+                let h = h as usize;
+                if self.mark[h] & REACHED != 0 {
+                    continue;
+                }
+                let gate = &gates[h];
+                let blocked = match gate.kind {
+                    GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor => {
+                        let controlling = matches!(gate.kind, GateKind::Or | GateKind::Nor);
+                        let other = if p == 0 { gate.b } else { gate.a };
+                        other.is_some_and(|o| {
+                            self.consts[o.index()] == Some(controlling)
+                                && self.mark[o.index()] & TAINTED == 0
+                        })
+                    }
+                    _ => false,
+                };
+                if !blocked {
+                    if netlist.is_output_net(h) {
+                        return false;
+                    }
+                    self.mark(h, REACHED);
+                    self.stack.push(h);
+                }
+            }
+        }
+        true
     }
-    true
 }
 
 #[cfg(test)]

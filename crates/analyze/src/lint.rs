@@ -22,6 +22,7 @@
 //!   registers in sequential datapaths do not hide their cone.
 
 use scdp_netlist::{GateKind, Netlist};
+use scdp_obs::write_json_string;
 
 /// How serious a [`Diagnostic`] is.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -161,53 +162,38 @@ impl LintReport {
     /// array), hand-rolled like the rest of the workspace.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"name\":{},\"gates\":{},\"errors\":{},\"warnings\":{},\"waived\":{},\"diagnostics\":[",
-            json_str(&self.name),
+        let mut out = String::from("{\"name\":");
+        write_json_string(&mut out, &self.name);
+        out.push_str(&format!(
+            ",\"gates\":{},\"errors\":{},\"warnings\":{},\"waived\":{},\"diagnostics\":[",
             self.gates,
             self.errors(),
             self.warnings(),
             self.waived()
-        );
+        ));
         for (i, d) in self.diagnostics.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let gate = d.gate.map_or("null".to_string(), |g| g.to_string());
             out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"code\":\"{}\",\"gate\":{},\"message\":{}}}",
+                "{{\"severity\":\"{}\",\"code\":\"{}\",\"gate\":{},\"message\":",
                 d.severity.label(),
                 d.code,
                 gate,
-                json_str(&d.message)
             ));
+            write_json_string(&mut out, &d.message);
+            out.push('}');
         }
         out.push_str("]}");
         out
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Runs every structural check over `netlist`.
 #[must_use]
 pub fn lint(netlist: &Netlist, opts: &LintOptions) -> LintReport {
     let gates = netlist.gates();
-    let readers = netlist.readers();
     let mut diags = Vec::new();
 
     // 1. Required pins present.
@@ -252,7 +238,7 @@ pub fn lint(netlist: &Netlist, opts: &LintOptions) -> LintReport {
 
     // 3. Dangling nets: driven, never read, not an output.
     for (i, g) in gates.iter().enumerate() {
-        if readers[i].is_empty() && !netlist.is_output_net(i) {
+        if netlist.readers(i).is_empty() && !netlist.is_output_net(i) {
             diags.push(Diagnostic {
                 severity: Severity::Warning,
                 code: "dangling-net",
@@ -298,7 +284,8 @@ pub fn lint(netlist: &Netlist, opts: &LintOptions) -> LintReport {
     }
 
     // 5+6. Alarm checks, only on netlists that declare an alarm.
-    if let Some((_, alarm)) = netlist.outputs().iter().find(|(n, _)| n == "error") {
+    let alarm = netlist.alarm_nets();
+    if !alarm.is_empty() {
         // 5. A constant alarm can never fire (or never stop firing).
         for net in alarm {
             if let Some(v) = consts[net.index()] {

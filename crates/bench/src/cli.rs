@@ -1,14 +1,16 @@
-//! Shared command-line parsing for the table-regeneration binaries.
+//! Shared command-line parsing for the table-regeneration binaries and
+//! the `scdp` verbs.
 //!
 //! Every binary used to hand-roll the same `--width/--samples/--seed/
 //! --threads` parsing with slightly different defaults; this module is
 //! the one place those knobs live, returning values the unified
-//! `scdp-campaign` API consumes directly. Each binary declares the
-//! [`Flag`]s it takes, and [`CliArgs::parse`] checks the whole command
-//! line against them before any work starts: an unknown, repeated or
-//! value-less flag, a stray argument, or a value that does not parse or
-//! is out of range is a [`UsageError`], never a silent fallback to the
-//! default.
+//! `scdp-campaign` API consumes directly. Each binary and each `scdp`
+//! verb declares the [`Flag`]s it takes, and [`CliArgs::checked`]
+//! checks the whole command line against them before any work starts:
+//! an unknown, repeated or value-less flag, a stray argument, or a
+//! value that does not parse or is out of range is a [`UsageError`],
+//! never a silent fallback to the default. A verb that reads files
+//! declares [`Flag::FILES`]; only then are bare arguments accepted.
 
 use scdp_campaign::{InputSpace, DEFAULT_SEED, MAX_THREADS, MAX_WIDTH};
 use scdp_sim::par;
@@ -65,6 +67,8 @@ enum Expect {
     Real,
     /// One of these labels.
     OneOf(&'static [&'static str]),
+    /// Not a flag: bare arguments (file names) are accepted.
+    Files,
 }
 
 impl Flag {
@@ -123,11 +127,26 @@ impl Flag {
     pub const THREADS: Flag = Flag::int("--threads", 1, MAX_THREADS);
     /// `--monte-carlo`, sampled inputs at every width ([`CliArgs::space`]).
     pub const MONTE_CARLO: Flag = Flag::switch("--monte-carlo");
+    /// Bare arguments, read back with [`CliArgs::files`].
+    pub const FILES: Flag = Flag {
+        name: "FILE",
+        value: Expect::Files,
+    };
+
+    /// The flag's spelling.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// `true` if the flag is followed by a value.
+    pub(crate) fn takes_value(&self) -> bool {
+        !matches!(self.value, Expect::Nothing | Expect::Files)
+    }
 
     /// Checks `text` as this flag's value.
     fn check(&self, text: &str) -> Result<(), UsageError> {
         let ok = match self.value {
-            Expect::Nothing | Expect::Text => true,
+            Expect::Nothing | Expect::Text | Expect::Files => true,
             Expect::Int(lo, hi) => text.parse::<u64>().is_ok_and(|n| (lo..=hi).contains(&n)),
             Expect::Real => text.parse::<f64>().is_ok(),
             Expect::OneOf(labels) => labels.contains(&text),
@@ -148,10 +167,12 @@ impl Flag {
     }
 }
 
-/// Parsed command-line arguments (flag/value pairs and bare flags).
+/// Parsed command-line arguments (flag/value pairs, bare flags and,
+/// where declared, file arguments).
 #[derive(Clone, Debug, Default)]
 pub struct CliArgs {
     raw: Vec<String>,
+    files: Vec<String>,
 }
 
 impl CliArgs {
@@ -166,15 +187,23 @@ impl CliArgs {
     }
 
     /// Checks `raw` against `flags`: every argument must be one of
-    /// them, given once, followed by a valid value if it takes one.
+    /// them, given once, followed by a valid value if it takes one —
+    /// or, when `flags` holds [`Flag::FILES`], a bare argument not
+    /// starting with `-`.
     ///
     /// # Errors
     ///
     /// A [`UsageError`] naming the first argument that fails.
     pub fn checked(raw: Vec<String>, flags: &[Flag]) -> Result<Self, UsageError> {
+        let takes_files = flags.iter().any(|f| matches!(f.value, Expect::Files));
         let mut seen = Vec::new();
+        let mut files = Vec::new();
         let mut args = raw.iter();
         while let Some(arg) = args.next() {
+            if takes_files && !arg.starts_with('-') {
+                files.push(arg.clone());
+                continue;
+            }
             let Some(flag) = flags.iter().find(|f| f.name == arg) else {
                 let names: Vec<&str> = flags.iter().map(|f| f.name).collect();
                 return Err(UsageError(format!(
@@ -186,7 +215,7 @@ impl CliArgs {
                 return Err(UsageError(format!("`{arg}` given twice")));
             }
             seen.push(flag.name);
-            if !matches!(flag.value, Expect::Nothing) {
+            if flag.takes_value() {
                 let text = args
                     .next()
                     .filter(|t| !t.starts_with("--"))
@@ -194,14 +223,13 @@ impl CliArgs {
                 flag.check(text)?;
             }
         }
-        Ok(Self { raw })
+        Ok(Self { raw, files })
     }
 
-    /// Builds from an explicit vector without checking it (the `scdp`
-    /// verbs' arguments).
+    /// The bare (file) arguments, in order.
     #[must_use]
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Self { raw }
+    pub fn files(&self) -> &[String] {
+        &self.files
     }
 
     /// The value following `flag`, parsed; `None` when the flag is
@@ -296,21 +324,29 @@ impl CliArgs {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> CliArgs {
-        CliArgs::from_vec(list.iter().map(ToString::to_string).collect())
-    }
-
     const FLAGS: &[Flag] = &[
         Flag::WIDTH,
         Flag::THREADS,
+        Flag::SAMPLES,
+        Flag::SEED,
+        Flag::MONTE_CARLO,
         Flag::switch("--gate"),
+        Flag::switch("--fast"),
         Flag::text("--report"),
         Flag::real("--tolerance"),
         Flag::one_of("--model", &["gate", "cell"]),
     ];
 
+    fn strings(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
     fn checked(list: &[&str]) -> Result<CliArgs, UsageError> {
-        CliArgs::checked(list.iter().map(ToString::to_string).collect(), FLAGS)
+        CliArgs::checked(strings(list), FLAGS)
+    }
+
+    fn args(list: &[&str]) -> CliArgs {
+        checked(list).expect("valid command line")
     }
 
     #[test]
@@ -349,6 +385,8 @@ mod tests {
             &["--tolerance", "lots"],
             &["--model", "switch"],
             &["--gate", "3"],
+            &["--samples", "-1"],
+            &["--seed"],
             &["stray"],
         ] {
             let err = checked(bad).expect_err(&format!("{bad:?} is rejected"));
@@ -374,12 +412,27 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_values_are_rejected() {
-        let a = args(&["--width", "tall"]);
-        assert!(a.width(4).is_err(), "no silent fallback to the default");
-        assert!(a.space(4, 64).is_ok(), "--width is not read by space()");
-        assert!(args(&["--samples", "-1"]).space(4, 64).is_err());
-        assert!(args(&["--seed"]).seed().is_err(), "a flag without a value");
+    fn typed_reads_reject_text_the_grammar_let_through() {
+        let a = args(&["--report", "r.json"]);
+        assert!(a.value::<u32>("--report").is_err(), "no silent fallback");
+        assert_eq!(a.value::<String>("--report"), Ok(Some("r.json".into())));
+    }
+
+    #[test]
+    fn files_are_accepted_only_where_declared() {
+        let flags = [Flag::FILES, Flag::text("--dir"), Flag::switch("--per-fu")];
+        let raw = strings(&["--dir", "ckpt", "a.json", "--per-fu", "b.json"]);
+        let a = CliArgs::checked(raw, &flags).expect("files declared");
+        assert_eq!(a.files(), strings(&["a.json", "b.json"]));
+        assert_eq!(a.value::<String>("--dir"), Ok(Some("ckpt".into())));
+        assert!(a.flag("--per-fu"));
+        for bad in [&["--bogus", "t.jsonl"][..], &["--dir"], &["a.json", "-x"]] {
+            assert!(CliArgs::checked(strings(bad), &flags).is_err(), "{bad:?}");
+        }
+        assert!(
+            checked(&["a.json"]).is_err(),
+            "no files without Flag::FILES"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! The module lives in the library (rather than the binary) so the
 //! wrapper binaries can delegate and tests can drive it directly.
 
-use crate::cli::{CliArgs, UsageError};
+use crate::cli::{CliArgs, Flag, UsageError};
 use crate::pct;
 use crate::trace;
 use scdp_campaign::{
@@ -30,27 +30,41 @@ use scdp_core::{Allocation, Technique};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Bare flags (no value argument) of the verbs that take file
-/// arguments — every other flag there consumes the following argument.
-const BARE_FLAGS: &[&str] = &["--per-fu", "--wait"];
-
-/// A campaign verb's own flags, `(flag, takes a value)`. Every other
-/// flag of `run`, `lint`, `analyze` and `sweep` is a run-spec key
-/// ([`scdp_campaign::KEYS`]); anything else is a usage error.
-type OwnFlags = &'static [(&'static str, bool)];
-
-const RUN_FLAGS: OwnFlags = &[
-    ("--dir", true),
-    ("--max-shards", true),
-    ("--report", true),
-    ("--trace", true),
-    ("--progress", false),
-    ("--quiet", false),
-    ("--per-fu", false),
+// Each verb's own flags. Every other flag of `run`, `lint`, `analyze`
+// and `sweep` is a run-spec key ([`scdp_campaign::KEYS`]); anything
+// else is a usage error, as is any undeclared flag of the other verbs.
+const RUN_FLAGS: &[Flag] = &[
+    Flag::text("--dir"),
+    Flag::int("--max-shards", 0, u32::MAX as u64),
+    Flag::text("--report"),
+    Flag::text("--trace"),
+    Flag::switch("--progress"),
+    Flag::switch("--quiet"),
+    Flag::switch("--per-fu"),
 ];
-const LINT_FLAGS: OwnFlags = &[("--strict", false), ("--json", false)];
-const ANALYZE_FLAGS: OwnFlags = &[("--json", false)];
-const SWEEP_FLAGS: OwnFlags = &[("--report-dir", true)];
+const LINT_FLAGS: &[Flag] = &[Flag::switch("--strict"), Flag::switch("--json")];
+const ANALYZE_FLAGS: &[Flag] = &[Flag::switch("--json")];
+const SWEEP_FLAGS: &[Flag] = &[Flag::text("--report-dir")];
+const MERGE_FLAGS: &[Flag] = &[
+    Flag::FILES,
+    Flag::text("--dir"),
+    Flag::text("--out"),
+    Flag::switch("--per-fu"),
+];
+const VALIDATE_FLAGS: &[Flag] = &[Flag::FILES];
+const TABLE_FLAGS: &[Flag] = &[Flag::FILES, Flag::text("--dir")];
+const TRACE_FLAGS: &[Flag] = &[Flag::FILES];
+const SERVE_FLAGS: &[Flag] = &[
+    Flag::text("--addr"),
+    Flag::text("--dir"),
+    Flag::int("--jobs", 1, scdp_campaign::MAX_THREADS),
+];
+const SUBMIT_FLAGS: &[Flag] = &[
+    Flag::FILES,
+    Flag::text("--addr"),
+    Flag::switch("--wait"),
+    Flag::text("--out"),
+];
 
 /// Run-spec keys `sweep` fixes itself: it runs every workload and
 /// technique (and, with `--seq`, three durations) unsharded.
@@ -74,9 +88,13 @@ USAGE:
              x techniques; not --kind/--workload/--technique/--duration/--shards)
   scdp lint [RUN SPEC] [--strict] [--json]
   scdp analyze [RUN SPEC] [--json]
-  scdp trace summarize FILE...
+  scdp trace summarize FILE...   (spans end with `<root> unattributed`:
+             the root span's time no direct child span covers)
   scdp serve [--addr A] [--dir DIR] [--jobs N]
   scdp submit SPEC.json [--addr A] [--wait] [--out FILE]
+
+Every verb checks its whole command line first: an unknown, repeated
+or value-less flag, or a bad value, exits 2 before any file is read.
 
 RUN SPEC (the keys of a POST /jobs spec as --key, `_` written `-`; a
 bad, repeated or unknown flag, or one foreign to the kind, exits 2;
@@ -123,7 +141,7 @@ SERVING (scdp serve / scdp submit):
   configuration fingerprint and interrupted jobs resume on restart
   --addr A          bind (serve) / connect (submit); default 127.0.0.1:7878
   --dir DIR         job-state directory (default scdp-jobs)
-  --jobs N          concurrent campaign jobs (default 2)
+  --jobs N          concurrent campaign jobs, 1..=256 (default 2)
   --wait            poll the submitted job until it finishes
   --out FILE        write the fetched report (implies --wait)
 
@@ -157,7 +175,9 @@ pub fn run(raw: Vec<String>) -> i32 {
     };
     let rest: Vec<String> = raw[1..].to_vec();
     let wants_help = rest.iter().any(|a| a == "--help" || a == "-h");
-    let files = positionals(&rest);
+    let checked = |flags: &[Flag]| -> Result<CliArgs, Box<dyn std::error::Error>> {
+        Ok(CliArgs::checked(rest.clone(), flags)?)
+    };
     let outcome = match verb.as_str() {
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
@@ -177,12 +197,12 @@ pub fn run(raw: Vec<String>) -> i32 {
             campaign_args(&rest, ANALYZE_FLAGS).and_then(|(own, spec)| cmd_analyze(&own, &spec))
         }
         "sweep" => cmd_sweep(&rest),
-        "merge" => cmd_merge(&CliArgs::from_vec(rest), &files),
-        "validate" => cmd_validate(&files),
-        "table" => cmd_table(&CliArgs::from_vec(rest), &files),
-        "trace" => cmd_trace(&files),
-        "serve" => cmd_serve(&CliArgs::from_vec(rest)),
-        "submit" => cmd_submit(&CliArgs::from_vec(rest), &files),
+        "merge" => checked(MERGE_FLAGS).and_then(|a| cmd_merge(&a)),
+        "validate" => checked(VALIDATE_FLAGS).and_then(|a| cmd_validate(a.files())),
+        "table" => checked(TABLE_FLAGS).and_then(|a| cmd_table(&a)),
+        "trace" => checked(TRACE_FLAGS).and_then(|a| cmd_trace(a.files())),
+        "serve" => checked(SERVE_FLAGS).and_then(|a| cmd_serve(&a)),
+        "submit" => checked(SUBMIT_FLAGS).and_then(|a| cmd_submit(&a)),
         other => {
             eprintln!("unknown subcommand `{other}`\n");
             eprint!("{USAGE}");
@@ -202,50 +222,29 @@ pub fn run(raw: Vec<String>) -> i32 {
     }
 }
 
-/// The non-flag arguments (report file paths), skipping every flag's
-/// value argument.
-fn positionals(raw: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for arg in raw {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if arg.starts_with("--") {
-            skip = !BARE_FLAGS.contains(&arg.as_str());
-            continue;
-        }
-        out.push(arg.clone());
-    }
-    out
-}
-
 /// Splits a campaign verb's arguments into its own flags (with their
 /// values) and the run-spec flags, and resolves the latter through the
 /// one key table.
 fn campaign_args(
     raw: &[String],
-    own: OwnFlags,
+    own: &[Flag],
 ) -> Result<(CliArgs, RunSpec), Box<dyn std::error::Error>> {
     let (mut mine, mut spec) = (Vec::new(), Vec::new());
     let mut args = raw.iter();
     while let Some(arg) = args.next() {
-        match own.iter().find(|(flag, _)| flag == arg) {
-            Some(&(_, takes_value)) => {
-                if mine.contains(arg) {
-                    return Err(UsageError(format!("`{arg}` given twice")).into());
-                }
+        match own.iter().find(|flag| flag.name() == arg) {
+            Some(flag) => {
                 mine.push(arg.clone());
-                if takes_value {
+                if flag.takes_value() {
                     mine.extend(args.next().cloned());
                 }
             }
             None => spec.push(arg.as_str()),
         }
     }
+    let mine = CliArgs::checked(mine, own)?;
     let spec = RunSpec::from_argv(&spec).map_err(|e| UsageError(e.to_string()))?;
-    Ok((CliArgs::from_vec(mine), spec))
+    Ok((mine, spec))
 }
 
 fn cmd_run(args: &CliArgs, spec: RunSpec) -> Outcome {
@@ -458,11 +457,13 @@ fn load_report(path: &Path) -> Result<CampaignReport, String> {
     CampaignReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn cmd_merge(args: &CliArgs, files: &[String]) -> Outcome {
+fn cmd_merge(args: &CliArgs) -> Outcome {
     let paths: Vec<PathBuf> = match args.value::<String>("--dir")? {
         Some(dir) => shard_files(&dir)?,
-        None if files.is_empty() => return Err("pass shard report files or --dir DIR".into()),
-        None => files.iter().map(PathBuf::from).collect(),
+        None if args.files().is_empty() => {
+            return Err("pass shard report files or --dir DIR".into())
+        }
+        None => args.files().iter().map(PathBuf::from).collect(),
     };
     let reports: Vec<CampaignReport> = paths
         .iter()
@@ -514,7 +515,7 @@ fn schema_of(report: &CampaignReport) -> &'static str {
     }
 }
 
-fn cmd_table(args: &CliArgs, files: &[String]) -> Outcome {
+fn cmd_table(args: &CliArgs) -> Outcome {
     let paths: Vec<PathBuf> = match args.value::<String>("--dir")? {
         Some(dir) => {
             let entries = std::fs::read_dir(&dir).map_err(|e| format!("read {dir}: {e}"))?;
@@ -526,7 +527,7 @@ fn cmd_table(args: &CliArgs, files: &[String]) -> Outcome {
             v.sort();
             v
         }
-        None => files.iter().map(PathBuf::from).collect(),
+        None => args.files().iter().map(PathBuf::from).collect(),
     };
     if paths.is_empty() {
         return Err("pass report files or --dir DIR".into());
@@ -703,8 +704,8 @@ fn cmd_serve(args: &CliArgs) -> Outcome {
 /// `scdp submit` — check a spec file against the run-spec table, POST
 /// it to a running server, report the cache verdict, and optionally
 /// wait for (and fetch) the result.
-fn cmd_submit(args: &CliArgs, files: &[String]) -> Outcome {
-    let Some(spec_path) = files.first() else {
+fn cmd_submit(args: &CliArgs) -> Outcome {
+    let [spec_path] = args.files() else {
         return Err("usage: scdp submit SPEC.json [--addr A] [--wait] [--out FILE]".into());
     };
     let addr = args.value_or("--addr", DEFAULT_SERVE_ADDR.to_string())?;
@@ -908,17 +909,21 @@ mod tests {
     }
 
     #[test]
-    fn positionals_skip_flag_values_but_keep_files() {
-        let raw = strings(&[
-            "--dir",
-            "ckpt",
-            "a.json",
-            "--per-fu",
-            "b.json",
-            "--out",
-            "merged.json",
-        ]);
-        assert_eq!(positionals(&raw), strings(&["a.json", "b.json"]));
+    fn every_verb_checks_its_flags_before_any_work() {
+        for bad in [
+            &["table", "a.json", "--colour", "red"][..],
+            &["validate", "a.json", "--strict"],
+            &["trace", "summarize", "--bogus", "t.jsonl"],
+            &["merge", "--dir"],
+            &["submit", "spec.json", "--wiat"],
+            &["run", "--width", "2", "--max-shards", "many"],
+            &["lint", "--op", "add", "--json", "--json"],
+        ] {
+            assert_eq!(run(strings(bad)), 2, "{bad:?}");
+        }
+        // The misspelt flag is caught before the server binds.
+        assert_eq!(run(strings(&["serve", "--jbos", "3"])), 2);
+        assert_eq!(run(strings(&["serve", "--jobs", "0"])), 2);
     }
 
     #[test]

@@ -249,6 +249,25 @@ pub fn summarize(text: &str) -> Result<String, String> {
                 *total_ns as f64 / 1e6
             );
         }
+        // Per root span: the time none of its direct children covers.
+        for (root, _, root_ns) in spans.iter().filter(|(p, ..)| !p.contains('/')) {
+            let children: u64 = spans
+                .iter()
+                .filter(|(p, ..)| {
+                    p.strip_prefix(root.as_str())
+                        .and_then(|rest| rest.strip_prefix('/'))
+                        .is_some_and(|child| !child.contains('/'))
+                })
+                .map(|&(_, _, ns)| ns)
+                .sum();
+            let gap_ms = (*root_ns as f64 - children as f64) / 1e6;
+            let _ = writeln!(
+                out,
+                "  {:<24}        total {gap_ms:.1} ms ({:.1}% of {root})",
+                format!("{root} unattributed"),
+                gap_ms * 1e8 / (*root_ns).max(1) as f64
+            );
+        }
     }
     if !shards.is_empty() {
         shards.sort_by_key(|r| r.shard);
@@ -313,6 +332,24 @@ mod tests {
         assert!(out.contains("2 × total 3.0 ms"), "{out}");
         assert!(
             out.contains("total: 22 faults, 17 detected, 1 dropped, 1408 situations"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn summarize_reports_the_root_time_no_child_span_covers() {
+        let trace = "\
+{\"event\":\"span\",\"path\":\"campaign/elaborate\",\"elapsed_ns\":1000000}
+{\"event\":\"span\",\"path\":\"campaign/simulate/cone\",\"elapsed_ns\":4000000}
+{\"event\":\"span\",\"path\":\"campaign/simulate\",\"elapsed_ns\":5000000}
+{\"event\":\"span\",\"path\":\"campaign\",\"elapsed_ns\":8000000}
+";
+        let out = summarize(trace).expect("valid trace");
+        // 8 ms root − (1 + 5) ms direct children; the grandchild is
+        // already inside `campaign/simulate`.
+        assert!(
+            out.contains("campaign unattributed")
+                && out.contains("total 2.0 ms (25.0% of campaign)"),
             "{out}"
         );
     }

@@ -7,6 +7,7 @@
 //! serialisation), and byte-offset parse errors.
 
 use crate::error::CampaignError;
+use scdp_obs::write_json_string;
 use std::fmt::Write as _;
 
 /// A JSON value with insertion-ordered object members.
@@ -91,7 +92,7 @@ impl Json {
                 let _ = write!(out, "{i}");
             }
             Json::Float(f) => write_f64(out, *f),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -108,7 +109,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_json_string(out, k);
                     out.push(':');
                     v.write_into(out);
                 }
@@ -137,25 +138,6 @@ pub fn write_f64(out: &mut String, f: f64) {
     if !s.contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
-}
-
-/// Writes `s` as a quoted JSON string.
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Maximum container nesting depth the parser accepts. The parser is

@@ -9,7 +9,10 @@ use crate::scenario::{
 use crate::shard::ShardInfo;
 use scdp_coverage::{InputSpace, Tally, TechIndex, TechTally};
 use scdp_netlist::FaultDuration;
-use scdp_obs::{BucketCount, CounterSnapshot, HistogramSnapshot, SpanSnapshot, TelemetrySnapshot};
+use scdp_obs::{
+    write_json_string, BucketCount, CounterSnapshot, HistogramSnapshot, SpanSnapshot,
+    TelemetrySnapshot,
+};
 use scdp_sim::DropPolicy;
 use std::fmt::Write as _;
 
@@ -422,12 +425,12 @@ impl CampaignReport {
         }
         let _ = writeln!(o, "  \"elapsed_ms\": {},", self.elapsed_ms);
         if let Some(dp) = &self.datapath {
-            // String members pass through write_escaped: the source
+            // String members pass through write_json_string: the source
             // label embeds a user-controlled custom-DFG name.
             o.push_str("  \"datapath\": {\"source\": ");
-            json::write_escaped(&mut o, &dp.source);
+            write_json_string(&mut o, &dp.source);
             o.push_str(", \"style\": ");
-            json::write_escaped(&mut o, &dp.style);
+            write_json_string(&mut o, &dp.style);
             let _ = writeln!(
                 o,
                 ", \"nodes\": {}, \"schedule_length\": {}, \"registers\": {}, \
@@ -436,11 +439,11 @@ impl CampaignReport {
             );
             for (i, fu) in dp.per_fu.iter().enumerate() {
                 o.push_str("    {\"name\": ");
-                json::write_escaped(&mut o, &fu.name);
+                write_json_string(&mut o, &fu.name);
                 o.push_str(", \"class\": ");
-                json::write_escaped(&mut o, &fu.class);
+                write_json_string(&mut o, &fu.class);
                 o.push_str(", \"role\": ");
-                json::write_escaped(&mut o, &fu.role);
+                write_json_string(&mut o, &fu.role);
                 let _ = write!(
                     o,
                     ", \"ops\": {}, \"instances\": {}, \"instance_gates\": {}, \"faults\": {}, \
@@ -504,7 +507,7 @@ impl CampaignReport {
                     o.push_str(", ");
                 }
                 o.push_str("{\"name\": ");
-                json::write_escaped(&mut o, &c.name);
+                write_json_string(&mut o, &c.name);
                 let _ = write!(o, ", \"value\": {}}}", c.value);
             }
             o.push_str("], \"histograms\": [");
@@ -513,7 +516,7 @@ impl CampaignReport {
                     o.push_str(", ");
                 }
                 o.push_str("{\"name\": ");
-                json::write_escaped(&mut o, &h.name);
+                write_json_string(&mut o, &h.name);
                 o.push_str(", \"buckets\": [");
                 for (j, b) in h.buckets.iter().enumerate() {
                     if j > 0 {
@@ -529,7 +532,7 @@ impl CampaignReport {
                     o.push_str(", ");
                 }
                 o.push_str("{\"path\": ");
-                json::write_escaped(&mut o, &s.path);
+                write_json_string(&mut o, &s.path);
                 let _ = write!(
                     o,
                     ", \"count\": {}, \"total_ns\": {}}}",

@@ -313,3 +313,32 @@ fn prune_telemetry_counters_are_recorded() {
     );
     assert!(untestable > 0, "the FIR datapath must deduce");
 }
+
+/// The analyses behind `scdp analyze` on the w8 FIR datapath with both
+/// techniques, pinned: the reader table, output roles and deduce
+/// scratch they share must not move a single count.
+#[test]
+fn w8_fir_both_analysis_counts_are_pinned() {
+    use scdp_analyze::{CollapsedUniverse, PrunedUniverse, UntestableReason, Verdict};
+
+    let netlist = DatapathScenario::new(DfgSource::Fir, 8)
+        .technique(Technique::Both)
+        .elaborate()
+        .netlist;
+    let lines = netlist.fault_lines();
+    let groups: Vec<Vec<_>> = lines.iter().map(|&l| vec![l]).collect();
+    let pu = PrunedUniverse::build(&netlist, &groups);
+    let count = |reason| {
+        pu.verdicts()
+            .iter()
+            .filter(|&&v| v == Verdict::ProvenUntestable(reason))
+            .count()
+    };
+    assert_eq!(lines.len(), 40_496);
+    assert_eq!(CollapsedUniverse::build(&netlist).classes(), 9_602);
+    assert_eq!(pu.untestable_count(), 24_418);
+    assert_eq!(count(UntestableReason::Redundant), 14_403);
+    assert_eq!(count(UntestableReason::Blocked), 3_978);
+    assert_eq!(count(UntestableReason::Unobservable), 6_037);
+    assert_eq!(lines.len() - pu.untestable_count(), 16_078);
+}

@@ -179,12 +179,69 @@ impl SeqStuckAt {
 /// because a register's *output* during a cycle never depends on its
 /// input during that cycle — the forward pass reads state, and state
 /// updates happen after the pass ([`Netlist::eval_seq_nets`]).
+///
+/// [`NetlistBuilder::finish`] derives the structure every analysis and
+/// engine asks about once, and the netlist never changes after it: the
+/// reader table ([`Netlist::readers`]) and the output roles — buses
+/// named `error` are *alarms*, every other output bus is part of the
+/// *result* ([`Netlist::alarm_nets`], [`Netlist::result_nets`],
+/// [`Netlist::is_output_net`]).
 #[derive(Clone, Debug)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
     inputs: Vec<(String, Vec<NetId>)>,
     outputs: Vec<(String, Vec<NetId>)>,
+    readers: ReaderTable,
+    result_nets: Vec<NetId>,
+    alarm_nets: Vec<NetId>,
+    is_output: Vec<bool>,
+}
+
+/// Who reads each net, in compressed (CSR) form: one offsets array and
+/// one flat array of `(gate, pin)` reads. A net's reads are ascending
+/// by gate; a gate reading one net on both pins appears twice (pin 0,
+/// then pin 1), so a net's read count is its exact structural fanout.
+/// Dff D-pin reads, forward references included, are listed like any
+/// other read.
+#[derive(Clone, Debug)]
+pub struct ReaderTable {
+    /// The reads of net `n` are `reads[off[n]..off[n + 1]]`.
+    off: Vec<u32>,
+    reads: Vec<(u32, u8)>,
+}
+
+impl ReaderTable {
+    fn new(gates: &[Gate]) -> Self {
+        let pins = |g: &Gate| {
+            [g.a, g.b]
+                .into_iter()
+                .zip(0u8..)
+                .filter_map(|(n, p)| Some((n?, p)))
+        };
+        let mut off = vec![0u32; gates.len() + 1];
+        for (net, _) in gates.iter().flat_map(pins) {
+            off[net.0 + 1] += 1;
+        }
+        for i in 0..gates.len() {
+            off[i + 1] += off[i];
+        }
+        let mut next = off.clone();
+        let mut reads = vec![(0, 0); off[gates.len()] as usize];
+        for (i, g) in gates.iter().enumerate() {
+            for (net, pin) in pins(g) {
+                reads[next[net.0] as usize] = (i as u32, pin);
+                next[net.0] += 1;
+            }
+        }
+        Self { off, reads }
+    }
+
+    /// Every `(gate, pin)` that reads net `n`, ascending by gate.
+    #[must_use]
+    pub fn of(&self, n: usize) -> &[(u32, u8)] {
+        &self.reads[self.off[n] as usize..self.off[n + 1] as usize]
+    }
 }
 
 impl Netlist {
@@ -249,31 +306,37 @@ impl Netlist {
         self.inputs.iter().map(|(_, b)| b.len()).sum()
     }
 
-    /// Per-net reader table: `readers()[n]` lists every `(gate, pin)`
-    /// that reads net `n`. A gate reading the same net on both pins
-    /// contributes two entries, so the list length is the net's exact
-    /// structural fanout. Dff D-pin reads (including forward
-    /// references) appear like any other read.
+    /// The reader table, built once by [`NetlistBuilder::finish`].
     #[must_use]
-    pub fn readers(&self) -> Vec<Vec<(usize, u8)>> {
-        let mut readers = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            if let Some(a) = g.a {
-                readers[a.0].push((i, 0));
-            }
-            if let Some(b) = g.b {
-                readers[b.0].push((i, 1));
-            }
-        }
-        readers
+    pub fn reader_table(&self) -> &ReaderTable {
+        &self.readers
+    }
+
+    /// Every `(gate, pin)` that reads net `n`, ascending by gate (see
+    /// [`ReaderTable`]).
+    #[must_use]
+    pub fn readers(&self, n: usize) -> &[(u32, u8)] {
+        self.readers.of(n)
+    }
+
+    /// The nets of every output bus not named `error`, in declaration
+    /// order: the values a fault must not change.
+    #[must_use]
+    pub fn result_nets(&self) -> &[NetId] {
+        &self.result_nets
+    }
+
+    /// The nets of every output bus named `error`, in declaration
+    /// order: the checker alarms.
+    #[must_use]
+    pub fn alarm_nets(&self) -> &[NetId] {
+        &self.alarm_nets
     }
 
     /// `true` if net `n` belongs to any declared output bus.
     #[must_use]
     pub fn is_output_net(&self, n: usize) -> bool {
-        self.outputs
-            .iter()
-            .any(|(_, bus)| bus.iter().any(|net| net.0 == n))
+        self.is_output[n]
     }
 
     /// Enumerates the full single-stuck-at line universe: every site
@@ -320,11 +383,23 @@ impl Netlist {
     #[must_use]
     pub fn eval_nets(&self, bits: &[bool], faults: &[StuckAtLine]) -> Vec<bool> {
         assert_eq!(bits.len(), self.input_bits(), "input bit count mismatch");
+        self.eval_pass(bits, faults, None)
+    }
+
+    /// One scalar forward pass under `faults` (applied last-wins per
+    /// site). Dff cells output `state`, which a combinational
+    /// evaluation does not have.
+    fn eval_pass(
+        &self,
+        bits: &[bool],
+        faults: &[StuckAtLine],
+        state: Option<&[bool]>,
+    ) -> Vec<bool> {
         let mut values = vec![false; self.gates.len()];
         let mut next_input = 0usize;
         for (i, gate) in self.gates.iter().enumerate() {
-            let read = |pin: u8, net: NetId, values: &[bool]| -> bool {
-                let mut v = values[net.0];
+            let read = |pin: u8, net: Option<NetId>, values: &[bool]| -> bool {
+                let mut v = values[net.expect("gate input connected").0];
                 for f in faults {
                     if f.site.gate == i && f.site.pin == Some(pin) {
                         v = f.value;
@@ -339,14 +414,14 @@ impl Netlist {
                     v
                 }
                 GateKind::Const(c) => c,
-                GateKind::Dff => {
-                    panic!("combinational evaluation of a sequential netlist; use eval_seq_nets")
-                }
-                GateKind::Not => !read(0, gate.a.expect("not input"), &values),
-                GateKind::Buf => read(0, gate.a.expect("buf input"), &values),
+                GateKind::Dff => state
+                    .expect("combinational evaluation of a sequential netlist; use eval_seq_nets")
+                    [i],
+                GateKind::Not => !read(0, gate.a, &values),
+                GateKind::Buf => read(0, gate.a, &values),
                 kind => {
-                    let a = read(0, gate.a.expect("gate input a"), &values);
-                    let b = read(1, gate.b.expect("gate input b"), &values);
+                    let a = read(0, gate.a, &values);
+                    let b = read(1, gate.b, &values);
                     match kind {
                         GateKind::And => a & b,
                         GateKind::Or => a | b,
@@ -377,6 +452,11 @@ impl Netlist {
     /// buses, or if an output bus is wider than 64 bits.
     #[must_use]
     pub fn eval_words(&self, words: &[Word], faults: &[StuckAtLine]) -> Vec<Word> {
+        self.output_words(&self.eval_nets(&self.input_bits_of(words), faults))
+    }
+
+    /// Flattens one [`Word`] per input bus into input bits.
+    fn input_bits_of(&self, words: &[Word]) -> Vec<bool> {
         assert_eq!(words.len(), self.inputs.len(), "input bus count mismatch");
         let mut bits = Vec::with_capacity(self.input_bits());
         for (w, (name, bus)) in words.iter().zip(&self.inputs) {
@@ -389,7 +469,11 @@ impl Netlist {
                 bits.push(w.bit(i));
             }
         }
-        let nets = self.eval_nets(&bits, faults);
+        bits
+    }
+
+    /// Reads one [`Word`] per output bus from net values.
+    fn output_words(&self, nets: &[bool]) -> Vec<Word> {
         self.outputs
             .iter()
             .map(|(_, bus)| {
@@ -436,49 +520,7 @@ impl Netlist {
                 .filter(|f| f.duration.active_at(cycle))
                 .map(|f| f.line)
                 .collect();
-            let mut values = vec![false; self.gates.len()];
-            let mut next_input = 0usize;
-            for (i, gate) in self.gates.iter().enumerate() {
-                let read = |pin: u8, net: NetId, values: &[bool]| -> bool {
-                    let mut v = values[net.0];
-                    for f in &active {
-                        if f.site.gate == i && f.site.pin == Some(pin) {
-                            v = f.value;
-                        }
-                    }
-                    v
-                };
-                let mut out = match gate.kind {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
-                    GateKind::Const(c) => c,
-                    GateKind::Dff => state[i],
-                    GateKind::Not => !read(0, gate.a.expect("not input"), &values),
-                    GateKind::Buf => read(0, gate.a.expect("buf input"), &values),
-                    kind => {
-                        let a = read(0, gate.a.expect("gate input a"), &values);
-                        let b = read(1, gate.b.expect("gate input b"), &values);
-                        match kind {
-                            GateKind::And => a & b,
-                            GateKind::Or => a | b,
-                            GateKind::Xor => a ^ b,
-                            GateKind::Nand => !(a & b),
-                            GateKind::Nor => !(a | b),
-                            GateKind::Xnor => !(a ^ b),
-                            _ => unreachable!("two-input kinds handled"),
-                        }
-                    }
-                };
-                for f in &active {
-                    if f.site.gate == i && f.site.pin.is_none() {
-                        out = f.value;
-                    }
-                }
-                values[i] = out;
-            }
+            let values = self.eval_pass(bits, &active, Some(&state));
             // Capture: state <- D, with pin-0 overrides on active faults.
             for (i, gate) in self.gates.iter().enumerate() {
                 if gate.kind != GateKind::Dff {
@@ -509,32 +551,8 @@ impl Netlist {
     #[must_use]
     pub fn eval_seq_words(&self, words: &[Word], cycles: u32, faults: &[SeqStuckAt]) -> Vec<Word> {
         assert!(cycles > 0, "at least one cycle required");
-        assert_eq!(words.len(), self.inputs.len(), "input bus count mismatch");
-        let mut bits = Vec::with_capacity(self.input_bits());
-        for (w, (name, bus)) in words.iter().zip(&self.inputs) {
-            assert_eq!(
-                w.width() as usize,
-                bus.len(),
-                "width mismatch on input bus {name}"
-            );
-            for i in 0..w.width() {
-                bits.push(w.bit(i));
-            }
-        }
-        let trace = self.eval_seq_nets(&bits, cycles, faults);
-        let last = trace.last().expect("cycles > 0");
-        self.outputs
-            .iter()
-            .map(|(_, bus)| {
-                let mut v = 0u64;
-                for (i, net) in bus.iter().enumerate() {
-                    if last[net.0] {
-                        v |= 1 << i;
-                    }
-                }
-                Word::new(bus.len() as u32, v)
-            })
-            .collect()
+        let trace = self.eval_seq_nets(&self.input_bits_of(words), cycles, faults);
+        self.output_words(trace.last().expect("cycles > 0"))
     }
 }
 
@@ -743,11 +761,29 @@ impl NetlistBuilder {
                 "Dff n{i} has no D input; call connect_dff before finish"
             );
         }
+        let mut result_nets = Vec::new();
+        let mut alarm_nets = Vec::new();
+        let mut is_output = vec![false; self.gates.len()];
+        for (name, bus) in &self.outputs {
+            let role = if name == "error" {
+                &mut alarm_nets
+            } else {
+                &mut result_nets
+            };
+            role.extend_from_slice(bus);
+            for n in bus {
+                is_output[n.0] = true;
+            }
+        }
         Netlist {
+            readers: ReaderTable::new(&self.gates),
             name: self.name,
             gates: self.gates,
             inputs: self.inputs,
             outputs: self.outputs,
+            result_nets,
+            alarm_nets,
+            is_output,
         }
     }
 }
@@ -819,6 +855,32 @@ mod tests {
         let nets = nl.eval_nets(&[false], &[fault]);
         assert!(!nets[1]);
         assert!(!nets[2]);
+    }
+
+    #[test]
+    fn reader_table_lists_each_read_ascending() {
+        let mut b = NetlistBuilder::new("reads");
+        let x = b.input_bus("x", 2);
+        let s = b.dff(); // gate 2, D connected to a later net
+        let n3 = b.and(x[0], x[1]);
+        let n4 = b.or(x[1], x[1]);
+        let n5 = b.xor(n3, s);
+        b.connect_dff(s, n5);
+        b.output("y", &[n4]);
+        b.output("error", &[n5]);
+        let nl = b.finish();
+        assert_eq!(nl.readers(0), &[(3, 0)]);
+        assert_eq!(nl.readers(1), &[(3, 1), (4, 0), (4, 1)], "both pins of n4");
+        assert_eq!(nl.readers(2), &[(5, 1)]);
+        assert_eq!(nl.readers(3), &[(5, 0)]);
+        assert!(nl.readers(4).is_empty());
+        assert_eq!(nl.readers(5), &[(2, 0)], "Dff D pin reads forward");
+        assert_eq!(nl.result_nets(), &[n4]);
+        assert_eq!(nl.alarm_nets(), &[n5]);
+        let outputs: Vec<usize> = (0..nl.gate_count())
+            .filter(|&n| nl.is_output_net(n))
+            .collect();
+        assert_eq!(outputs, vec![4, 5]);
     }
 
     #[test]

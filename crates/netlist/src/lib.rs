@@ -42,7 +42,7 @@ pub mod gen;
 mod ir;
 
 pub use ir::{
-    FaultDuration, Gate, GateKind, NetId, Netlist, NetlistBuilder, SeqStuckAt, StuckAtLine,
-    StuckSite,
+    FaultDuration, Gate, GateKind, NetId, Netlist, NetlistBuilder, ReaderTable, SeqStuckAt,
+    StuckAtLine, StuckSite,
 };
 pub use scdp_arith::Word;

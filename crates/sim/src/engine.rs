@@ -21,28 +21,30 @@ use crate::batch::{InputBatch, InputPlan, WideBatch};
 use crate::campaign::{BlockWork, FaultEngine, Verdict};
 use crate::error::SimError;
 use crate::words::{LaneWord, Words};
-use scdp_netlist::{GateKind, Netlist, StuckAtLine};
+use scdp_netlist::{GateKind, Netlist, ReaderTable, StuckAtLine};
 
-/// A netlist compiled for bit-parallel evaluation.
+/// A combinational netlist compiled for bit-parallel evaluation.
 ///
-/// Construction copies the gate array into packed [`Gate`] records and
-/// resolves the output roles: every bus named `error` is an *alarm*
-/// bus, every other output bus is part of the *result*. Netlists are
-/// already stored in topological order, so evaluation is one forward
-/// pass. Construction also builds the fanout table the campaign
-/// driver's cone passes walk.
+/// Netlists are already stored in topological order, so evaluation is
+/// one forward pass. The campaign driver's cone passes walk the
+/// netlist's reader table, which the compiled core carries along.
 #[derive(Clone, Debug)]
 pub struct Engine {
-    gates: Vec<Gate>,
+    core: Compiled,
+}
+
+/// What both engines compile a netlist into: packed [`Gate`] records,
+/// the input gates, and the netlist's output roles and reader table.
+/// Every bus named `error` is an *alarm* bus, every other output bus is
+/// part of the *result* (see [`Netlist::alarm_nets`]).
+#[derive(Clone, Debug)]
+pub(crate) struct Compiled {
+    pub(crate) gates: Vec<Gate>,
     /// The input gates, in input-bit order.
     inputs: Vec<u32>,
-    /// Fanout in CSR form: the gates reading net `i` are
-    /// `fanout[fanout_off[i]..fanout_off[i + 1]]`, ascending.
-    fanout_off: Vec<u32>,
-    fanout: Vec<u32>,
-    input_bits: usize,
     result_nets: Vec<u32>,
     alarm_nets: Vec<u32>,
+    readers: ReaderTable,
     name: String,
 }
 
@@ -119,46 +121,27 @@ impl Engine {
             !netlist.is_sequential(),
             "combinational engine cannot evaluate a sequential netlist; use SeqEngine"
         );
-        let (gates, inputs) = compile(netlist);
-        let (fanout_off, fanout) = fanout_table(&gates);
-        let mut result_nets = Vec::new();
-        let mut alarm_nets = Vec::new();
-        for (name, bus) in netlist.outputs() {
-            let target = if name == "error" {
-                &mut alarm_nets
-            } else {
-                &mut result_nets
-            };
-            target.extend(bus.iter().map(|n| n.index() as u32));
-        }
         Self {
-            gates,
-            inputs,
-            fanout_off,
-            fanout,
-            input_bits: netlist.input_bits(),
-            result_nets,
-            alarm_nets,
-            name: netlist.name().to_string(),
+            core: Compiled::new(netlist),
         }
     }
 
     /// The compiled design's name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.core.name
     }
 
     /// Number of nets (= gates) in the compiled netlist.
     #[must_use]
     pub fn net_count(&self) -> usize {
-        self.gates.len()
+        self.core.gates.len()
     }
 
     /// Number of primary input bits expected per batch.
     #[must_use]
     pub fn input_bits(&self) -> usize {
-        self.input_bits
+        self.core.input_bits()
     }
 
     /// Validates a fault list against the compiled netlist: every line
@@ -171,7 +154,7 @@ impl Engine {
     ///
     /// Returns the first [`SimError`] found, in fault-list order.
     pub fn check_faults(&self, faults: &[StuckAtLine]) -> Result<(), SimError> {
-        check_lines(&self.gates, faults)
+        self.core.check(faults)
     }
 
     /// Evaluates one packed batch under `faults` into `values` (one
@@ -221,13 +204,11 @@ impl Engine {
         faults: &[StuckAtLine],
         values: &mut Vec<W>,
     ) {
-        assert_eq!(bits.len(), self.input_bits, "input bit count mismatch");
         // Every net is written before any gate uses it, so the buffer
         // needs the right length, not clearing. Lanes beyond the batch
         // length hold junk; harmless, masked later.
-        values.resize(self.gates.len(), W::ZERO);
-        hold(values, &self.inputs, bits);
-        eval_gates(&self.gates, 0..self.gates.len(), faults, values);
+        values.resize(self.core.gates.len(), W::ZERO);
+        self.core.eval_pass(bits, faults, values);
     }
 
     /// Evaluates the faulty machine of `faults` over `cone` only — the
@@ -256,7 +237,7 @@ impl Engine {
         mask: Words<L>,
     ) -> WideOutcome<L> {
         eval_gates(
-            &self.gates,
+            &self.core.gates,
             cone.iter().map(|&g| g as usize),
             faults,
             values,
@@ -266,11 +247,12 @@ impl Engine {
 
     /// Appends the fanout cone of `faults` to `cones` as its next
     /// entry. The sites are marked in a gate bitset and their fanout
-    /// followed through the CSR table; because netlists are stored in
-    /// topological order, every cone gate sits at or above the lowest
-    /// site, so one upward scan of the bitset from there emits the cone
-    /// in ascending order and leaves the bitset clear for the next
-    /// group.
+    /// followed through the netlist's reader table (a gate reading one
+    /// net on both pins is listed twice and marked once); because
+    /// netlists are stored in topological order, every cone gate sits
+    /// at or above the lowest site, so one upward scan of the bitset
+    /// from there emits the cone in ascending order and leaves the
+    /// bitset clear for the next group.
     fn push_cone(&self, faults: &[StuckAtLine], cones: &mut Cones) {
         let Cones {
             gates,
@@ -279,7 +261,7 @@ impl Engine {
             stack,
         } = cones;
         let start = gates.len();
-        mark.resize(self.gates.len().div_ceil(64), 0);
+        mark.resize(self.core.gates.len().div_ceil(64), 0);
         let mut visit = |g: usize, stack: &mut Vec<u32>| {
             let (word, bit) = (&mut mark[g / 64], 1u64 << (g % 64));
             if *word & bit == 0 {
@@ -291,8 +273,7 @@ impl Engine {
             visit(f.site.gate, stack);
         }
         while let Some(g) = stack.pop() {
-            let (lo, hi) = (self.fanout_off[g as usize], self.fanout_off[g as usize + 1]);
-            for &t in &self.fanout[lo as usize..hi as usize] {
+            for &(t, _) in self.core.readers.of(g as usize) {
                 visit(t as usize, stack);
             }
         }
@@ -320,7 +301,7 @@ impl Engine {
     /// batch, producing the packed taxonomy masks.
     #[must_use]
     pub fn compare(&self, good: &[u64], faulty: &[u64], mask: u64) -> BatchOutcome {
-        let (wrong, alarm) = self.compare_words(good, faulty, mask);
+        let (wrong, alarm) = self.core.compare(good, faulty, mask);
         BatchOutcome { wrong, alarm, mask }
     }
 
@@ -332,20 +313,110 @@ impl Engine {
         faulty: &[Words<L>],
         mask: Words<L>,
     ) -> WideOutcome<L> {
-        let (wrong, alarm) = self.compare_words(good, faulty, mask);
+        let (wrong, alarm) = self.core.compare(good, faulty, mask);
         WideOutcome { wrong, alarm, mask }
     }
+}
 
-    fn compare_words<W: LaneWord>(&self, good: &[W], faulty: &[W], mask: W) -> (W, W) {
+impl Compiled {
+    /// Compiles `netlist`'s gates into [`Gate`] records and takes its
+    /// input gates, output roles and reader table.
+    pub(crate) fn new(netlist: &Netlist) -> Self {
+        let mut inputs = Vec::new();
+        let gates = netlist
+            .gates()
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let own = i as u32;
+                let net = |n: Option<scdp_netlist::NetId>| n.map_or(own, |n| n.index() as u32);
+                let (a, b) = match g.kind {
+                    GateKind::Input => {
+                        inputs.push(own);
+                        (own, own)
+                    }
+                    GateKind::Const(_) => (own, own),
+                    GateKind::Dff => (net(g.a), own),
+                    GateKind::Not | GateKind::Buf => (net(g.a), net(g.a)),
+                    _ => (net(g.a), net(g.b)),
+                };
+                Gate { kind: g.kind, a, b }
+            })
+            .collect();
+        let nets = |role: &[scdp_netlist::NetId]| role.iter().map(|n| n.index() as u32).collect();
+        Self {
+            gates,
+            inputs,
+            result_nets: nets(netlist.result_nets()),
+            alarm_nets: nets(netlist.alarm_nets()),
+            readers: netlist.reader_table().clone(),
+            name: netlist.name().to_string(),
+        }
+    }
+
+    /// Number of primary input bits expected per pass.
+    pub(crate) fn input_bits(&self) -> usize {
+        self.inputs.len()
+    }
+
+    /// One full forward pass under `faults`: the input gates hold
+    /// `bits`, every other gate is evaluated in order. `values` must
+    /// hold one word per net, with any other holding gate's value (a
+    /// Dff's state) already in place.
+    pub(crate) fn eval_pass<W: LaneWord>(
+        &self,
+        bits: &[W],
+        faults: &[StuckAtLine],
+        values: &mut [W],
+    ) {
+        assert_eq!(bits.len(), self.input_bits(), "input bit count mismatch");
+        hold(values, &self.inputs, bits);
+        eval_gates(&self.gates, 0..self.gates.len(), faults, values);
+    }
+
+    /// Lanes of `mask` whose result nets differ between `good` and
+    /// `faulty`.
+    pub(crate) fn wrong<W: LaneWord>(&self, good: &[W], faulty: &[W], mask: W) -> W {
         let mut wrong = W::ZERO;
         for &net in &self.result_nets {
             wrong = wrong | (good[net as usize] ^ faulty[net as usize]);
         }
+        wrong & mask
+    }
+
+    /// Lanes of `mask` where any alarm net of `values` is set.
+    pub(crate) fn alarm<W: LaneWord>(&self, values: &[W], mask: W) -> W {
         let mut alarm = W::ZERO;
         for &net in &self.alarm_nets {
-            alarm = alarm | faulty[net as usize];
+            alarm = alarm | values[net as usize];
         }
-        (wrong & mask, alarm & mask)
+        alarm & mask
+    }
+
+    /// The `(wrong, alarm)` verdict of `faulty` against `good`.
+    fn compare<W: LaneWord>(&self, good: &[W], faulty: &[W], mask: W) -> (W, W) {
+        (self.wrong(good, faulty, mask), self.alarm(faulty, mask))
+    }
+
+    /// Validates a fault list: every line must name an existing gate
+    /// and, for pin faults, an input pin the gate actually has.
+    pub(crate) fn check(&self, faults: &[StuckAtLine]) -> Result<(), SimError> {
+        for f in faults {
+            let gate = f.site.gate;
+            let Some(g) = self.gates.get(gate) else {
+                return Err(SimError::GateOutOfRange {
+                    gate,
+                    gates: self.gates.len(),
+                });
+            };
+            if let Some(pin) = f.site.pin {
+                let pins = g.kind.pins();
+                if pin >= pins {
+                    return Err(SimError::PinOutOfRange { gate, pin, pins });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -401,16 +472,12 @@ impl FaultEngine for Engine {
         let mut good = Vec::new();
         let mut faulty = Vec::new();
         let mut good_evals = 0u64;
-        for wide in plan.wide_stream::<L>(self.input_bits) {
+        for wide in plan.wide_stream::<L>(self.input_bits()) {
             if live.is_empty() {
                 break;
             }
             self.eval_wide_into(&wide, &[], &mut good);
             good_evals += wide.limbs as u64;
-            debug_assert!(
-                self.compare_wide(&good, &good, wide.mask).alarm.is_zero(),
-                "good machine must be alarm-free"
-            );
             faulty.clone_from(&good);
             // The cone whose gates `faulty` holds faulty values for.
             let mut dirty = (0, 0);
@@ -490,37 +557,6 @@ impl Cones {
     }
 }
 
-/// Builds the fanout table in CSR form: offsets (one per net, plus a
-/// final end) and the reading gates of each net, ascending. A gate
-/// reading one net on both pins is listed once.
-fn fanout_table(gates: &[Gate]) -> (Vec<u32>, Vec<u32>) {
-    let fanins = |g: Gate| {
-        let pins = g.kind.pins();
-        let first = (pins >= 1).then_some(g.a);
-        let second = (pins >= 2 && g.b != g.a).then_some(g.b);
-        first.into_iter().chain(second)
-    };
-    let mut off = vec![0u32; gates.len() + 1];
-    for (i, &g) in gates.iter().enumerate() {
-        for src in fanins(g) {
-            debug_assert!((src as usize) < i, "netlists are topologically ordered");
-            off[src as usize + 1] += 1;
-        }
-    }
-    for i in 0..gates.len() {
-        off[i + 1] += off[i];
-    }
-    let mut next = off.clone();
-    let mut fanout = vec![0u32; off[gates.len()] as usize];
-    for (i, &g) in gates.iter().enumerate() {
-        for src in fanins(g) {
-            fanout[next[src as usize] as usize] = i as u32;
-            next[src as usize] += 1;
-        }
-    }
-    (off, fanout)
-}
-
 /// One compiled gate: its kind and the nets its two pins read. A Not
 /// or Buf reads its fanin on both pins; a gate that holds a value — an
 /// input, a Dff's state — reads itself on pin b, where the pass's
@@ -532,33 +568,6 @@ pub(crate) struct Gate {
     pub(crate) kind: GateKind,
     pub(crate) a: u32,
     pub(crate) b: u32,
-}
-
-/// Compiles `netlist`'s gates into [`Gate`] records, returning them and
-/// the input gates in input-bit order.
-pub(crate) fn compile(netlist: &Netlist) -> (Vec<Gate>, Vec<u32>) {
-    let mut inputs = Vec::new();
-    let gates = netlist
-        .gates()
-        .iter()
-        .enumerate()
-        .map(|(i, g)| {
-            let own = i as u32;
-            let net = |n: Option<scdp_netlist::NetId>| n.map_or(own, |n| n.index() as u32);
-            let (a, b) = match g.kind {
-                GateKind::Input => {
-                    inputs.push(own);
-                    (own, own)
-                }
-                GateKind::Const(_) => (own, own),
-                GateKind::Dff => (net(g.a), own),
-                GateKind::Not | GateKind::Buf => (net(g.a), net(g.a)),
-                _ => (net(g.a), net(g.b)),
-            };
-            Gate { kind: g.kind, a, b }
-        })
-        .collect();
-    (gates, inputs)
 }
 
 /// Writes the values the holding gates `at` output this pass — input
@@ -641,26 +650,6 @@ fn overrides(faults: &[StuckAtLine], fi: &mut usize, gate: usize, pins: u8) -> [
         *fi += 1;
     }
     out
-}
-
-/// The shared fault-list validation of both engines.
-pub(crate) fn check_lines(gates: &[Gate], faults: &[StuckAtLine]) -> Result<(), SimError> {
-    for f in faults {
-        let gate = f.site.gate;
-        let Some(g) = gates.get(gate) else {
-            return Err(SimError::GateOutOfRange {
-                gate,
-                gates: gates.len(),
-            });
-        };
-        if let Some(pin) = f.site.pin {
-            let pins = g.kind.pins();
-            if pin >= pins {
-                return Err(SimError::PinOutOfRange { gate, pin, pins });
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -818,20 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_table_lists_every_reader_once() {
-        let engine = Engine::new(&branchy_netlist());
-        let readers = |net: usize| {
-            let (lo, hi) = (engine.fanout_off[net], engine.fanout_off[net + 1]);
-            engine.fanout[lo as usize..hi as usize].to_vec()
-        };
-        assert_eq!(readers(0), vec![3]);
-        assert_eq!(readers(1), vec![3, 4]);
-        assert_eq!(readers(2), vec![5, 6], "n6 reads x2 twice, listed once");
-        assert_eq!(readers(3), vec![5]);
-        assert!(readers(4).is_empty() && readers(5).is_empty() && readers(6).is_empty());
-    }
-
-    #[test]
     fn cones_are_ascending_transitive_fanouts() {
         let engine = Engine::new(&branchy_netlist());
         assert_eq!(cone_of(&engine, &[line(0, None, true)]), vec![0, 3, 5]);
@@ -925,7 +900,7 @@ mod tests {
         b.output("ris", &[x[0]]);
         b.output("error", &[x[0]]);
         let engine = Engine::new(&b.finish());
-        assert_eq!(engine.result_nets, vec![0]);
-        assert_eq!(engine.alarm_nets, vec![0]);
+        assert_eq!(engine.core.result_nets, vec![0]);
+        assert_eq!(engine.core.alarm_nets, vec![0]);
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::batch::{InputBatch, InputPlan};
 use crate::campaign::{BlockWork, FaultEngine, Verdict};
-use crate::engine::{check_lines, compile, eval_gates, hold, BatchOutcome, Gate, WideOutcome};
+use crate::engine::{hold, BatchOutcome, Compiled, WideOutcome};
 use crate::error::SimError;
 use crate::words::LaneWord;
 use scdp_netlist::{FaultDuration, GateKind, Netlist, StuckAtLine};
@@ -83,24 +83,15 @@ impl SeqBatchOutcome {
 
 /// A sequential netlist compiled for packed cycle-accurate evaluation.
 ///
-/// Construction mirrors [`crate::Engine`] (packed gate records, `error`
-/// buses split off as alarms) and additionally lists the Dffs. Per-bus
-/// output metadata is kept so differential tests can read back whole
-/// words.
+/// It shares [`crate::Engine`]'s compiled core (packed gate records,
+/// output roles) and additionally lists the Dffs.
 #[derive(Clone, Debug)]
 pub struct SeqEngine {
-    gates: Vec<Gate>,
-    /// The input gates, in input-bit order.
-    inputs: Vec<u32>,
-    input_bits: usize,
-    result_nets: Vec<u32>,
-    alarm_nets: Vec<u32>,
+    core: Compiled,
     /// The Dff gates, gate order.
     dffs: Vec<u32>,
     /// Dense gate → Dff index (unused slots are `u32::MAX`).
     dff_index: Vec<u32>,
-    outputs: Vec<(String, Vec<u32>)>,
-    name: String,
 }
 
 impl SeqEngine {
@@ -136,60 +127,17 @@ impl SeqEngine {
                 dffs.push(i as u32);
             }
         }
-        let (gates, inputs) = compile(netlist);
-        let mut result_nets = Vec::new();
-        let mut alarm_nets = Vec::new();
-        let mut outputs = Vec::new();
-        for (name, bus) in netlist.outputs() {
-            let nets: Vec<u32> = bus.iter().map(|n| n.index() as u32).collect();
-            if name == "error" {
-                alarm_nets.extend(&nets);
-            } else {
-                result_nets.extend(&nets);
-            }
-            outputs.push((name.clone(), nets));
-        }
         Ok(Self {
-            gates,
-            inputs,
-            input_bits: netlist.input_bits(),
-            result_nets,
-            alarm_nets,
+            core: Compiled::new(netlist),
             dffs,
             dff_index,
-            outputs,
-            name: netlist.name().to_string(),
         })
-    }
-
-    /// The compiled design's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of nets (= gates) in the compiled netlist.
-    #[must_use]
-    pub fn net_count(&self) -> usize {
-        self.gates.len()
     }
 
     /// Number of state bits.
     #[must_use]
     pub fn dff_count(&self) -> usize {
         self.dffs.len()
-    }
-
-    /// Number of primary input bits expected per batch.
-    #[must_use]
-    pub fn input_bits(&self) -> usize {
-        self.input_bits
-    }
-
-    /// Named output buses (net indices), declaration order.
-    #[must_use]
-    pub fn outputs(&self) -> &[(String, Vec<u32>)] {
-        &self.outputs
     }
 
     /// Evaluates one forward pass (one cycle) into `values`: Dff cells
@@ -204,16 +152,15 @@ impl SeqEngine {
         state: &[W],
         values: &mut [W],
     ) {
-        hold(values, &self.inputs, bits);
         hold(values, &self.dffs, state);
-        eval_gates(&self.gates, 0..self.gates.len(), faults, values);
+        self.core.eval_pass(bits, faults, values);
     }
 
     /// Captures the next state from the D nets, honouring pin-0 faults
     /// on Dff cells.
     fn step<W: LaneWord>(&self, faults: &[StuckAtLine], values: &[W], state: &mut [W]) {
         for (k, &dff) in self.dffs.iter().enumerate() {
-            state[k] = values[self.gates[dff as usize].a as usize];
+            state[k] = values[self.core.gates[dff as usize].a as usize];
         }
         for f in faults {
             if f.site.pin == Some(0) {
@@ -268,7 +215,6 @@ impl SeqEngine {
         values: &mut Vec<W>,
         state: &mut Vec<W>,
     ) -> (W, Vec<W>) {
-        assert_eq!(bits.len(), self.input_bits, "input bit count mismatch");
         assert!(cycles > 0, "at least one cycle required");
         debug_assert!(
             fault.is_none_or(|f| f.lines.windows(2).all(|w| w[0].site.gate <= w[1].site.gate)),
@@ -277,7 +223,7 @@ impl SeqEngine {
         // Every net is written before any gate uses it (a Dff's D pin
         // is read but never used), so the buffer needs the right
         // length, not clearing.
-        values.resize(self.gates.len(), W::ZERO);
+        values.resize(self.core.gates.len(), W::ZERO);
         state.clear();
         state.resize(self.dffs.len(), W::ZERO);
         let mut alarm_seen = W::ZERO;
@@ -288,11 +234,7 @@ impl SeqEngine {
                 _ => &[],
             };
             self.eval_cycle(bits, active, state, values);
-            let mut alarm = W::ZERO;
-            for &net in &self.alarm_nets {
-                alarm = alarm | values[net as usize];
-            }
-            alarm = alarm & mask;
+            let alarm = self.core.alarm(values, mask);
             let fired = alarm & !alarm_seen;
             if !fired.is_zero() {
                 first_detect[cycle as usize] = fired;
@@ -308,15 +250,7 @@ impl SeqEngine {
     /// XOR-compares the result nets of two final-cycle value vectors.
     #[must_use]
     pub fn result_diff(&self, good: &[u64], faulty: &[u64], mask: u64) -> u64 {
-        self.result_diff_words(good, faulty, mask)
-    }
-
-    fn result_diff_words<W: LaneWord>(&self, good: &[W], faulty: &[W], mask: W) -> W {
-        let mut wrong = W::ZERO;
-        for &net in &self.result_nets {
-            wrong = wrong | (good[net as usize] ^ faulty[net as usize]);
-        }
-        wrong & mask
+        self.core.wrong(good, faulty, mask)
     }
 }
 
@@ -343,7 +277,7 @@ impl FaultEngine for SeqEngine {
     }
 
     fn check(&self, group: &Self::Group) -> Result<(), SimError> {
-        check_lines(&self.gates, &group.lines)
+        self.core.check(&group.lines)
     }
 
     /// The good machine runs once per wide batch, shared across every
@@ -365,15 +299,13 @@ impl FaultEngine for SeqEngine {
         let mut faulty = Vec::new();
         let mut state = Vec::new();
         let mut good_evals = 0u64;
-        let gate_evals = self.gates.len() as u64 * u64::from(cycles);
-        for wide in plan.wide_stream::<L>(self.input_bits) {
+        let gate_evals = self.core.gates.len() as u64 * u64::from(cycles);
+        for wide in plan.wide_stream::<L>(self.core.input_bits()) {
             if live.is_empty() {
                 break;
             }
-            let (g_alarm, _) =
-                self.run_words_into(&wide.bits, wide.mask, None, cycles, &mut good, &mut state);
+            let _ = self.run_words_into(&wide.bits, wide.mask, None, cycles, &mut good, &mut state);
             good_evals += wide.limbs as u64;
-            debug_assert!(g_alarm.is_zero(), "good machine must be alarm-free");
             live.retain(|&k| {
                 let (alarm, first_detect) = self.run_words_into(
                     &wide.bits,
@@ -383,7 +315,7 @@ impl FaultEngine for SeqEngine {
                     &mut faulty,
                     &mut state,
                 );
-                let wrong = self.result_diff_words(&good, &faulty, wide.mask);
+                let wrong = self.core.wrong(&good, &faulty, wide.mask);
                 tally(
                     k,
                     &Verdict {
@@ -732,14 +664,14 @@ mod tests {
     fn seq_engine_word_extraction_matches_scalar() {
         let nl = shift_netlist();
         let engine = SeqEngine::new(&nl);
-        assert_eq!(engine.outputs().len(), 1);
+        assert_eq!(nl.outputs().len(), 1);
         let batch = InputPlan::Exhaustive.stream(1).next().unwrap();
         let mut values = Vec::new();
         let mut state = Vec::new();
         let _ = engine.run_batch_into(&batch, None, 3, &mut values, &mut state);
         // Lane 1 (x = 1): y = 1 after 3 cycles.
-        let (_, nets) = &engine.outputs()[0];
-        let y = (values[nets[0] as usize] >> 1) & 1;
+        let (_, nets) = &nl.outputs()[0];
+        let y = (values[nets[0].index()] >> 1) & 1;
         assert_eq!(y, 1);
         let scalar = nl.eval_seq_words(&[Word::new(1, 1)], 3, &[]);
         assert_eq!(scalar[0].bits(), 1);

@@ -64,13 +64,13 @@ fn check_case(tag: &str, dfg: &Dfg, dp: &SeqDatapath, width: u32, seed: u64) -> 
         let ev = interpret_dfg(dfg, width, &inputs);
         assert!(!ev.alarm, "{tag}: interpreter alarm on fault-free inputs");
         let mut result_idx = 0usize;
-        for (name, nets) in engine.outputs() {
+        for (name, nets) in dp.netlist.outputs() {
             if name == "error" {
                 continue;
             }
             let mut got = 0u64;
             for (i, &net) in nets.iter().enumerate() {
-                if (values[net as usize] >> lane) & 1 != 0 {
+                if (values[net.index()] >> lane) & 1 != 0 {
                     got |= 1 << i;
                 }
             }
