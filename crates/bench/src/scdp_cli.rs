@@ -412,12 +412,15 @@ fn cmd_analyze(args: &CliArgs, spec: &RunSpec) -> Outcome {
 fn cmd_trace(files: &[String]) -> Outcome {
     let (action, files) = files
         .split_first()
-        .ok_or("usage: scdp trace summarize FILE...")?;
+        .ok_or_else(|| UsageError("usage: scdp trace summarize FILE...".into()))?;
     if action != "summarize" {
-        return Err(format!("unknown trace action `{action}` (expected `summarize`)").into());
+        return Err(UsageError(format!(
+            "unknown trace action `{action}` (expected `summarize`)"
+        ))
+        .into());
     }
     if files.is_empty() {
-        return Err("pass trace files to summarize".into());
+        return Err(UsageError("pass trace files to summarize".into()).into());
     }
     for file in files {
         if files.len() > 1 {
@@ -461,7 +464,7 @@ fn cmd_merge(args: &CliArgs) -> Outcome {
     let paths: Vec<PathBuf> = match args.value::<String>("--dir")? {
         Some(dir) => shard_files(&dir)?,
         None if args.files().is_empty() => {
-            return Err("pass shard report files or --dir DIR".into())
+            return Err(UsageError("pass shard report files or --dir DIR".into()).into())
         }
         None => args.files().iter().map(PathBuf::from).collect(),
     };
@@ -481,7 +484,7 @@ fn cmd_merge(args: &CliArgs) -> Outcome {
 
 fn cmd_validate(files: &[String]) -> Outcome {
     if files.is_empty() {
-        return Err("pass report files to validate".into());
+        return Err(UsageError("pass report files to validate".into()).into());
     }
     let mut failures = 0usize;
     for file in files {
@@ -525,13 +528,16 @@ fn cmd_table(args: &CliArgs) -> Outcome {
                 .filter(|p| p.extension().is_some_and(|x| x == "json"))
                 .collect();
             v.sort();
+            if v.is_empty() {
+                return Err(format!("no .json reports in {dir}").into());
+            }
             v
+        }
+        None if args.files().is_empty() => {
+            return Err(UsageError("pass report files or --dir DIR".into()).into())
         }
         None => args.files().iter().map(PathBuf::from).collect(),
     };
-    if paths.is_empty() {
-        return Err("pass report files or --dir DIR".into());
-    }
     println!("{}", table_header());
     for path in &paths {
         let report = load_report(path)?;
@@ -706,7 +712,10 @@ fn cmd_serve(args: &CliArgs) -> Outcome {
 /// wait for (and fetch) the result.
 fn cmd_submit(args: &CliArgs) -> Outcome {
     let [spec_path] = args.files() else {
-        return Err("usage: scdp submit SPEC.json [--addr A] [--wait] [--out FILE]".into());
+        return Err(UsageError(
+            "usage: scdp submit SPEC.json [--addr A] [--wait] [--out FILE]".into(),
+        )
+        .into());
     };
     let addr = args.value_or("--addr", DEFAULT_SERVE_ADDR.to_string())?;
     let out = args.value::<String>("--out")?;
@@ -953,8 +962,9 @@ mod tests {
         assert_eq!(run(strings(&["run", "--workload", "nope"])), 2);
         assert_eq!(run(strings(&["run", "--op", "nope"])), 2);
         assert_eq!(run(strings(&["run", "--technique", "nope"])), 2);
-        assert_eq!(run(strings(&["validate"])), 1);
-        assert_eq!(run(strings(&["merge"])), 1);
+        assert_eq!(run(strings(&["validate"])), 2);
+        assert_eq!(run(strings(&["merge"])), 2);
+        assert_eq!(run(strings(&["table"])), 2);
         assert_eq!(
             run(strings(&["merge", "--dir"])),
             2,
@@ -1557,8 +1567,8 @@ mod tests {
         );
 
         assert_eq!(run(strings(&["trace", "summarize", &trace_path])), 0);
-        assert_eq!(run(strings(&["trace", "summarize"])), 1);
-        assert_eq!(run(strings(&["trace", "frobnicate", &trace_path])), 1);
+        assert_eq!(run(strings(&["trace", "summarize"])), 2);
+        assert_eq!(run(strings(&["trace", "frobnicate", &trace_path])), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1584,7 +1594,7 @@ mod tests {
         let out = dir.join("report.json").display().to_string();
 
         // Usage and connection errors are errors, not panics.
-        assert_eq!(run(strings(&["submit"])), 1);
+        assert_eq!(run(strings(&["submit"])), 2);
         assert_eq!(
             run(strings(&["submit", &spec_path, "--addr", "127.0.0.1:1"])),
             1

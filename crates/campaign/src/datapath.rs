@@ -36,18 +36,22 @@
 use crate::error::CampaignError;
 use crate::obs::RunCtx;
 use crate::reduce::{reduce_in, start_ctx, validate_exec};
-use crate::report::{drop_label, CampaignReport, DatapathDetails, FuTally};
+use crate::report::{drop_label, CampaignReport, DatapathDetails, FuTally, SequentialDetails};
 use crate::scenario::{allocation_label, technique_label, Backend, FaultModel, Scenario};
 use crate::shard::{self, ShardInfo};
 use crate::spec::{check_width, ExecPolicy};
 use scdp_coverage::{InputSpace, Tally};
 use scdp_fir::{dot_body_dfg, fir_body_dfg, iir_biquad_dfg, matvec_row_dfg};
 use scdp_hls::{
-    bind, expand_sck, sched, BindOptions, ComponentLibrary, Dfg, ResourceSet, Role, SckStyle,
+    bind, expand_sck, sched, BindOptions, Binding, ComponentLibrary, Dfg, ResourceSet, Role,
+    Schedule, SckStyle,
 };
-use scdp_netlist::gen::{class_label, elaborate_datapath, ElaboratedDatapath};
+use scdp_netlist::gen::{
+    class_label, elaborate_datapath, ElaboratedDatapath, FuFaultRange, FuSpan,
+};
+use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
-use scdp_sim::{Engine, EngineCampaign, InputPlan};
+use scdp_sim::{Campaign, Engine, EngineCampaign, FaultEngine, InputPlan};
 use std::fmt;
 
 /// Exhaustive datapath campaigns are rejected above this many primary
@@ -248,6 +252,12 @@ impl DatapathScenario {
     /// [`DatapathCampaignSpec::run`] for validated, typed-error entry.
     #[must_use]
     pub fn elaborate(&self) -> ElaboratedDatapath {
+        self.synthesize(elaborate_datapath)
+    }
+
+    /// The synthesis front half both elaborations share: expansion,
+    /// list scheduling and binding, lowered by `elaborate`.
+    pub(crate) fn synthesize<M>(&self, elaborate: fn(&Dfg, &Schedule, &Binding, u32) -> M) -> M {
         let dfg = self.expanded();
         let lib = ComponentLibrary::virtex16();
         let schedule = sched::list_schedule(&dfg, &lib, &self.resources);
@@ -256,7 +266,7 @@ impl DatapathScenario {
             no_sharing: false,
         };
         let binding = bind(&dfg, &schedule, &lib, opts);
-        elaborate_datapath(&dfg, &schedule, &binding, self.width)
+        elaborate(&dfg, &schedule, &binding, self.width)
     }
 
     /// Starts a [`DatapathCampaignSpec`] for this scenario.
@@ -286,6 +296,87 @@ impl DatapathScenario {
             .allocation(self.allocation)
     }
 }
+
+/// The builder methods and plumbing both datapath campaign specs
+/// share: they carry the same `scenario`, `space`, `exec`, `shard` and
+/// `events` fields and differ only in the machine they grade
+/// (`$machine`) and how they run it (`run_with`).
+macro_rules! datapath_spec_common {
+    ($machine:ty) => {
+        /// Selects the input space.
+        #[must_use]
+        pub fn input_space(mut self, space: $crate::InputSpace) -> Self {
+            self.space = space;
+            self
+        }
+
+        /// Replaces the execution policy: threads, lanes, drop policy,
+        /// collapsing, pruning and telemetry in one value.
+        #[must_use]
+        pub fn exec(mut self, exec: $crate::ExecPolicy) -> Self {
+            self.exec = exec;
+            self
+        }
+
+        /// Restricts the run to shard `index` of a `count`-way
+        /// [`ShardPlan`](crate::ShardPlan) over the fault universe
+        /// (validated by [`Self::run`]). The report then carries a
+        /// `shard` section (`scdp.campaign.report/v4`); merging all
+        /// `count` shards reproduces the unsharded report — tallies,
+        /// per-fault outcomes and any latency histogram — bit for bit.
+        #[must_use]
+        pub fn shard(mut self, index: u32, count: u32) -> Self {
+            self.shard = Some((index, count));
+            self
+        }
+
+        /// Installs a structured event sink, called on the driver thread
+        /// with every [`scdp_obs::ObsEvent`] of the run.
+        #[must_use]
+        pub fn events(mut self, sink: $crate::EventSink) -> Self {
+            self.events = Some(sink);
+            self
+        }
+
+        /// Runs the campaign on a machine elaborated earlier from this
+        /// spec's scenario, skipping the synthesis front half — for
+        /// sweeps or sharded runs that grade several configurations (or
+        /// shards) of the same machine.
+        ///
+        /// # Errors
+        ///
+        /// As [`Self::run`], minus the width check the elaboration
+        /// already enforced.
+        pub fn run_on(&self, dp: &$machine) -> Result<CampaignReport, CampaignError> {
+            $crate::reduce::validate_exec(&self.exec, self.shard)?;
+            self.run_with(dp, $crate::reduce::start_ctx(&self.events, &self.exec))
+        }
+
+        /// How [`grade`](crate::datapath::grade) runs this spec on
+        /// `dp` over `plan`.
+        fn grading<'a>(
+            &'a self,
+            dp: &'a $machine,
+            plan: $crate::InputPlan,
+        ) -> $crate::datapath::Grading<'a> {
+            $crate::datapath::Grading {
+                scenario: &self.scenario,
+                space: self.space,
+                plan,
+                exec: &self.exec,
+                shard: self.shard,
+                fingerprint: self.config_fingerprint(),
+                netlist: &dp.netlist,
+                fus: &dp.fus,
+                nodes: dp.nodes,
+                schedule_length: dp.schedule_length,
+                registers: dp.registers,
+                mux_legs: dp.mux_legs,
+            }
+        }
+    };
+}
+pub(crate) use datapath_spec_common;
 
 /// Configures *how* a [`DatapathScenario`] is analysed and runs it on
 /// the bit-parallel gate-level engine.
@@ -332,31 +423,7 @@ impl DatapathCampaignSpec {
         }
     }
 
-    /// Selects the input space.
-    #[must_use]
-    pub fn input_space(mut self, space: InputSpace) -> Self {
-        self.space = space;
-        self
-    }
-
-    /// Replaces the execution policy: threads, lanes, drop policy,
-    /// collapsing, pruning and telemetry in one value.
-    #[must_use]
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Restricts the run to shard `index` of a `count`-way
-    /// [`ShardPlan`](crate::ShardPlan) over the fault universe
-    /// (validated by [`DatapathCampaignSpec::run`]). The report then
-    /// carries a `shard` section (`scdp.campaign.report/v4`); merging
-    /// all `count` shards reproduces the unsharded report bit for bit.
-    #[must_use]
-    pub fn shard(mut self, index: u32, count: u32) -> Self {
-        self.shard = Some((index, count));
-        self
-    }
+    datapath_spec_common!(ElaboratedDatapath);
 
     /// Fingerprint of this campaign's configuration — stamped into
     /// [`ShardInfo::plan_hash`] by sharded runs so checkpoints from
@@ -364,13 +431,6 @@ impl DatapathCampaignSpec {
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
         datapath_fingerprint("datapath", &self.scenario, self.space, self.exec.drop, None)
-    }
-
-    /// Installs a structured event sink, called on the driver thread.
-    #[must_use]
-    pub fn events(mut self, sink: EventSink) -> Self {
-        self.events = Some(sink);
-        self
     }
 
     /// Runs the campaign: expand → schedule → bind → elaborate →
@@ -393,92 +453,116 @@ impl DatapathCampaignSpec {
         self.run_with(&dp, ctx)
     }
 
-    /// Runs the campaign on a datapath elaborated earlier with
-    /// [`DatapathScenario::elaborate`], skipping the synthesis front
-    /// half — for sweeps or sharded runs that grade several
-    /// configurations (or shards) of the same machine (the elaboration
-    /// must come from this spec's scenario).
-    ///
-    /// # Errors
-    ///
-    /// As [`DatapathCampaignSpec::run`], minus the width check the
-    /// elaboration already enforced.
-    pub fn run_on(&self, dp: &ElaboratedDatapath) -> Result<CampaignReport, CampaignError> {
-        validate_exec(&self.exec, self.shard)?;
-        self.run_with(dp, start_ctx(&self.events, &self.exec))
-    }
-
-    /// The shared back half of `run`/`run_on`: compile, simulate,
-    /// tally, finish under `ctx`.
+    /// The back half of `run`/`run_on`.
     fn run_with(
         &self,
         dp: &ElaboratedDatapath,
         ctx: RunCtx,
     ) -> Result<CampaignReport, CampaignError> {
-        let s = &self.scenario;
         let plan = datapath_input_plan(self.space, dp.netlist.input_bits())?;
-        let compile = ctx.span("compile");
-        let (groups, ranges) = dp.fault_universe();
-        let engine = Engine::new(&dp.netlist);
-        compile.close();
-        ctx.netlist_compiled(dp.netlist.name(), dp.netlist.gate_count(), groups.len());
-
-        let shard = ShardInfo::resolve(self.shard, groups.len() as u64, || {
-            self.config_fingerprint()
-        })?;
-        let reduced = reduce_in(&ctx, &dp.netlist, groups, shard, plan, &self.exec, |g| {
-            EngineCampaign::over(&engine, g)
-        })?;
-        let per_fu: Vec<FuTally> = ranges
-            .iter()
-            .map(|r| {
-                let span = &dp.fus[r.fu];
-                let unit = FuTally {
-                    name: span.name.clone(),
-                    class: class_label(span.class).to_string(),
-                    role: role_label(span.role).to_string(),
-                    ops: span.ops.len() as u64,
-                    instances: span.instances.len() as u64,
-                    instance_gates: span.instance_gates() as u64,
-                    ..FuTally::default()
-                };
-                reduced.fu_tally(unit, r)
-            })
-            .collect();
-
-        let selected = s.tech_index();
-        let mut tally = Tally::default();
-        tally.tech[selected as usize] = reduced.tally;
-        let details = DatapathDetails {
-            source: s.source.label(),
-            style: style_label(s.style).to_string(),
-            nodes: dp.nodes as u64,
-            schedule_length: u64::from(dp.schedule_length),
-            registers: dp.registers as u64,
-            mux_legs: dp.mux_legs as u64,
-            gates: dp.netlist.gate_count() as u64,
-            per_fu,
-        };
-        let mut report = CampaignReport {
-            scenario: s.placeholder_scenario(),
-            backend: Backend::GateLevel,
-            fault_model: FaultModel::Structural,
-            space: self.space,
-            drop: self.exec.drop,
-            tally,
-            filled: vec![selected],
-            per_fault: reduced.per_fault,
-            simulated: reduced.simulated,
-            elapsed_ms: 0,
-            datapath: Some(details),
-            sequential: None,
-            shard,
-            deduce: reduced.deduce,
-            telemetry: None,
-        };
-        ctx.finish(&mut report);
-        Ok(report)
+        grade(
+            ctx,
+            self.grading(dp, plan),
+            || (dp.fault_universe(), Engine::new(&dp.netlist)),
+            |engine, groups| EngineCampaign::over(engine, groups),
+            None,
+        )
     }
+}
+
+/// What the shared back half [`grade`] reads of either spec and of the
+/// machine, unrolled or sequential, it grades.
+pub(crate) struct Grading<'a> {
+    pub(crate) scenario: &'a DatapathScenario,
+    pub(crate) space: InputSpace,
+    pub(crate) plan: InputPlan,
+    pub(crate) exec: &'a ExecPolicy,
+    pub(crate) shard: Option<(u32, u32)>,
+    pub(crate) fingerprint: u64,
+    pub(crate) netlist: &'a Netlist,
+    pub(crate) fus: &'a [FuSpan],
+    pub(crate) nodes: usize,
+    pub(crate) schedule_length: u32,
+    pub(crate) registers: usize,
+    pub(crate) mux_legs: usize,
+}
+
+/// The back half both datapath campaign specs share: compile the
+/// machine (`compile` yields its fault universe and engine), reduce the
+/// universe through the campaign `campaign` builds, fold the per-FU
+/// tallies and assemble the report under `ctx`. The sequential spec
+/// passes its `sequential` section; the run fills its histogram.
+pub(crate) fn grade<E: FaultEngine>(
+    ctx: RunCtx,
+    run: Grading<'_>,
+    compile: impl FnOnce() -> ((Vec<Vec<StuckAtLine>>, Vec<FuFaultRange>), E),
+    campaign: impl for<'e> FnOnce(&'e E, Vec<Vec<StuckAtLine>>) -> Campaign<'e, E>,
+    sequential: Option<SequentialDetails>,
+) -> Result<CampaignReport, CampaignError> {
+    let s = run.scenario;
+    let span = ctx.span("compile");
+    let ((groups, ranges), engine) = compile();
+    span.close();
+    let netlist = run.netlist;
+    ctx.netlist_compiled(netlist.name(), netlist.gate_count(), groups.len());
+
+    let shard = ShardInfo::resolve(run.shard, groups.len() as u64, || run.fingerprint)?;
+    let reduced = reduce_in(&ctx, netlist, groups, shard, run.plan, run.exec, |g| {
+        campaign(&engine, g)
+    })?;
+    let per_fu: Vec<FuTally> = ranges
+        .iter()
+        .map(|r| {
+            let span = &run.fus[r.fu];
+            let unit = FuTally {
+                name: span.name.clone(),
+                class: class_label(span.class).to_string(),
+                role: role_label(span.role).to_string(),
+                ops: span.ops.len() as u64,
+                instances: span.instances.len() as u64,
+                instance_gates: span.instance_gates() as u64,
+                ..FuTally::default()
+            };
+            reduced.fu_tally(unit, r)
+        })
+        .collect();
+
+    let selected = s.tech_index();
+    let mut tally = Tally::default();
+    tally.tech[selected as usize] = reduced.tally;
+    let details = DatapathDetails {
+        source: s.source.label(),
+        style: style_label(s.style).to_string(),
+        nodes: run.nodes as u64,
+        schedule_length: u64::from(run.schedule_length),
+        registers: run.registers as u64,
+        mux_legs: run.mux_legs as u64,
+        gates: netlist.gate_count() as u64,
+        per_fu,
+    };
+    let sequential = sequential.map(|seq| SequentialDetails {
+        first_detect_hist: reduced.first_detect,
+        ..seq
+    });
+    let mut report = CampaignReport {
+        scenario: s.placeholder_scenario(),
+        backend: Backend::GateLevel,
+        fault_model: FaultModel::Structural,
+        space: run.space,
+        drop: run.exec.drop,
+        tally,
+        filled: vec![selected],
+        per_fault: reduced.per_fault,
+        simulated: reduced.simulated,
+        elapsed_ms: 0,
+        datapath: Some(details),
+        sequential,
+        shard,
+        deduce: reduced.deduce,
+        telemetry: None,
+    };
+    ctx.finish(&mut report);
+    Ok(report)
 }
 
 /// The shared configuration-fingerprint construction of the unrolled

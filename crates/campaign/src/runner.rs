@@ -89,19 +89,6 @@ impl CampaignJob {
         }
     }
 
-    /// Asks every run of this job to collapse the fault universe into
-    /// equivalence classes before simulation (results stay
-    /// bit-identical; see [`ExecPolicy::collapse`]). Collapsing is
-    /// excluded from the configuration fingerprint, so collapsed and
-    /// uncollapsed invocations share checkpoints.
-    ///
-    /// Note the operator shape rejects this on the functional backend
-    /// at run time ([`CampaignError::UnsupportedCollapse`]).
-    #[must_use]
-    pub fn collapse(self, enabled: bool) -> Self {
-        self.update_exec(|exec| exec.collapse = enabled)
-    }
-
     /// Asks every run of this job to embed a
     /// [`scdp_obs::TelemetrySnapshot`] in its report.
     #[must_use]

@@ -31,17 +31,15 @@
 //! assert_eq!(seq.first_detect_hist.len() as u64, seq.total_cycles);
 //! ```
 
-use crate::datapath::{datapath_fingerprint, datapath_input_plan, style_label, DatapathScenario};
+use crate::datapath::{
+    datapath_fingerprint, datapath_input_plan, datapath_spec_common, grade, DatapathScenario,
+};
 use crate::error::CampaignError;
 use crate::obs::RunCtx;
-use crate::reduce::{reduce_in, start_ctx, validate_exec};
-use crate::report::{duration_label, CampaignReport, DatapathDetails, FuTally, SequentialDetails};
-use crate::scenario::{Backend, FaultModel};
-use crate::shard::ShardInfo;
+use crate::reduce::{start_ctx, validate_exec};
+use crate::report::{duration_label, CampaignReport, SequentialDetails};
 use crate::spec::{check_width, ExecPolicy};
-use scdp_coverage::Tally;
-use scdp_hls::{bind, sched, BindOptions, ComponentLibrary};
-use scdp_netlist::gen::{class_label, elaborate_seq_datapath, SeqDatapath};
+use scdp_netlist::gen::{elaborate_seq_datapath, SeqDatapath};
 use scdp_netlist::FaultDuration;
 use scdp_obs::EventSink;
 use scdp_sim::{SeqCampaign, SeqEngine, SeqFaultGroup};
@@ -59,15 +57,7 @@ impl DatapathScenario {
     /// entry.
     #[must_use]
     pub fn elaborate_seq(&self) -> SeqDatapath {
-        let dfg = self.expanded();
-        let lib = ComponentLibrary::virtex16();
-        let schedule = sched::list_schedule(&dfg, &lib, &self.resources);
-        let opts = BindOptions {
-            separate_checkers: self.allocation == scdp_core::Allocation::Dedicated,
-            no_sharing: false,
-        };
-        let binding = bind(&dfg, &schedule, &lib, opts);
-        elaborate_seq_datapath(&dfg, &schedule, &binding, self.width)
+        self.synthesize(elaborate_seq_datapath)
     }
 
     /// Starts a cycle-accurate [`SeqDatapathCampaignSpec`] for this
@@ -135,36 +125,12 @@ impl SeqDatapathCampaignSpec {
         self
     }
 
-    /// Selects the input space.
-    #[must_use]
-    pub fn input_space(mut self, space: scdp_coverage::InputSpace) -> Self {
-        self.space = space;
-        self
-    }
-
-    /// Replaces the execution policy: threads, lanes, drop policy,
-    /// collapsing, pruning and telemetry in one value.
-    #[must_use]
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Restricts the run to shard `index` of a `count`-way
-    /// [`ShardPlan`](crate::ShardPlan) over the fault universe
-    /// (validated by [`SeqDatapathCampaignSpec::run`]). The report then
-    /// carries a `shard` section (`scdp.campaign.report/v4`); merging
-    /// all `count` shards reproduces the unsharded report — tallies,
-    /// per-fault outcomes *and* the latency histogram — bit for bit.
-    #[must_use]
-    pub fn shard(mut self, index: u32, count: u32) -> Self {
-        self.shard = Some((index, count));
-        self
-    }
+    datapath_spec_common!(SeqDatapath);
 
     /// Fingerprint of this campaign's configuration — stamped into
-    /// [`ShardInfo::plan_hash`] by sharded runs so checkpoints from
-    /// different campaigns can never be resumed or merged together.
+    /// [`ShardInfo::plan_hash`](crate::ShardInfo::plan_hash) by sharded
+    /// runs so checkpoints from different campaigns can never be resumed
+    /// or merged together.
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
         datapath_fingerprint(
@@ -174,14 +140,6 @@ impl SeqDatapathCampaignSpec {
             self.exec.drop,
             Some(duration_label(self.duration)),
         )
-    }
-
-    /// Installs a structured event sink, called on the driver thread
-    /// with every [`scdp_obs::ObsEvent`] of the run.
-    #[must_use]
-    pub fn events(mut self, sink: EventSink) -> Self {
-        self.events = Some(sink);
-        self
     }
 
     /// Runs the campaign: expand → schedule → bind → sequential
@@ -207,23 +165,7 @@ impl SeqDatapathCampaignSpec {
         self.run_with(&dp, ctx)
     }
 
-    /// Runs the campaign on a machine elaborated earlier with
-    /// [`DatapathScenario::elaborate_seq`], skipping the synthesis
-    /// front half — for sweeps that run several durations or input
-    /// spaces over the same scenario (the elaboration must come from
-    /// this spec's scenario).
-    ///
-    /// # Errors
-    ///
-    /// As [`SeqDatapathCampaignSpec::run`], minus the width check the
-    /// elaboration already enforced.
-    pub fn run_on(&self, dp: &SeqDatapath) -> Result<CampaignReport, CampaignError> {
-        validate_exec(&self.exec, self.shard)?;
-        self.run_with(dp, start_ctx(&self.events, &self.exec))
-    }
-
     fn run_with(&self, dp: &SeqDatapath, ctx: RunCtx) -> Result<CampaignReport, CampaignError> {
-        let s = &self.scenario;
         let plan = datapath_input_plan(self.space, dp.netlist.input_bits())?;
         if let FaultDuration::Transient { cycle } = self.duration {
             if cycle >= dp.total_cycles {
@@ -233,78 +175,24 @@ impl SeqDatapathCampaignSpec {
                 });
             }
         }
-        let compile = ctx.span("compile");
-        let (groups, ranges) = dp.fault_universe();
-        let engine = SeqEngine::try_new(&dp.netlist).map_err(|e| CampaignError::FaultSpec {
-            message: e.to_string(),
-        })?;
-        compile.close();
-        ctx.netlist_compiled(dp.netlist.name(), dp.netlist.gate_count(), groups.len());
-
-        let shard = ShardInfo::resolve(self.shard, groups.len() as u64, || {
-            self.config_fingerprint()
-        })?;
-        let reduced = reduce_in(&ctx, &dp.netlist, groups, shard, plan, &self.exec, |g| {
-            let groups = g
-                .into_iter()
-                .map(|lines| SeqFaultGroup::new(lines, self.duration))
-                .collect();
-            SeqCampaign::new(&engine, groups, dp.total_cycles)
-        })?;
-        let per_fu: Vec<FuTally> = ranges
-            .iter()
-            .map(|r| {
-                let span = &dp.fus[r.fu];
-                let unit = FuTally {
-                    name: span.name.clone(),
-                    class: class_label(span.class).to_string(),
-                    role: crate::datapath::role_label(span.role).to_string(),
-                    ops: span.ops.len() as u64,
-                    instances: u64::from(span.instance.is_some()),
-                    instance_gates: span.instance_gates() as u64,
-                    ..FuTally::default()
-                };
-                reduced.fu_tally(unit, r)
-            })
-            .collect();
-
-        let selected = s.tech_index();
-        let mut tally = Tally::default();
-        tally.tech[selected as usize] = reduced.tally;
-        let details = DatapathDetails {
-            source: s.source.label(),
-            style: style_label(s.style).to_string(),
-            nodes: dp.nodes as u64,
-            schedule_length: u64::from(dp.schedule_length),
-            registers: dp.registers as u64,
-            mux_legs: dp.mux_legs as u64,
-            gates: dp.netlist.gate_count() as u64,
-            per_fu,
-        };
         let sequential = SequentialDetails {
             duration: self.duration,
             total_cycles: u64::from(dp.total_cycles),
-            first_detect_hist: reduced.first_detect,
+            first_detect_hist: Vec::new(),
         };
-        let mut report = CampaignReport {
-            scenario: s.placeholder_scenario(),
-            backend: Backend::GateLevel,
-            fault_model: FaultModel::Structural,
-            space: self.space,
-            drop: self.exec.drop,
-            tally,
-            filled: vec![selected],
-            per_fault: reduced.per_fault,
-            simulated: reduced.simulated,
-            elapsed_ms: 0,
-            datapath: Some(details),
-            sequential: Some(sequential),
-            shard,
-            deduce: reduced.deduce,
-            telemetry: None,
-        };
-        ctx.finish(&mut report);
-        Ok(report)
+        grade(
+            ctx,
+            self.grading(dp, plan),
+            || (dp.fault_universe(), SeqEngine::new(&dp.netlist)),
+            |engine, groups| {
+                let groups = groups
+                    .into_iter()
+                    .map(|lines| SeqFaultGroup::new(lines, self.duration))
+                    .collect();
+                SeqCampaign::new(engine, groups, dp.total_cycles)
+            },
+            Some(sequential),
+        )
     }
 }
 

@@ -220,35 +220,40 @@ fn collapse_composes_with_sharding() {
 /// shard fan-out.
 #[test]
 fn runner_collapse_passthrough_reaches_every_shape() {
-    let job = CampaignJob::Operator(
-        Scenario::new(Operator::Add, 2)
-            .campaign()
-            .backend(Backend::GateLevel)
-            .exec(ExecPolicy::new().threads(2)),
-    );
-    let merged = CampaignRunner::new(job.clone().collapse(true), 3)
+    let exec = ExecPolicy::new().threads(2);
+    let op = |exec: ExecPolicy| {
+        CampaignJob::Operator(
+            Scenario::new(Operator::Add, 2)
+                .campaign()
+                .backend(Backend::GateLevel)
+                .exec(exec),
+        )
+    };
+    let merged = CampaignRunner::new(op(exec.collapse(true)), 3)
         .run()
         .expect("runs")
         .report
         .expect("complete");
-    assert_eq!(canonical(job.run().expect("full")), canonical(merged));
+    assert_eq!(canonical(op(exec).run().expect("full")), canonical(merged));
 
-    let seq = CampaignJob::Sequential(
-        DatapathScenario::new(DfgSource::Dot, 2)
-            .technique(Technique::Tech1)
-            .seq_campaign()
-            .input_space(InputSpace::Sampled {
-                per_fault: 64,
-                seed: 0x5E9,
-            })
-            .exec(ExecPolicy::new().threads(2)),
-    );
-    let merged = CampaignRunner::new(seq.clone().collapse(true), 2)
+    let seq = |exec: ExecPolicy| {
+        CampaignJob::Sequential(
+            DatapathScenario::new(DfgSource::Dot, 2)
+                .technique(Technique::Tech1)
+                .seq_campaign()
+                .input_space(InputSpace::Sampled {
+                    per_fault: 64,
+                    seed: 0x5E9,
+                })
+                .exec(exec),
+        )
+    };
+    let merged = CampaignRunner::new(seq(exec.collapse(true)), 2)
         .run()
         .expect("runs")
         .report
         .expect("complete");
-    assert_eq!(canonical(seq.run().expect("full")), canonical(merged));
+    assert_eq!(canonical(seq(exec).run().expect("full")), canonical(merged));
 }
 
 /// Acceptance floor: the golden width-4 ripple-carry adder universe

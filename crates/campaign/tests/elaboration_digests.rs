@@ -83,10 +83,7 @@ fn both_elaborations_are_pinned_gate_for_gate() {
         let sequential: Vec<String> = seq
             .fus
             .iter()
-            .map(|fu| {
-                let instances: Vec<UnitInstance> = fu.instance.iter().cloned().collect();
-                fu_part(&fu.name, &instances, Some(fu.mux_gates))
-            })
+            .map(|fu| fu_part(&fu.name, &fu.instances, Some(fu.mux_gates)))
             .collect();
         actual.push((
             label,

@@ -9,7 +9,7 @@
 //!   permanent-fault per-fault tallies must match the unrolled
 //!   correlated-injection tallies *exactly* for every fault site in a
 //!   functional-unit **core**. Sites in the operand **mux-chain
-//!   region** (`SeqFuSpan::mux_gates`) legitimately diverge — the two
+//!   region** (`FuSpan::mux_gates`) legitimately diverge — the two
 //!   machines are *semantically different* there (see
 //!   `mux_divergence_is_semantically_required` for the root cause) —
 //!   but the divergence is no longer a blanket allowlist: every

@@ -46,9 +46,10 @@ use crate::{NetId, Netlist, NetlistBuilder, StuckAtLine, StuckSite};
 use scdp_hls::{Binding, Dfg, FuClass, NodeId, OpKind, Role, Schedule};
 
 /// One elaborated physical functional unit: its binding metadata plus
-/// the structurally identical netlist instances created for each
-/// operation it executes (empty for memory ports, which elaborate to
-/// primary inputs/outputs rather than gates).
+/// its structurally identical gate instances. The unrolled elaboration
+/// creates one instance per operation the unit executes; the sequential
+/// one creates the unit's single physical instance. Memory ports
+/// elaborate to primary inputs/outputs and have none.
 #[derive(Clone, Debug)]
 pub struct FuSpan {
     /// Instance name, `<class><index>` (e.g. `alu0`, `mult1`).
@@ -61,8 +62,14 @@ pub struct FuSpan {
     /// The operations executed on this unit with their start cycles,
     /// in schedule order — the mux-leg order of the operand chains.
     pub ops: Vec<(NodeId, u32)>,
-    /// One gate span per operation, in the same order as `ops`.
+    /// The unit's gate spans: one per operation in the same order as
+    /// `ops` (unrolled), or the single physical one (sequential).
     pub instances: Vec<UnitInstance>,
+    /// Gates of the operand mux chains at the start of every instance;
+    /// local sites below this offset sit in the steering logic, whose
+    /// fault behaviour legitimately differs between the elaborations
+    /// (per-instance constant selects vs dynamic select lines).
+    pub mux_gates: usize,
 }
 
 impl FuSpan {
@@ -71,6 +78,63 @@ impl FuSpan {
     pub fn instance_gates(&self) -> usize {
         self.instances.first().map_or(0, UnitInstance::len)
     }
+
+    /// Every stuck-at site local to one instance (empty for memory
+    /// ports): each gate's stem, then its input pins.
+    pub(super) fn local_sites(&self, netlist: &Netlist) -> Vec<StuckSite> {
+        let Some(first) = self.instances.first() else {
+            return Vec::new();
+        };
+        let mut sites = Vec::new();
+        for (offset, g) in netlist.gates()[first.start..first.end].iter().enumerate() {
+            sites.push(StuckSite {
+                gate: offset,
+                pin: None,
+            });
+            sites.extend((0..g.kind.pins()).map(|pin| StuckSite {
+                gate: offset,
+                pin: Some(pin),
+            }));
+        }
+        sites
+    }
+
+    /// Every local site, both polarities, each group holding the site
+    /// in every instance of the unit.
+    pub(super) fn fault_groups(&self, netlist: &Netlist) -> Vec<Vec<StuckAtLine>> {
+        let mut groups = Vec::new();
+        for site in self.local_sites(netlist) {
+            for value in [false, true] {
+                groups.push(
+                    self.instances
+                        .iter()
+                        .map(|inst| StuckAtLine::new(inst.globalize(site), value))
+                        .collect(),
+                );
+            }
+        }
+        groups
+    }
+}
+
+/// The fault universe of a machine with units `fus`: every FU's groups
+/// in binding order, plus the group-index range of each FU.
+pub(super) fn fault_universe(
+    netlist: &Netlist,
+    fus: &[FuSpan],
+) -> (Vec<Vec<StuckAtLine>>, Vec<FuFaultRange>) {
+    let mut groups = Vec::new();
+    let mut ranges = Vec::with_capacity(fus.len());
+    for (fu, span) in fus.iter().enumerate() {
+        let start = groups.len();
+        groups.extend(span.fault_groups(netlist));
+        ranges.push(FuFaultRange {
+            fu,
+            start,
+            end: groups.len(),
+        });
+    }
+    (groups, ranges)
 }
 
 /// Group-index range of one FU inside the universe returned by
@@ -116,26 +180,7 @@ impl ElaboratedDatapath {
     /// Panics if `fu` is out of range.
     #[must_use]
     pub fn fu_local_sites(&self, fu: usize) -> Vec<StuckSite> {
-        let span = &self.fus[fu];
-        let Some(first) = span.instances.first() else {
-            return Vec::new();
-        };
-        let gates = self.netlist.gates();
-        let mut sites = Vec::new();
-        for offset in 0..first.len() {
-            let g = gates[first.start + offset];
-            sites.push(StuckSite {
-                gate: offset,
-                pin: None,
-            });
-            for pin in 0..g.kind.pins() {
-                sites.push(StuckSite {
-                    gate: offset,
-                    pin: Some(pin),
-                });
-            }
-        }
-        sites
+        self.fus[fu].local_sites(&self.netlist)
     }
 
     /// The fault groups of one FU: every instance-local site, both
@@ -148,19 +193,7 @@ impl ElaboratedDatapath {
     /// Panics if `fu` is out of range.
     #[must_use]
     pub fn fu_fault_groups(&self, fu: usize) -> Vec<Vec<StuckAtLine>> {
-        let span = &self.fus[fu];
-        let mut groups = Vec::new();
-        for site in self.fu_local_sites(fu) {
-            for value in [false, true] {
-                groups.push(
-                    span.instances
-                        .iter()
-                        .map(|inst| StuckAtLine::new(inst.globalize(site), value))
-                        .collect(),
-                );
-            }
-        }
-        groups
+        self.fus[fu].fault_groups(&self.netlist)
     }
 
     /// The whole datapath's fault universe: the concatenation of every
@@ -168,25 +201,14 @@ impl ElaboratedDatapath {
     /// FU (the basis of per-FU campaign tallies).
     #[must_use]
     pub fn fault_universe(&self) -> (Vec<Vec<StuckAtLine>>, Vec<FuFaultRange>) {
-        let mut groups = Vec::new();
-        let mut ranges = Vec::with_capacity(self.fus.len());
-        for fu in 0..self.fus.len() {
-            let start = groups.len();
-            groups.extend(self.fu_fault_groups(fu));
-            ranges.push(FuFaultRange {
-                fu,
-                start,
-                end: groups.len(),
-            });
-        }
-        (groups, ranges)
+        fault_universe(&self.netlist, &self.fus)
     }
 }
 
 /// The netlist value of one DFG node during elaboration.
 #[derive(Clone, Debug, Default)]
-enum Value {
-    /// Virtual nodes with no bus (outputs, stores).
+pub(super) enum Value {
+    /// Virtual nodes with no bus (outputs, stores) or not yet lowered.
     #[default]
     None,
     /// A bus of nets (operation results, inputs, constants: `width`
@@ -195,11 +217,187 @@ enum Value {
 }
 
 impl Value {
-    fn bus(&self) -> &[NetId] {
+    pub(super) fn bus(&self) -> &[NetId] {
         match self {
             Value::Bus(b) => b,
             Value::None => panic!("node has no bus value"),
         }
+    }
+}
+
+/// Names every bound unit `<class><index>` and orders its operations
+/// by start cycle (the mux-leg order). Returns the spans, still without
+/// instances, and each node's `(fu index, leg position)`.
+pub(super) fn bind_fus(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    binding: &Binding,
+) -> (Vec<FuSpan>, Vec<Option<(usize, usize)>>) {
+    let mut assignment = vec![None; dfg.len()];
+    let mut fus: Vec<FuSpan> = Vec::new();
+    let mut class_counts: std::collections::HashMap<&'static str, usize> =
+        std::collections::HashMap::new();
+    for fu in &binding.fus {
+        let label = class_label(fu.class);
+        let index = class_counts.entry(label).or_insert(0);
+        let name = format!("{label}{index}");
+        *index += 1;
+        let mut ops: Vec<(NodeId, u32)> =
+            fu.ops.iter().map(|&id| (id, schedule.start(id))).collect();
+        ops.sort_by_key(|&(id, start)| (start, id.index()));
+        for (leg, &(id, _)) in ops.iter().enumerate() {
+            assignment[id.index()] = Some((fus.len(), leg));
+        }
+        fus.push(FuSpan {
+            name,
+            class: fu.class,
+            role: fu.role,
+            ops,
+            instances: Vec::new(),
+            mux_gates: 0,
+        });
+    }
+    (fus, assignment)
+}
+
+/// Operand conditioning of one arithmetic operation, outside every
+/// instance (the paper's fault-free *g*/*f* functions): `Sub` inverts
+/// its second operand and `Neg` its only one, both with carry-in 1.
+/// Returns the two port buses and the carry-in.
+pub(super) fn condition(
+    b: &mut NetlistBuilder,
+    kind: &OpKind,
+    args: &[NodeId],
+    values: &[Value],
+    zeros: &[NetId],
+) -> (Vec<NetId>, Vec<NetId>, bool) {
+    let arg = |i: usize| values[args[i].index()].bus();
+    match kind {
+        OpKind::Sub => {
+            let ny = arg(1).iter().map(|&n| b.not(n)).collect();
+            (arg(0).to_vec(), ny, true)
+        }
+        OpKind::Neg => {
+            let nx = arg(0).iter().map(|&n| b.not(n)).collect();
+            (nx, zeros.to_vec(), true)
+        }
+        _ => (arg(0).to_vec(), arg(1).to_vec(), false),
+    }
+}
+
+/// The result buses of one FU core.
+pub(super) struct FuOut {
+    /// Sum / product / quotient bus.
+    main: Vec<NetId>,
+    /// Remainder bus (divider units only).
+    rem: Option<Vec<NetId>>,
+}
+
+impl FuOut {
+    /// The bus an operation of `kind` reads: the remainder tap for
+    /// `Rem`, the main bus otherwise.
+    pub(super) fn result(&self, kind: &OpKind) -> &[NetId] {
+        match kind {
+            OpKind::Rem => self.rem.as_ref().expect("divider remainder tap"),
+            _ => &self.main,
+        }
+    }
+}
+
+/// Appends one instance of `span`'s unit named `name`: the operand mux
+/// chains of both ports over `legs`, steered by `selects`, then the
+/// arithmetic core (carry-in `cin` feeds ALUs). Records the instance in
+/// `span.instances` and the chains' size in `span.mux_gates`.
+pub(super) fn push_instance(
+    b: &mut NetlistBuilder,
+    span: &mut FuSpan,
+    name: String,
+    legs: [&[Vec<NetId>]; 2],
+    selects: &[NetId],
+    cin: NetId,
+) -> FuOut {
+    let start = b.mark();
+    let a_port = mux_chain(b, legs[0], selects);
+    let b_port = mux_chain(b, legs[1], selects);
+    span.mux_gates = b.mark() - start;
+    let (main, rem) = match span.class {
+        FuClass::Alu => (rca_into(b, &a_port, &b_port, cin).sum, None),
+        FuClass::Mult => (array_mult_into(b, &a_port, &b_port).0, None),
+        FuClass::Div => {
+            let (q, r) = restoring_divider_into(b, &a_port, &b_port);
+            (q, Some(r))
+        }
+        FuClass::Mem => unreachable!("memory ports carry no gates"),
+    };
+    span.instances.push(UnitInstance {
+        name,
+        start,
+        end: b.mark(),
+    });
+    FuOut { main, rem }
+}
+
+/// The operand mux chain of one FU port: leg 0 is the chain default;
+/// `selects[m - 1]` steers leg `m` in. Creates `4 × selects.len()`
+/// gates per bit whatever the legs carry, so every instance of a unit,
+/// in either elaboration, has the same gate kinds at the same offsets.
+fn mux_chain(b: &mut NetlistBuilder, legs: &[Vec<NetId>], selects: &[NetId]) -> Vec<NetId> {
+    let mut acc = legs[0].clone();
+    for (&sel, leg) in selects.iter().zip(&legs[1..]) {
+        acc = acc
+            .iter()
+            .zip(leg)
+            .map(|(&a, &l)| b.mux(a, l, sel))
+            .collect();
+    }
+    acc
+}
+
+/// The result and alarm buses of a machine, collected in DFG order.
+#[derive(Default)]
+pub(super) struct Ports {
+    results: Vec<(String, Vec<NetId>)>,
+    alarms: Vec<NetId>,
+    /// `Load` nodes recorded so far (the index of the next load bus).
+    pub(super) loads: usize,
+    stores: usize,
+}
+
+impl Ports {
+    /// Records what an `Output`, `Load` or `Store` node exports: a
+    /// result bus or, for `error`/`_err*` outputs, an alarm bit; a load
+    /// address; a store address and value.
+    pub(super) fn record(&mut self, kind: &OpKind, args: &[NodeId], values: &[Value]) {
+        let arg = |i: usize| values[args[i].index()].bus().to_vec();
+        match kind {
+            OpKind::Output(name) if name == "error" || name.starts_with("_err") => {
+                self.alarms.push(arg(0)[0]);
+            }
+            OpKind::Output(name) => self.results.push((name.clone(), arg(0))),
+            OpKind::Load { .. } => {
+                self.results
+                    .push((format!("load{}_addr", self.loads), arg(0)));
+                self.loads += 1;
+            }
+            OpKind::Store { .. } => {
+                for (i, part) in ["addr", "val"].into_iter().enumerate().take(args.len()) {
+                    let name = format!("store{}_{part}", self.stores);
+                    self.results.push((name, arg(i)));
+                }
+                self.stores += 1;
+            }
+            _ => unreachable!("only outputs, loads and stores export buses"),
+        }
+    }
+
+    /// Emits the result buses in recorded order, then the single 1-bit
+    /// `error` bus ORing every alarm.
+    pub(super) fn emit(self, b: &mut NetlistBuilder) {
+        for (name, bus) in self.results {
+            b.output(name, &bus);
+        }
+        let error = b.or_tree(&self.alarms);
+        b.output("error", &[error]);
     }
 }
 
@@ -222,69 +420,25 @@ pub fn elaborate_datapath(
 ) -> ElaboratedDatapath {
     assert!((1..=32).contains(&width), "width {width} out of range");
     let mut b = NetlistBuilder::new(format!("dp_{}_{width}", dfg.name()));
-
-    // Per-node FU assignment: node index -> (fu index, leg position).
-    let mut assignment: Vec<Option<(usize, usize)>> = vec![None; dfg.len()];
-    let mut fus: Vec<FuSpan> = Vec::new();
-    let mut class_counts: std::collections::HashMap<&'static str, usize> =
-        std::collections::HashMap::new();
-    for fu in &binding.fus {
-        let label = class_label(fu.class);
-        let index = class_counts.entry(label).or_insert(0);
-        let name = format!("{label}{index}");
-        *index += 1;
-        let mut ops: Vec<(NodeId, u32)> =
-            fu.ops.iter().map(|&id| (id, schedule.start(id))).collect();
-        ops.sort_by_key(|&(id, start)| (start, id.index()));
-        for (leg, &(id, _)) in ops.iter().enumerate() {
-            assignment[id.index()] = Some((fus.len(), leg));
-        }
-        fus.push(FuSpan {
-            name,
-            class: fu.class,
-            role: fu.role,
-            ops,
-            instances: Vec::new(),
-        });
-    }
+    let (mut fus, assignment) = bind_fus(dfg, schedule, binding);
 
     let zero = b.constant(false);
     let zeros: Vec<NetId> = vec![zero; width as usize];
     let mut values: Vec<Value> = Vec::with_capacity(dfg.len());
-    let mut results: Vec<(String, Vec<NetId>)> = Vec::new();
-    let mut alarms: Vec<NetId> = Vec::new();
-    let mut load_count = 0usize;
-    let mut store_count = 0usize;
+    let mut ports = Ports::default();
 
     for (id, node) in dfg.iter() {
         let value = match &node.kind {
             OpKind::Input(name) => Value::Bus(b.input_bus(name.clone(), width)),
             OpKind::Const(v) => Value::Bus(const_bus(&mut b, *v, width)),
-            OpKind::Output(name) => {
-                let bus = values[node.args[0].index()].bus().to_vec();
-                if name == "error" || name.starts_with("_err") {
-                    alarms.push(bus[0]);
-                } else {
-                    results.push((name.clone(), bus));
-                }
+            OpKind::Output(_) | OpKind::Store { .. } => {
+                ports.record(&node.kind, &node.args, &values);
                 Value::None
             }
             OpKind::Load { bank } => {
-                let addr = values[node.args[0].index()].bus().to_vec();
-                results.push((format!("load{load_count}_addr"), addr));
-                let data = b.input_bus(format!("load{load_count}_b{bank}"), width);
-                load_count += 1;
+                let data = b.input_bus(format!("load{}_b{bank}", ports.loads), width);
+                ports.record(&node.kind, &node.args, &values);
                 Value::Bus(data)
-            }
-            OpKind::Store { .. } => {
-                let addr = values[node.args[0].index()].bus().to_vec();
-                results.push((format!("store{store_count}_addr"), addr));
-                if let Some(value) = node.args.get(1) {
-                    let val = values[value.index()].bus().to_vec();
-                    results.push((format!("store{store_count}_val"), val));
-                }
-                store_count += 1;
-                Value::None
             }
             OpKind::CmpNe => {
                 let x = values[node.args[0].index()].bus().to_vec();
@@ -303,69 +457,36 @@ pub fn elaborate_datapath(
             | OpKind::Div
             | OpKind::Rem) => {
                 let (fu, leg) = assignment[id.index()].expect("sequential node is bound");
-                // Operand conditioning outside the instance (the
-                // paper's fault-free g/f functions).
-                let (port0, port1, cin) = match kind {
-                    OpKind::Add => (
-                        values[node.args[0].index()].bus().to_vec(),
-                        values[node.args[1].index()].bus().to_vec(),
-                        false,
-                    ),
-                    OpKind::Sub => {
-                        let y = values[node.args[1].index()].bus().to_vec();
-                        let ny: Vec<NetId> = y.iter().map(|&n| b.not(n)).collect();
-                        (values[node.args[0].index()].bus().to_vec(), ny, true)
-                    }
-                    OpKind::Neg => {
-                        let x = values[node.args[0].index()].bus().to_vec();
-                        let nx: Vec<NetId> = x.iter().map(|&n| b.not(n)).collect();
-                        (nx, zeros.clone(), true)
-                    }
-                    _ => (
-                        values[node.args[0].index()].bus().to_vec(),
-                        values[node.args[1].index()].bus().to_vec(),
-                        false,
-                    ),
-                };
+                let (port0, port1, cin) = condition(&mut b, kind, &node.args, &values, &zeros);
                 let legs = fus[fu].ops.len();
                 // Per-instance constant selects and carry-in, created
                 // outside the span so every instance keeps identical
                 // gate kinds at identical offsets.
                 let selects: Vec<NetId> = (1..legs).map(|m| b.constant(m == leg)).collect();
                 let cin_net = b.constant(cin);
-                let start = b.mark();
-                let a_port = mux_chain(&mut b, &port0, &zeros, leg, &selects);
-                let b_port = mux_chain(&mut b, &port1, &zeros, leg, &selects);
-                let out = match fus[fu].class {
-                    FuClass::Alu => rca_into(&mut b, &a_port, &b_port, cin_net).sum,
-                    FuClass::Mult => array_mult_into(&mut b, &a_port, &b_port).0,
-                    FuClass::Div => {
-                        let (q, r) = restoring_divider_into(&mut b, &a_port, &b_port);
-                        if matches!(kind, OpKind::Rem) {
-                            r
-                        } else {
-                            q
-                        }
-                    }
-                    FuClass::Mem => unreachable!("memory ops elaborate to IO"),
+                // Only this operation's leg is live; the others are
+                // tied to zero, the unrolled model's don't-care.
+                let chain = |port: Vec<NetId>| {
+                    let mut buses = vec![zeros.clone(); legs];
+                    buses[leg] = port;
+                    buses
                 };
-                let inst_name = format!("{}@{}", fus[fu].name, fus[fu].ops[leg].1);
-                fus[fu].instances.push(UnitInstance {
-                    name: inst_name,
-                    start,
-                    end: b.mark(),
-                });
-                Value::Bus(out)
+                let (legs0, legs1) = (chain(port0), chain(port1));
+                let name = format!("{}@{}", fus[fu].name, fus[fu].ops[leg].1);
+                let out = push_instance(
+                    &mut b,
+                    &mut fus[fu],
+                    name,
+                    [&legs0, &legs1],
+                    &selects,
+                    cin_net,
+                );
+                Value::Bus(out.result(kind).to_vec())
             }
         };
         values.push(value);
     }
-
-    for (name, bus) in results {
-        b.output(name, &bus);
-    }
-    let error = b.or_tree(&alarms);
-    b.output("error", &[error]);
+    ports.emit(&mut b);
 
     ElaboratedDatapath {
         netlist: b.finish(),
@@ -391,39 +512,8 @@ pub fn class_label(class: FuClass) -> &'static str {
 
 /// A constant bus holding the low `width` bits of `v` (two's
 /// complement).
-fn const_bus(b: &mut NetlistBuilder, v: i64, width: u32) -> Vec<NetId> {
+pub(super) fn const_bus(b: &mut NetlistBuilder, v: i64, width: u32) -> Vec<NetId> {
     (0..width).map(|i| b.constant((v >> i) & 1 != 0)).collect()
-}
-
-/// The operand mux chain of one FU port: `legs.len() + 1` legs where
-/// leg `own` carries `bus` and every other leg is tied to `dead`
-/// (zeros). `selects[m - 1]` steers leg `m`; exactly one is the true
-/// constant (or none when `own == 0`). Creates `4 × selects.len()`
-/// gates regardless of `own`, keeping instances structurally identical.
-fn mux_chain(
-    b: &mut NetlistBuilder,
-    bus: &[NetId],
-    dead: &[NetId],
-    own: usize,
-    selects: &[NetId],
-) -> Vec<NetId> {
-    if selects.is_empty() {
-        return bus.to_vec();
-    }
-    let mut acc: Vec<NetId> = if own == 0 {
-        bus.to_vec()
-    } else {
-        dead.to_vec()
-    };
-    for (m, &sel) in selects.iter().enumerate() {
-        let leg: &[NetId] = if m + 1 == own { bus } else { dead };
-        acc = acc
-            .iter()
-            .zip(leg)
-            .map(|(&a, &l)| b.mux(a, l, sel))
-            .collect();
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -27,4 +27,4 @@ pub use datapath::{class_label, elaborate_datapath, ElaboratedDatapath, FuFaultR
 pub use divider::{restoring_divider, restoring_divider_into};
 pub use interp::{interpret_dfg, DfgEval};
 pub use mult::{array_mult, array_mult_into};
-pub use seq_datapath::{elaborate_seq_datapath, SeqDatapath, SeqFuSpan};
+pub use seq_datapath::{elaborate_seq_datapath, SeqDatapath};

@@ -42,52 +42,21 @@
 //!
 //! Because each unit exists exactly once, a permanent stuck-at in a
 //! shared unit corrupts every operation executed on it *by
-//! construction* — no correlated injection needed. The per-FU local
-//! sites enumerate the unit's span (mux chains + core) exactly like the
-//! unrolled elaboration, so site `k` here corresponds to site `k` in
-//! every unrolled instance of the same unit: the basis of the
-//! cross-elaboration equivalence tests.
+//! construction* — no correlated injection needed. Both elaborations
+//! describe their units with the same [`FuSpan`] and build the unit's
+//! operand conditioning, mux chains and core with the same code, so
+//! site `k` here corresponds to site `k` in every unrolled instance of
+//! the same unit: the basis of the cross-elaboration equivalence tests.
+//! The universe is enumerated by the same code too; with one instance
+//! per unit, each group holds a single line.
 
-use super::adder::rca_into;
 use super::compare::neq_into;
-use super::datapath::{class_label, FuFaultRange};
-use super::divider::restoring_divider_into;
-use super::mult::array_mult_into;
-use super::UnitInstance;
+use super::datapath::{
+    bind_fus, condition, const_bus, fault_universe, push_instance, FuFaultRange, FuOut, FuSpan,
+    Ports, Value,
+};
 use crate::{GateKind, NetId, Netlist, NetlistBuilder, StuckAtLine, StuckSite};
-use scdp_hls::{Binding, Dfg, FuClass, NodeId, OpKind, Role, Schedule};
-
-/// One physical functional unit of the sequential datapath: binding
-/// metadata plus its single structural instance (absent for memory
-/// ports, which elaborate to primary inputs/outputs rather than gates).
-#[derive(Clone, Debug)]
-pub struct SeqFuSpan {
-    /// Instance name, `<class><index>` (e.g. `alu0`, `mult1`).
-    pub name: String,
-    /// The unit's resource class.
-    pub class: FuClass,
-    /// Role partition of the operations bound here (first op's role
-    /// when the binding mixes roles on one unit).
-    pub role: Role,
-    /// The operations executed on this unit with their start cycles,
-    /// in schedule order — the mux-leg order of the operand chains.
-    pub ops: Vec<(NodeId, u32)>,
-    /// The unit's one gate span (mux chains + core).
-    pub instance: Option<UnitInstance>,
-    /// Gates of the operand mux chains at the start of the span; local
-    /// sites below this offset sit in the steering logic, whose fault
-    /// behaviour legitimately differs from the unrolled elaboration
-    /// (dynamic select lines vs per-instance constants).
-    pub mux_gates: usize,
-}
-
-impl SeqFuSpan {
-    /// Gate count of the instance (0 for memory ports).
-    #[must_use]
-    pub fn instance_gates(&self) -> usize {
-        self.instance.as_ref().map_or(0, UnitInstance::len)
-    }
-}
+use scdp_hls::{Binding, Dfg, FuClass, OpKind, Schedule};
 
 /// The result of the sequential elaboration: one cycle-accurate netlist
 /// plus the per-FU spans defining the datapath's fault universe.
@@ -96,8 +65,9 @@ pub struct SeqDatapath {
     /// The elaborated sequential netlist (`error` output = alarm bus,
     /// live every cycle; result buses valid at the final cycle).
     pub netlist: Netlist,
-    /// One span per bound functional unit, binding order.
-    pub fus: Vec<SeqFuSpan>,
+    /// One span per bound functional unit, binding order; each holds
+    /// the unit's single instance (none for memory ports).
+    pub fus: Vec<FuSpan>,
     /// Operand width in bits.
     pub width: u32,
     /// Node count of the elaborated DFG (for reports).
@@ -129,26 +99,7 @@ impl SeqDatapath {
     /// Panics if `fu` is out of range.
     #[must_use]
     pub fn fu_local_sites(&self, fu: usize) -> Vec<StuckSite> {
-        let span = &self.fus[fu];
-        let Some(inst) = &span.instance else {
-            return Vec::new();
-        };
-        let gates = self.netlist.gates();
-        let mut sites = Vec::new();
-        for offset in 0..inst.len() {
-            let g = gates[inst.start + offset];
-            sites.push(StuckSite {
-                gate: offset,
-                pin: None,
-            });
-            for pin in 0..g.kind.pins() {
-                sites.push(StuckSite {
-                    gate: offset,
-                    pin: Some(pin),
-                });
-            }
-        }
-        sites
+        self.fus[fu].local_sites(&self.netlist)
     }
 
     /// The fault groups of one FU: every instance-local site, both
@@ -161,16 +112,7 @@ impl SeqDatapath {
     /// Panics if `fu` is out of range.
     #[must_use]
     pub fn fu_fault_groups(&self, fu: usize) -> Vec<Vec<StuckAtLine>> {
-        let span = &self.fus[fu];
-        let mut groups = Vec::new();
-        if let Some(inst) = &span.instance {
-            for site in self.fu_local_sites(fu) {
-                for value in [false, true] {
-                    groups.push(vec![StuckAtLine::new(inst.globalize(site), value)]);
-                }
-            }
-        }
-        groups
+        self.fus[fu].fault_groups(&self.netlist)
     }
 
     /// The whole datapath's fault universe: every FU's groups in binding
@@ -179,46 +121,8 @@ impl SeqDatapath {
     /// binding.
     #[must_use]
     pub fn fault_universe(&self) -> (Vec<Vec<StuckAtLine>>, Vec<FuFaultRange>) {
-        let mut groups = Vec::new();
-        let mut ranges = Vec::with_capacity(self.fus.len());
-        for fu in 0..self.fus.len() {
-            let start = groups.len();
-            groups.extend(self.fu_fault_groups(fu));
-            ranges.push(FuFaultRange {
-                fu,
-                start,
-                end: groups.len(),
-            });
-        }
-        (groups, ranges)
+        fault_universe(&self.netlist, &self.fus)
     }
-}
-
-/// The netlist value of one DFG node during elaboration.
-#[derive(Clone, Debug, Default)]
-enum Value {
-    /// Virtual nodes with no bus (outputs, stores) or not yet lowered.
-    #[default]
-    None,
-    /// A bus of nets.
-    Bus(Vec<NetId>),
-}
-
-impl Value {
-    fn bus(&self) -> &[NetId] {
-        match self {
-            Value::Bus(b) => b,
-            Value::None => panic!("node has no bus value"),
-        }
-    }
-}
-
-/// The result nets of one elaborated functional unit.
-struct FuOut {
-    /// Sum / product / quotient bus.
-    main: Vec<NetId>,
-    /// Remainder bus (divider units only).
-    rem: Option<Vec<NetId>>,
 }
 
 /// Elaborates a scheduled, bound DFG into one cycle-accurate shared-FU
@@ -244,32 +148,7 @@ pub fn elaborate_seq_datapath(
     assert!((1..=32).contains(&width), "width {width} out of range");
     let mut b = NetlistBuilder::new(format!("seq_dp_{}_{width}", dfg.name()));
     let length = schedule.length();
-
-    // Per-node FU assignment: node index -> (fu index, leg position).
-    let mut assignment: Vec<Option<(usize, usize)>> = vec![None; dfg.len()];
-    let mut fus: Vec<SeqFuSpan> = Vec::new();
-    let mut class_counts: std::collections::HashMap<&'static str, usize> =
-        std::collections::HashMap::new();
-    for fu in &binding.fus {
-        let label = class_label(fu.class);
-        let index = class_counts.entry(label).or_insert(0);
-        let name = format!("{label}{index}");
-        *index += 1;
-        let mut ops: Vec<(NodeId, u32)> =
-            fu.ops.iter().map(|&id| (id, schedule.start(id))).collect();
-        ops.sort_by_key(|&(id, start)| (start, id.index()));
-        for (leg, &(id, _)) in ops.iter().enumerate() {
-            assignment[id.index()] = Some((fus.len(), leg));
-        }
-        fus.push(SeqFuSpan {
-            name,
-            class: fu.class,
-            role: fu.role,
-            ops,
-            instance: None,
-            mux_gates: 0,
-        });
-    }
+    let (mut fus, assignment) = bind_fus(dfg, schedule, binding);
 
     let zero = b.constant(false);
     let zeros: Vec<NetId> = vec![zero; width as usize];
@@ -279,30 +158,22 @@ pub fn elaborate_seq_datapath(
     // every sequential operation result becomes a register bus whose D
     // inputs are connected after the FU sections exist.
     let mut values: Vec<Value> = vec![Value::None; dfg.len()];
+    let mut loads = 0usize;
     for (id, node) in dfg.iter() {
-        match &node.kind {
-            OpKind::Input(name) => {
-                values[id.index()] = Value::Bus(b.input_bus(name.clone(), width));
-            }
-            OpKind::Const(v) => {
-                values[id.index()] =
-                    Value::Bus((0..width).map(|i| b.constant((v >> i) & 1 != 0)).collect());
-            }
+        values[id.index()] = match &node.kind {
+            OpKind::Input(name) => Value::Bus(b.input_bus(name.clone(), width)),
+            OpKind::Const(v) => Value::Bus(const_bus(&mut b, *v, width)),
             OpKind::Load { bank } => {
-                let n = dfg
-                    .iter()
-                    .take(id.index())
-                    .filter(|(_, m)| matches!(m.kind, OpKind::Load { .. }))
-                    .count();
-                values[id.index()] = Value::Bus(b.input_bus(format!("load{n}_b{bank}"), width));
+                loads += 1;
+                Value::Bus(b.input_bus(format!("load{}_b{bank}", loads - 1), width))
             }
             OpKind::Add | OpKind::Sub | OpKind::Neg | OpKind::Mul | OpKind::Div | OpKind::Rem => {
-                values[id.index()] = Value::Bus((0..width).map(|_| b.dff()).collect());
+                Value::Bus((0..width).map(|_| b.dff()).collect())
             }
             // Outputs/stores have no bus; chained checker logic is
-            // lowered in pass 3 (its producers' buses already exist).
-            OpKind::Output(_) | OpKind::Store { .. } | OpKind::CmpNe | OpKind::OrBit => {}
-        }
+            // lowered in pass 4 (its producers' buses already exist).
+            OpKind::Output(_) | OpKind::Store { .. } | OpKind::CmpNe | OpKind::OrBit => Value::None,
+        };
     }
 
     // --- Pass 2: controller ------------------------------------------
@@ -327,30 +198,13 @@ pub fn elaborate_seq_datapath(
             fu_outs.push(None);
             continue;
         }
-        let mut port0_legs: Vec<Vec<NetId>> = Vec::with_capacity(fu.ops.len());
-        let mut port1_legs: Vec<Vec<NetId>> = Vec::with_capacity(fu.ops.len());
+        let mut legs: [Vec<Vec<NetId>>; 2] = Default::default();
         let mut cin_legs: Vec<bool> = Vec::with_capacity(fu.ops.len());
         for &(id, _) in &fu.ops {
             let node = dfg.node(id);
-            let (p0, p1, cin) = match node.kind {
-                OpKind::Sub => {
-                    let y = values[node.args[1].index()].bus().to_vec();
-                    let ny: Vec<NetId> = y.iter().map(|&n| b.not(n)).collect();
-                    (values[node.args[0].index()].bus().to_vec(), ny, true)
-                }
-                OpKind::Neg => {
-                    let x = values[node.args[0].index()].bus().to_vec();
-                    let nx: Vec<NetId> = x.iter().map(|&n| b.not(n)).collect();
-                    (nx, zeros.clone(), true)
-                }
-                _ => (
-                    values[node.args[0].index()].bus().to_vec(),
-                    values[node.args[1].index()].bus().to_vec(),
-                    false,
-                ),
-            };
-            port0_legs.push(p0);
-            port1_legs.push(p1);
+            let (p0, p1, cin) = condition(&mut b, &node.kind, &node.args, &values, &zeros);
+            legs[0].push(p0);
+            legs[1].push(p1);
             cin_legs.push(cin);
         }
         // Select line of leg m (m >= 1): high while op m occupies the
@@ -369,66 +223,18 @@ pub fn elaborate_seq_datapath(
             let leg_cin = b.constant(cin_legs[m + 1]);
             cin = b.mux(cin, leg_cin, sel);
         }
-
-        let start = b.mark();
-        let a_port = dyn_mux_chain(&mut b, &port0_legs, &selects);
-        let b_port = dyn_mux_chain(&mut b, &port1_legs, &selects);
-        fu.mux_gates = b.mark() - start;
-        let out = match fu.class {
-            FuClass::Alu => FuOut {
-                main: rca_into(&mut b, &a_port, &b_port, cin).sum,
-                rem: None,
-            },
-            FuClass::Mult => FuOut {
-                main: array_mult_into(&mut b, &a_port, &b_port).0,
-                rem: None,
-            },
-            FuClass::Div => {
-                let (q, r) = restoring_divider_into(&mut b, &a_port, &b_port);
-                FuOut {
-                    main: q,
-                    rem: Some(r),
-                }
-            }
-            FuClass::Mem => unreachable!("memory ports carry no gates"),
-        };
-        fu.instance = Some(UnitInstance {
-            name: fu.name.clone(),
-            start,
-            end: b.mark(),
-        });
+        let name = fu.name.clone();
+        let out = push_instance(&mut b, fu, name, [&legs[0], &legs[1]], &selects, cin);
         fu_outs.push(Some(out));
     }
 
     // --- Pass 4: captures, checkers, outputs -------------------------
-    let mut results: Vec<(String, Vec<NetId>)> = Vec::new();
-    let mut alarms: Vec<NetId> = Vec::new();
-    let mut load_count = 0usize;
-    let mut store_count = 0usize;
+    let mut ports = Ports::default();
     for (id, node) in dfg.iter() {
         match &node.kind {
             OpKind::Input(_) | OpKind::Const(_) => {}
-            OpKind::Output(name) => {
-                let bus = values[node.args[0].index()].bus().to_vec();
-                if name == "error" || name.starts_with("_err") {
-                    alarms.push(bus[0]);
-                } else {
-                    results.push((name.clone(), bus));
-                }
-            }
-            OpKind::Load { .. } => {
-                let addr = values[node.args[0].index()].bus().to_vec();
-                results.push((format!("load{load_count}_addr"), addr));
-                load_count += 1;
-            }
-            OpKind::Store { .. } => {
-                let addr = values[node.args[0].index()].bus().to_vec();
-                results.push((format!("store{store_count}_addr"), addr));
-                if let Some(value) = node.args.get(1) {
-                    let val = values[value.index()].bus().to_vec();
-                    results.push((format!("store{store_count}_val"), val));
-                }
-                store_count += 1;
+            OpKind::Output(_) | OpKind::Load { .. } | OpKind::Store { .. } => {
+                ports.record(&node.kind, &node.args, &values);
             }
             OpKind::CmpNe => {
                 let x = values[node.args[0].index()].bus().to_vec();
@@ -460,26 +266,16 @@ pub fn elaborate_seq_datapath(
             | OpKind::Rem) => {
                 let (fu, _) = assignment[id.index()].expect("sequential node is bound");
                 let out = fu_outs[fu].as_ref().expect("arithmetic unit has gates");
-                let result = if matches!(kind, OpKind::Rem) {
-                    out.rem.as_ref().expect("divider remainder tap")
-                } else {
-                    &out.main
-                };
                 let en = states[(schedule.avail(id) - 1) as usize];
                 let q_bus = values[id.index()].bus().to_vec();
-                for (&q, &r) in q_bus.iter().zip(result) {
+                for (&q, &r) in q_bus.iter().zip(out.result(kind)) {
                     let d = b.mux(q, r, en);
                     b.connect_dff(q, d);
                 }
             }
         }
     }
-
-    for (name, bus) in results {
-        b.output(name, &bus);
-    }
-    let error = b.or_tree(&alarms);
-    b.output("error", &[error]);
+    ports.emit(&mut b);
 
     let netlist = b.finish();
     let dffs = netlist
@@ -498,23 +294,6 @@ pub fn elaborate_seq_datapath(
         mux_legs: binding.mux_legs,
         dffs,
     }
-}
-
-/// The operand mux chain of one FU port with dynamic select lines: leg
-/// 0 is the default; `selects[m - 1]` steers leg `m`. Creates the same
-/// `4 × selects.len()` gates per bit, in the same order, as the
-/// unrolled elaboration's constant-select chain — the basis of the
-/// site-for-site correspondence between the two fault universes.
-fn dyn_mux_chain(b: &mut NetlistBuilder, legs: &[Vec<NetId>], selects: &[NetId]) -> Vec<NetId> {
-    let mut acc = legs[0].clone();
-    for (m, &sel) in selects.iter().enumerate() {
-        acc = acc
-            .iter()
-            .zip(&legs[m + 1])
-            .map(|(&a, &l)| b.mux(a, l, sel))
-            .collect();
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -637,7 +416,7 @@ mod tests {
         for (sf, uf) in seq.fus.iter().zip(&unrolled.fus) {
             assert_eq!(sf.name, uf.name);
             assert_eq!(sf.ops, uf.ops);
-            let Some(inst) = &sf.instance else {
+            let Some(inst) = sf.instances.first() else {
                 assert_eq!(sf.class, FuClass::Mem);
                 continue;
             };
@@ -710,7 +489,7 @@ mod tests {
             .position(|f| f.class == FuClass::Alu)
             .expect("alu");
         assert_eq!(dp.fus[alu].ops.len(), 2, "both adds share the ALU");
-        let inst = dp.fus[alu].instance.clone().expect("alu span");
+        let inst = dp.fus[alu].instances[0].clone();
         let zero = Word::new(3, 0);
         let mut corrupted_both = false;
         for site in dp.fu_local_sites(alu) {
@@ -750,7 +529,7 @@ mod tests {
             .position(|f| f.class == FuClass::Alu)
             .expect("alu");
         assert_eq!(dp.fus[alu].ops.len(), 2);
-        let inst = dp.fus[alu].instance.clone().expect("span");
+        let inst = dp.fus[alu].instances[0].clone();
         // Stem of the core's low-bit XOR: force the FU sum low bit to 1
         // with all-zero inputs. Find a core site whose transient at the
         // second op's capture cycle corrupts exactly o2.

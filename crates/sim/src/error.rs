@@ -1,8 +1,7 @@
 //! Typed simulation errors.
 //!
 //! The engines used to `panic!` from deep inside the packed evaluation
-//! loop when a fault spec named a pin the gate does not have, and
-//! `expect` on unconnected Dff cells during compilation. A single
+//! loop when a fault spec named a pin the gate does not have. A single
 //! malformed fault group would then abort a whole campaign — fatal for
 //! sharded sweeps where one shard's bad spec must not lose the other
 //! shards' work. Validation now happens *before* simulation
@@ -15,8 +14,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Why a netlist could not be compiled, a fault spec rejected, or a
-/// parallel campaign aborted.
+/// Why a fault spec was rejected or a parallel campaign aborted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// A fault names a gate index beyond the compiled netlist.
@@ -35,13 +33,6 @@ pub enum SimError {
         pin: u8,
         /// Number of input pins the gate actually has.
         pins: u8,
-    },
-    /// A Dff cell reached the sequential compiler without a connected D
-    /// input (possible only on hand-built gate lists;
-    /// `NetlistBuilder::finish` validates this for built netlists).
-    UnconnectedDff {
-        /// The offending Dff's gate index.
-        gate: usize,
     },
     /// A worker thread in the parallel pool panicked. The pool stops
     /// handing out work, joins the remaining workers, and surfaces the
@@ -68,9 +59,6 @@ impl fmt::Display for SimError {
                     "fault pin {pin} out of range: gate {gate} has {pins} input pins"
                 )
             }
-            SimError::UnconnectedDff { gate } => {
-                write!(f, "Dff at gate {gate} has no connected D input")
-            }
             SimError::WorkerPanicked { message } => {
                 write!(f, "campaign worker panicked: {message}")
             }
@@ -94,9 +82,6 @@ mod tests {
         assert!(e.to_string().contains("pin 7"));
         let boxed: Box<dyn Error> = Box::new(e);
         assert!(boxed.to_string().contains("out of range"));
-        assert!(SimError::UnconnectedDff { gate: 1 }
-            .to_string()
-            .contains("Dff"));
         assert!(SimError::GateOutOfRange { gate: 9, gates: 4 }
             .to_string()
             .contains("9"));

@@ -97,41 +97,23 @@ pub struct SeqEngine {
 impl SeqEngine {
     /// Compiles `netlist` for packed sequential evaluation. Works for
     /// purely combinational netlists too (they simply have no state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a Dff cell has no connected D input — impossible for
-    /// netlists from `NetlistBuilder::finish`, which validates this.
-    /// Use [`SeqEngine::try_new`] for a typed error instead.
+    /// Every Dff has a connected D input: `NetlistBuilder::finish`
+    /// asserts it.
     #[must_use]
     pub fn new(netlist: &Netlist) -> Self {
-        Self::try_new(netlist).expect("netlist compiles")
-    }
-
-    /// Compiles `netlist` for packed sequential evaluation, reporting
-    /// malformed state cells as typed errors instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnconnectedDff`] if a Dff cell has no
-    /// connected D input.
-    pub fn try_new(netlist: &Netlist) -> Result<Self, SimError> {
         let mut dffs = Vec::new();
         let mut dff_index = vec![u32::MAX; netlist.gate_count()];
         for (i, g) in netlist.gates().iter().enumerate() {
             if g.kind == GateKind::Dff {
-                if g.a.is_none() {
-                    return Err(SimError::UnconnectedDff { gate: i });
-                }
                 dff_index[i] = dffs.len() as u32;
                 dffs.push(i as u32);
             }
         }
-        Ok(Self {
+        Self {
             core: Compiled::new(netlist),
             dffs,
             dff_index,
-        })
+        }
     }
 
     /// Number of state bits.

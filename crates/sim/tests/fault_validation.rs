@@ -108,7 +108,7 @@ fn sequential_groups_are_validated_too() {
     b.connect_dff(s0, x[0]);
     b.output("y", &[s0]);
     let nl = b.finish();
-    let engine = SeqEngine::try_new(&nl).expect("valid netlist compiles");
+    let engine = SeqEngine::new(&nl);
     let bad = SeqFaultGroup::new(
         vec![StuckAtLine::new(
             StuckSite {
