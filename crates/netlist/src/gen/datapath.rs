@@ -736,6 +736,7 @@ mod tests {
         let core = 5 * w as usize;
         let muxes = 2 * (k - 1) * 4 * w as usize;
         assert_eq!(dp.fus[alu].instance_gates(), core + muxes);
+        assert_eq!(dp.fus[alu].mux_gates, muxes);
     }
 
     #[test]
