@@ -37,10 +37,13 @@
 //! verdict out the way equivalence classes do. They are still strong
 //! enough to *settle* faults deductively in the one direction that is
 //! safe: when a dominator's simulated outcome is completely silent, all
-//! of its dominated lines are provably silent too. The consumer is
-//! [`crate::dominance::DominatorChains`], which closes
+//! of its dominated lines are provably silent too.
+//! [`crate::dominance::DominatorChains`] closes
 //! [`CollapsedUniverse::dominance_edges`] into per-line dominator
-//! chains for `scdp-campaign`'s `.prune(true)` pass.
+//! chains that way, but no campaign path consumes them:
+//! `scdp-campaign`'s `.prune(true)` pass settles groups by
+//! [`crate::PrunedUniverse`] untestability proofs only, and the chains
+//! survive for the benchmark harness alone.
 
 use scdp_netlist::{GateKind, Netlist, StuckAtLine, StuckSite};
 use std::collections::HashMap;
@@ -200,9 +203,10 @@ impl CollapsedUniverse {
     /// two faulty machines agree net-for-net on that vector. Consumed
     /// by [`crate::dominance::DominatorChains`], which closes these
     /// edges (through equivalence-chase links) into per-line dominator
-    /// chains for deductive pruning (`scdp-campaign`'s `.prune(true)`):
-    /// a dominator whose simulated outcome is completely silent settles
-    /// every line it dominates without simulating it.
+    /// chains: a dominator whose simulated outcome is completely silent
+    /// settles every line it dominates without simulating it. No
+    /// campaign path uses them; `scdp-campaign`'s `.prune(true)` relies
+    /// on [`crate::PrunedUniverse`] proofs alone.
     #[must_use]
     pub fn dominance_edges(&self) -> &[(StuckAtLine, StuckAtLine)] {
         &self.dominance

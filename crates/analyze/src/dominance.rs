@@ -10,8 +10,7 @@
 //! exactly) yields, per line, a chain `l → e₁ → … → eₖ` where each
 //! step carries the same guarantee.
 //!
-//! That supports exactly one deductive move, used by `scdp-campaign`'s
-//! `.prune(true)`: if the chain's **root** `eₖ` simulates *completely
+//! That supports exactly one deductive move: if the chain's **root** `eₖ` simulates *completely
 //! silent* — its outcome over the whole vector stream equals the
 //! fault-free baseline — then by downward induction every `eᵢ` and
 //! finally `l` is silent with the identical (baseline) outcome. On any
@@ -22,10 +21,14 @@
 //! line must be simulated after all — pruning stays bit-identical
 //! either way, it only saves work when the root stays quiet.
 //!
-//! Chains are only built over single-fault semantics (campaigns apply
-//! them to singleton groups on combinational netlists); the argument
-//! is per-vector, so it does not survive sequential state divergence
-//! across cycles, and `scdp-campaign` never uses chains there.
+//! Chains are only built over single-fault semantics (singleton
+//! groups on combinational netlists); the argument is per-vector, so
+//! it does not survive sequential state divergence across cycles.
+//!
+//! No campaign path consumes chains: `scdp-campaign`'s `.prune(true)`
+//! settles groups by [`crate::PrunedUniverse`] untestability proofs
+//! alone, which need no simulated root. The chains remain for the
+//! benchmark harness, which times them.
 
 use crate::collapse::{line_key, CollapsedUniverse};
 use scdp_netlist::{Netlist, StuckAtLine};

@@ -17,7 +17,9 @@
 //! * [`dominance`] — [`DominatorChains`] closes
 //!   [`CollapsedUniverse::dominance_edges`] into per-line dominator
 //!   chains: a dominator that simulates completely silent settles
-//!   every line it dominates, also part of `.prune(true)`.
+//!   every line it dominates. No campaign path uses them
+//!   (`.prune(true)` settles groups by [`PrunedUniverse`] proofs
+//!   only); the benchmark harness still times them.
 //! * [`lint()`] — structural sanity checks that catch elaboration bugs
 //!   (floating nets, combinational cycles, dead logic, alarms that can
 //!   never fire or never observe a region) before any vector runs;

@@ -40,6 +40,7 @@ use crate::report::{drop_label, CampaignReport, DatapathDetails, FuTally, Sequen
 use crate::scenario::{allocation_label, technique_label, Backend, FaultModel, Scenario};
 use crate::shard::{self, ShardInfo};
 use crate::spec::{check_width, ExecPolicy};
+use scdp_analyze::CollapsedGroups;
 use scdp_coverage::{InputSpace, Tally};
 use scdp_fir::{dot_body_dfg, fir_body_dfg, iir_biquad_dfg, matvec_row_dfg};
 use scdp_hls::{
@@ -52,6 +53,8 @@ use scdp_netlist::gen::{
 use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
 use scdp_sim::{Campaign, Engine, EngineCampaign, FaultEngine, InputPlan};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt;
 
 /// Exhaustive datapath campaigns are rejected above this many primary
@@ -300,9 +303,10 @@ impl DatapathScenario {
 /// The builder methods and plumbing both datapath campaign specs
 /// share: they carry the same `scenario`, `space`, `exec`, `shard` and
 /// `events` fields and differ only in the machine they grade
-/// (`$machine`) and how they run it (`run_with`).
+/// (`$machine`), its engine (`$engine`) and how they run it
+/// (`run_with`).
 macro_rules! datapath_spec_common {
-    ($machine:ty) => {
+    ($machine:ty, $engine:ty) => {
         /// Selects the input space.
         #[must_use]
         pub fn input_space(mut self, space: $crate::InputSpace) -> Self {
@@ -340,8 +344,11 @@ macro_rules! datapath_spec_common {
 
         /// Runs the campaign on a machine elaborated earlier from this
         /// spec's scenario, skipping the synthesis front half — for
-        /// sweeps or sharded runs that grade several configurations (or
-        /// shards) of the same machine.
+        /// sweeps that grade several configurations of the same
+        /// machine. Each call still builds its own fault universe,
+        /// engine and collapse classes; only a
+        /// [`CampaignRunner`](crate::CampaignRunner) invocation shares
+        /// those across its shards.
         ///
         /// # Errors
         ///
@@ -349,7 +356,24 @@ macro_rules! datapath_spec_common {
         /// already enforced.
         pub fn run_on(&self, dp: &$machine) -> Result<CampaignReport, CampaignError> {
             $crate::reduce::validate_exec(&self.exec, self.shard)?;
-            self.run_with(dp, $crate::reduce::start_ctx(&self.events, &self.exec))
+            self.run_with(
+                dp,
+                $crate::reduce::start_ctx(&self.events, &self.exec),
+                None,
+            )
+        }
+
+        /// As [`Self::run_on`], but takes `dp`'s analysis from
+        /// `analysis`, building it there first if no earlier run did:
+        /// the runner's per-invocation sharing.
+        pub(crate) fn run_shared(
+            &self,
+            dp: &$machine,
+            analysis: &std::cell::OnceCell<$crate::datapath::Analysis<$engine>>,
+        ) -> Result<CampaignReport, CampaignError> {
+            $crate::reduce::validate_exec(&self.exec, self.shard)?;
+            let ctx = $crate::reduce::start_ctx(&self.events, &self.exec);
+            self.run_with(dp, ctx, Some(analysis))
         }
 
         /// How [`grade`](crate::datapath::grade) runs this spec on
@@ -423,7 +447,7 @@ impl DatapathCampaignSpec {
         }
     }
 
-    datapath_spec_common!(ElaboratedDatapath);
+    datapath_spec_common!(ElaboratedDatapath, Engine);
 
     /// Fingerprint of this campaign's configuration — stamped into
     /// [`ShardInfo::plan_hash`] by sharded runs so checkpoints from
@@ -450,19 +474,21 @@ impl DatapathCampaignSpec {
         let span = ctx.span("elaborate");
         let dp = s.elaborate();
         span.close();
-        self.run_with(&dp, ctx)
+        self.run_with(&dp, ctx, None)
     }
 
-    /// The back half of `run`/`run_on`.
+    /// The back half of `run`/`run_on`/`run_shared`.
     fn run_with(
         &self,
         dp: &ElaboratedDatapath,
         ctx: RunCtx,
+        shared: Option<&OnceCell<Analysis<Engine>>>,
     ) -> Result<CampaignReport, CampaignError> {
         let plan = datapath_input_plan(self.space, dp.netlist.input_bits())?;
         grade(
             ctx,
             self.grading(dp, plan),
+            shared,
             || (dp.fault_universe(), Engine::new(&dp.netlist)),
             |engine, groups| EngineCampaign::over(engine, groups),
             None,
@@ -487,30 +513,78 @@ pub(crate) struct Grading<'a> {
     pub(crate) mux_legs: usize,
 }
 
-/// The back half both datapath campaign specs share: compile the
-/// machine (`compile` yields its fault universe and engine), reduce the
-/// universe through the campaign `campaign` builds, fold the per-FU
-/// tallies and assemble the report under `ctx`. The sequential spec
-/// passes its `sequential` section; the run fills its histogram.
+/// A machine's fault-universe analysis: its fault groups with their
+/// per-FU ranges, its compiled engine and its collapse classes (built
+/// by the first collapsed run that needs them). None of it depends on
+/// the shard, the input space or the fault duration, so one
+/// [`crate::CampaignRunner`] invocation builds it once and every fresh
+/// shard reuses it.
+pub(crate) struct Analysis<E> {
+    groups: Vec<Vec<StuckAtLine>>,
+    ranges: Vec<FuFaultRange>,
+    engine: E,
+    classes: OnceCell<CollapsedGroups>,
+}
+
+/// The back half both datapath campaign specs share: get the machine's
+/// [`Analysis`] — from `shared` when an earlier run of the same runner
+/// invocation built it, else by `compile` (its fault universe and
+/// engine) under the `campaign/compile` span, stored in `shared` when
+/// given — reduce the universe through the campaign `campaign` builds,
+/// fold the per-FU tallies and assemble the report under `ctx`. The
+/// sequential spec passes its `sequential` section; the run fills its
+/// histogram.
 pub(crate) fn grade<E: FaultEngine>(
     ctx: RunCtx,
     run: Grading<'_>,
+    shared: Option<&OnceCell<Analysis<E>>>,
     compile: impl FnOnce() -> ((Vec<Vec<StuckAtLine>>, Vec<FuFaultRange>), E),
     campaign: impl for<'e> FnOnce(&'e E, Vec<Vec<StuckAtLine>>) -> Campaign<'e, E>,
     sequential: Option<SequentialDetails>,
 ) -> Result<CampaignReport, CampaignError> {
     let s = run.scenario;
-    let span = ctx.span("compile");
-    let ((groups, ranges), engine) = compile();
-    span.close();
+    let build = || {
+        let span = ctx.span("compile");
+        let ((groups, ranges), engine) = compile();
+        span.close();
+        ctx.record_build("pool.universe_builds");
+        Analysis {
+            groups,
+            ranges,
+            engine,
+            classes: OnceCell::new(),
+        }
+    };
+    // A run with no runner to share with owns its analysis and hands
+    // the universe to the engine whole.
+    let mut fresh;
+    let (analysis, groups) = match shared {
+        Some(cell) => {
+            let analysis = cell.get_or_init(build);
+            (analysis, Cow::Borrowed(analysis.groups.as_slice()))
+        }
+        None => {
+            fresh = build();
+            let groups = std::mem::take(&mut fresh.groups);
+            (&fresh, Cow::Owned(groups))
+        }
+    };
     let netlist = run.netlist;
     ctx.netlist_compiled(netlist.name(), netlist.gate_count(), groups.len());
 
     let shard = ShardInfo::resolve(run.shard, groups.len() as u64, || run.fingerprint)?;
-    let reduced = reduce_in(&ctx, netlist, groups, shard, run.plan, run.exec, |g| {
-        campaign(&engine, g)
-    })?;
-    let per_fu: Vec<FuTally> = ranges
+    let reduced = reduce_in(
+        &ctx,
+        netlist,
+        groups,
+        &analysis.classes,
+        shard,
+        run.plan,
+        run.exec,
+        |g| campaign(&analysis.engine, g),
+    )?;
+    let per_fu: Vec<FuTally> = analysis
+        .ranges
         .iter()
         .map(|r| {
             let span = &run.fus[r.fu];

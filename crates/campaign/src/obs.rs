@@ -95,6 +95,18 @@ impl RunCtx {
         rec.add("collapse.classes", classes as u64);
     }
 
+    /// Counts one build of a shareable analysis step when telemetry is
+    /// on: `pool.universe_builds` (fault universe and compiled engine)
+    /// or `pool.collapse_builds` (collapse classes). A run that reuses
+    /// its runner invocation's copy records nothing, so the count
+    /// depends on sharding and resumption — hence `pool.*`, outside
+    /// the deterministic counters.
+    pub(crate) fn record_build(&self, counter: &str) {
+        if let Some(rec) = self.recorder() {
+            rec.add(counter, 1);
+        }
+    }
+
     /// Records the deductive-pruning counters when telemetry is on:
     /// `deduce.untestable` (engine groups settled by an untestability
     /// proof) and `deduce.simulated` (groups that still went to the

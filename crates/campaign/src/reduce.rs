@@ -6,12 +6,16 @@
 //! [`reduce`] takes a universe of stuck-line groups and the slice a run
 //! covers (the whole universe, or one shard's range) and:
 //!
-//! 1. **collapses** (`exec.collapse`): canonicalises the groups against
-//!    the netlist's [`CollapsedUniverse`] and keeps one representative
-//!    group per equivalence class that intersects the covered slice.
-//!    Representatives are passed to the engine as explicit groups,
-//!    never via `fault_range`, so a class whose representative lives
-//!    outside the shard still simulates;
+//! 1. **collapses** (`exec.collapse`) in two steps. The whole-universe
+//!    step canonicalises the groups against the netlist's
+//!    [`CollapsedUniverse`] into equivalence classes; it is the same
+//!    for every slice, so a caller that runs several slices of one
+//!    universe (the runner's shards) hands every run the same lazily
+//!    built classes. The slice step keeps one representative group per
+//!    class that intersects the covered slice. Representatives are
+//!    passed to the engine as explicit groups, never via `fault_range`,
+//!    so a class whose representative lives outside the shard still
+//!    simulates;
 //! 2. **prunes** (`exec.prune`): groups with an untestability proof
 //!    ([`PrunedUniverse`]) skip simulation and take the fault-free
 //!    baseline probe outcome, which the driver computes over the exact
@@ -38,12 +42,14 @@ use crate::report::{DeduceDetails, FaultRecord, FuTally};
 use crate::scenario::{Backend, FaultModel};
 use crate::shard::ShardInfo;
 use crate::spec::ExecPolicy;
-use scdp_analyze::{CollapsedUniverse, PrunedUniverse};
+use scdp_analyze::{CollapsedGroups, CollapsedUniverse, PrunedUniverse};
 use scdp_coverage::TechTally;
 use scdp_netlist::gen::FuFaultRange;
 use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
 use scdp_sim::{Campaign, FaultEngine, InputPlan};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -106,17 +112,37 @@ pub fn reduce<'e, E: FaultEngine + 'e>(
     campaign: impl FnOnce(Vec<Vec<StuckAtLine>>) -> Campaign<'e, E>,
 ) -> Result<Reduced, CampaignError> {
     let ctx = RunCtx::start(Backend::GateLevel, FaultModel::Structural, None, false);
-    reduce_in(&ctx, netlist, groups, shard, plan, exec, campaign)
+    let classes = OnceCell::new();
+    reduce_in(
+        &ctx,
+        netlist,
+        Cow::Owned(groups),
+        &classes,
+        shard,
+        plan,
+        exec,
+        campaign,
+    )
 }
 
 /// [`reduce`] under a run's observability context: spans
 /// `campaign/collapse`, `campaign/deduce`, `campaign/simulate` and
 /// `campaign/tally`, plus the `collapse.*`/`deduce.*` counters and the
 /// driver's telemetry when the run records it.
+///
+/// `groups` is the whole universe: owned when this run is its only
+/// user (the uncollapsed engine then takes it whole, scoped by
+/// `fault_range`), borrowed when several runs share it (the engine then
+/// gets a copy of the covered slice). `classes` caches the universe's
+/// collapse classes; a collapsed run builds them, inside its
+/// `campaign/collapse` span, only if no earlier run sharing the cell
+/// did (`pool.collapse_builds` counts the builds).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn reduce_in<'e, E: FaultEngine + 'e>(
     ctx: &RunCtx,
     netlist: &Netlist,
-    groups: Vec<Vec<StuckAtLine>>,
+    groups: Cow<'_, [Vec<StuckAtLine>]>,
+    classes: &OnceCell<CollapsedGroups>,
     shard: Option<ShardInfo>,
     plan: InputPlan,
     exec: &ExecPolicy,
@@ -124,15 +150,23 @@ pub(crate) fn reduce_in<'e, E: FaultEngine + 'e>(
 ) -> Result<Reduced, CampaignError> {
     let universe = groups.len();
     let covered = shard.map_or(0..universe as u64, |s| s.fault_start..s.fault_end);
+    let slice = covered.start as usize..covered.end as usize;
     let (sim_groups, slot_of, scope) = if exec.collapse {
         let span = ctx.span("collapse");
-        let (reps, slot_of, classes) = collapse(netlist, &groups, covered.clone());
+        let cg = classes.get_or_init(|| {
+            ctx.record_build("pool.collapse_builds");
+            CollapsedUniverse::build(netlist).collapse_groups(&groups)
+        });
+        let (reps, slot_of) = representatives(cg, slice);
         span.close();
-        ctx.record_collapse(universe, reps.len(), classes);
+        ctx.record_collapse(universe, reps.len(), cg.rep_groups.len());
         let scope = 0..reps.len();
         (reps, Some(slot_of), scope)
     } else {
-        (groups, None, covered.start as usize..covered.end as usize)
+        match groups {
+            Cow::Owned(all) => (all, None, slice),
+            Cow::Borrowed(all) => (all[slice.clone()].to_vec(), None, 0..slice.len()),
+        }
     };
     let untestable: Vec<usize> = if exec.prune {
         let span = ctx.span("deduce");
@@ -206,29 +240,25 @@ pub(crate) fn reduce_in<'e, E: FaultEngine + 'e>(
     Ok(reduced)
 }
 
-/// Canonicalises `groups` against `netlist` and selects the
-/// representatives needed to cover `covered`: the representative
-/// groups in first-use order, the slot of each covered group among
-/// them, and the class count over the whole universe
-/// (`collapse.classes`).
-fn collapse(
-    netlist: &Netlist,
-    groups: &[Vec<StuckAtLine>],
-    covered: Range<u64>,
-) -> (Vec<Vec<StuckAtLine>>, Vec<usize>, usize) {
-    let cg = CollapsedUniverse::build(netlist).collapse_groups(groups);
+/// The slice step of collapsing: the representatives of the classes
+/// `cg` that intersect `covered`, in first-use order, and the slot of
+/// each covered group among them.
+fn representatives(
+    cg: &CollapsedGroups,
+    covered: Range<usize>,
+) -> (Vec<Vec<StuckAtLine>>, Vec<usize>) {
     let mut slot: HashMap<usize, usize> = HashMap::new();
     let mut reps = Vec::new();
     let slot_of = covered
         .map(|i| {
-            let class = cg.class_of[i as usize];
+            let class = cg.class_of[i];
             *slot.entry(class).or_insert_with(|| {
                 reps.push(cg.rep_groups[class].clone());
                 reps.len() - 1
             })
         })
         .collect();
-    (reps, slot_of, cg.rep_groups.len())
+    (reps, slot_of)
 }
 
 /// Validates the run knobs every spec shape shares: a nonzero thread

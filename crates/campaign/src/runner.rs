@@ -11,10 +11,19 @@
 //! stale) shards execute, and once all shards exist they are merged
 //! into a report bit-identical to the unsharded run.
 //!
-//! Datapath and sequential jobs elaborate their machine **once per
-//! invocation** and grade every fresh shard on it (`run_on`); a
-//! resume that reuses every checkpoint never pays for elaboration at
-//! all. If the final merge rejects resumed checkpoints as
+//! Datapath and sequential jobs prepare their machine **once per
+//! invocation**: the elaborated machine, its fault universe (groups
+//! and per-FU ranges), its compiled engine and, for collapsed runs, its
+//! collapse classes. Every fresh shard of the invocation grades on that
+//! one copy — none of it depends on the shard's range — and the
+//! `pool.universe_builds` and `pool.collapse_builds` telemetry counters
+//! show each built once. A resume that reuses every checkpoint never
+//! pays for any of it, and one that runs fresh shards builds it once
+//! more. The copy lives for one [`CampaignRunner::run`] call: a caller
+//! of `run_on`, such as a sweep over fault durations on one machine,
+//! shares the machine but builds the analysis anew for every call.
+//! Operator jobs prepare nothing; each shard compiles its own circuit.
+//! If the final merge rejects resumed checkpoints as
 //! inconsistent (e.g. the universe changed under an unchanged
 //! configuration), the runner discards them, re-runs those shards
 //! fresh and merges again — stale checkpoints are re-run, never
@@ -34,7 +43,7 @@
 //! assert!(merged.same_results(&full));
 //! ```
 
-use crate::datapath::DatapathCampaignSpec;
+use crate::datapath::{Analysis, DatapathCampaignSpec};
 use crate::error::CampaignError;
 use crate::report::CampaignReport;
 use crate::seq::SeqDatapathCampaignSpec;
@@ -43,6 +52,8 @@ use crate::spec::{check_width, CampaignSpec, ExecPolicy};
 use scdp_netlist::gen::{ElaboratedDatapath, SeqDatapath};
 use scdp_netlist::Netlist;
 use scdp_obs::{EventSink, ObsEvent};
+use scdp_sim::{Engine, SeqEngine};
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -57,11 +68,13 @@ pub enum CampaignJob {
     Sequential(SeqDatapathCampaignSpec),
 }
 
-/// The per-invocation elaboration cache: datapath machines are
-/// identical across shards, so the runner lowers them once.
-enum Machine {
-    Datapath(ElaboratedDatapath),
-    Sequential(SeqDatapath),
+/// What one runner invocation prepares once and every fresh shard
+/// reuses: the elaborated machine, and its [`Analysis`] — fault
+/// universe, compiled engine and collapse classes — built by the first
+/// shard that runs on it.
+enum Prepared {
+    Datapath(ElaboratedDatapath, OnceCell<Analysis<Engine>>),
+    Sequential(SeqDatapath, OnceCell<Analysis<SeqEngine>>),
 }
 
 impl CampaignJob {
@@ -123,13 +136,13 @@ impl CampaignJob {
     }
 
     /// As [`CampaignJob::run_shard`], reusing (or filling) the
-    /// caller's elaboration cache so consecutive shards of one
-    /// invocation share a single synthesis/elaboration pass.
+    /// caller's per-invocation cache so the shards of one invocation
+    /// share one elaboration and one analysis.
     fn run_shard_on(
         &self,
         index: u32,
         count: u32,
-        machine: &mut Option<Machine>,
+        prepared: &mut Option<Prepared>,
     ) -> Result<CampaignReport, CampaignError> {
         match self {
             CampaignJob::Operator(spec) => spec.clone().shard(index, count).run(),
@@ -137,23 +150,23 @@ impl CampaignJob {
             // asserts the width, so validate it first.
             CampaignJob::Datapath(spec) => {
                 check_width(spec.scenario.width)?;
-                if machine.is_none() {
-                    *machine = Some(Machine::Datapath(spec.scenario.elaborate()));
-                }
-                let Some(Machine::Datapath(dp)) = machine.as_ref() else {
+                let cache = prepared.get_or_insert_with(|| {
+                    Prepared::Datapath(spec.scenario.elaborate(), OnceCell::new())
+                });
+                let Prepared::Datapath(dp, analysis) = cache else {
                     unreachable!("cache filled with this job's machine kind");
                 };
-                spec.clone().shard(index, count).run_on(dp)
+                spec.clone().shard(index, count).run_shared(dp, analysis)
             }
             CampaignJob::Sequential(spec) => {
                 check_width(spec.scenario.width)?;
-                if machine.is_none() {
-                    *machine = Some(Machine::Sequential(spec.scenario.elaborate_seq()));
-                }
-                let Some(Machine::Sequential(dp)) = machine.as_ref() else {
+                let cache = prepared.get_or_insert_with(|| {
+                    Prepared::Sequential(spec.scenario.elaborate_seq(), OnceCell::new())
+                });
+                let Prepared::Sequential(dp, analysis) = cache else {
                     unreachable!("cache filled with this job's machine kind");
                 };
-                spec.clone().shard(index, count).run_on(dp)
+                spec.clone().shard(index, count).run_shared(dp, analysis)
             }
         }
     }
@@ -357,7 +370,7 @@ impl CampaignRunner {
             return Err(CampaignError::ZeroShards);
         }
         let fingerprint = self.job.config_fingerprint();
-        let mut machine: Option<Machine> = None;
+        let mut prepared: Option<Prepared> = None;
         let mut states = Vec::with_capacity(self.shards as usize);
         let mut reports: Vec<Option<CampaignReport>> = vec![None; self.shards as usize];
         let mut fresh = 0u32;
@@ -375,7 +388,7 @@ impl CampaignRunner {
                 states.push(ShardState::Pending);
                 continue;
             }
-            reports[index as usize] = Some(self.run_fresh(index, &mut machine)?);
+            reports[index as usize] = Some(self.run_fresh(index, &mut prepared)?);
             fresh += 1;
             self.notify(index, ShardState::Ran);
             states.push(ShardState::Ran);
@@ -398,7 +411,7 @@ impl CampaignRunner {
                 let _ = err;
                 for index in 0..self.shards {
                     if states[index as usize] == ShardState::Resumed {
-                        reports[index as usize] = Some(self.run_fresh(index, &mut machine)?);
+                        reports[index as usize] = Some(self.run_fresh(index, &mut prepared)?);
                         states[index as usize] = ShardState::Ran;
                         self.notify(index, ShardState::Ran);
                     }
@@ -418,7 +431,7 @@ impl CampaignRunner {
     fn run_fresh(
         &self,
         index: u32,
-        machine: &mut Option<Machine>,
+        prepared: &mut Option<Prepared>,
     ) -> Result<CampaignReport, CampaignError> {
         self.emit(&ObsEvent::ShardStarted {
             shard: index,
@@ -426,7 +439,7 @@ impl CampaignRunner {
             // The universe size is unknown until the shard has run.
             faults: 0,
         });
-        let report = self.job.run_shard_on(index, self.shards, machine)?;
+        let report = self.job.run_shard_on(index, self.shards, prepared)?;
         self.shard_finished(index, "ran", Some(&report), report.elapsed_ms);
         if let Some(dir) = &self.dir {
             let io_err = |e: std::io::Error, path: &Path| CampaignError::Io {

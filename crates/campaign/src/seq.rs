@@ -32,7 +32,8 @@
 //! ```
 
 use crate::datapath::{
-    datapath_fingerprint, datapath_input_plan, datapath_spec_common, grade, DatapathScenario,
+    datapath_fingerprint, datapath_input_plan, datapath_spec_common, grade, Analysis,
+    DatapathScenario,
 };
 use crate::error::CampaignError;
 use crate::obs::RunCtx;
@@ -43,6 +44,7 @@ use scdp_netlist::gen::{elaborate_seq_datapath, SeqDatapath};
 use scdp_netlist::FaultDuration;
 use scdp_obs::EventSink;
 use scdp_sim::{SeqCampaign, SeqEngine, SeqFaultGroup};
+use std::cell::OnceCell;
 use std::fmt;
 
 impl DatapathScenario {
@@ -125,7 +127,7 @@ impl SeqDatapathCampaignSpec {
         self
     }
 
-    datapath_spec_common!(SeqDatapath);
+    datapath_spec_common!(SeqDatapath, SeqEngine);
 
     /// Fingerprint of this campaign's configuration — stamped into
     /// [`ShardInfo::plan_hash`](crate::ShardInfo::plan_hash) by sharded
@@ -162,10 +164,16 @@ impl SeqDatapathCampaignSpec {
         let elaborate = ctx.span("elaborate");
         let dp = s.elaborate_seq();
         elaborate.close();
-        self.run_with(&dp, ctx)
+        self.run_with(&dp, ctx, None)
     }
 
-    fn run_with(&self, dp: &SeqDatapath, ctx: RunCtx) -> Result<CampaignReport, CampaignError> {
+    /// The back half of `run`/`run_on`/`run_shared`.
+    fn run_with(
+        &self,
+        dp: &SeqDatapath,
+        ctx: RunCtx,
+        shared: Option<&OnceCell<Analysis<SeqEngine>>>,
+    ) -> Result<CampaignReport, CampaignError> {
         let plan = datapath_input_plan(self.space, dp.netlist.input_bits())?;
         if let FaultDuration::Transient { cycle } = self.duration {
             if cycle >= dp.total_cycles {
@@ -183,6 +191,7 @@ impl SeqDatapathCampaignSpec {
         grade(
             ctx,
             self.grading(dp, plan),
+            shared,
             || (dp.fault_universe(), SeqEngine::new(&dp.netlist)),
             |engine, groups| {
                 let groups = groups

@@ -13,6 +13,8 @@ use scdp_coverage::{AdderFaultModel, InputSpace, OperatorKind, Tally, TechIndex}
 use scdp_netlist::gen::AdderRealisation;
 use scdp_obs::EventSink;
 use scdp_sim::{DropPolicy, Engine, EngineCampaign, InputPlan, Lanes};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt;
 
 /// Maximum supported operand width (the functional cell models cap at
@@ -481,6 +483,7 @@ impl CampaignSpec {
         };
         let engine = Engine::new(&dp.netlist);
         compile.close();
+        ctx.record_build("pool.universe_builds");
         ctx.netlist_compiled(dp.netlist.name(), dp.netlist.gate_count(), groups.len());
         let shard = ShardInfo::resolve(self.shard, groups.len() as u64, || {
             self.config_fingerprint()
@@ -488,7 +491,8 @@ impl CampaignSpec {
         let reduced = reduce_in(
             ctx,
             &dp.netlist,
-            groups,
+            Cow::Owned(groups),
+            &OnceCell::new(),
             shard,
             InputPlan::from_space(self.space),
             &self.exec,
