@@ -85,7 +85,7 @@ impl CollapsedUniverse {
     pub fn build(netlist: &Netlist) -> Self {
         let gates = netlist.gates();
         let lines = netlist.fault_lines();
-        let consts = crate::lint::propagate_constants(netlist);
+        let consts = netlist.constants();
         // A line is redundant when the net it forces already constantly
         // holds the stuck value — the faulty function is the fault-free
         // function, so all such lines share one class. The check runs on

@@ -88,10 +88,10 @@ impl PrunedUniverse {
     /// `Redundant`.
     #[must_use]
     pub fn build(netlist: &Netlist, groups: &[Vec<StuckAtLine>]) -> Self {
-        let consts = crate::lint::propagate_constants(netlist);
+        let consts = netlist.constants();
         let mut cones = ConeProver {
             netlist,
-            consts: &consts,
+            consts,
             cache: HashMap::new(),
             mark: vec![0; netlist.gate_count()],
             touched: Vec::new(),

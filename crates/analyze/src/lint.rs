@@ -252,7 +252,7 @@ pub fn lint(netlist: &Netlist, opts: &LintOptions) -> LintReport {
     }
 
     // 4. Constant propagation → dead logic.
-    let consts = propagate_constants(netlist);
+    let consts = netlist.constants();
     for (i, g) in gates.iter().enumerate() {
         if matches!(g.kind, GateKind::Input | GateKind::Const(_) | GateKind::Dff) {
             continue;
@@ -323,42 +323,6 @@ pub fn lint(netlist: &Netlist, opts: &LintOptions) -> LintReport {
         gates: gates.len(),
         diagnostics: diags,
     }
-}
-
-/// Forward constant propagation. Dff outputs are treated as unknown
-/// (state starts at 0 but may change), so sticky alarms stay
-/// non-constant. Shared with the collapser: a stuck-at on a net that
-/// already holds that constant is redundant (its faulty function *is*
-/// the fault-free function).
-pub(crate) fn propagate_constants(netlist: &Netlist) -> Vec<Option<bool>> {
-    let gates = netlist.gates();
-    let mut consts: Vec<Option<bool>> = vec![None; gates.len()];
-    for (i, g) in gates.iter().enumerate() {
-        let a = g.a.and_then(|n| consts.get(n.index()).copied().flatten());
-        let b = g.b.and_then(|n| consts.get(n.index()).copied().flatten());
-        consts[i] = match g.kind {
-            GateKind::Const(v) => Some(v),
-            GateKind::Input | GateKind::Dff => None,
-            GateKind::And => force(a, b, false, false).or(binop(a, b, |x, y| x & y)),
-            GateKind::Or => force(a, b, true, true).or(binop(a, b, |x, y| x | y)),
-            GateKind::Nand => force(a, b, false, true).or(binop(a, b, |x, y| !(x & y))),
-            GateKind::Nor => force(a, b, true, false).or(binop(a, b, |x, y| !(x | y))),
-            GateKind::Xor => binop(a, b, |x, y| x ^ y),
-            GateKind::Xnor => binop(a, b, |x, y| !(x ^ y)),
-            GateKind::Not => a.map(|x| !x),
-            GateKind::Buf => a,
-        };
-    }
-    consts
-}
-
-/// `Some(out)` when either operand holds the forcing value.
-fn force(a: Option<bool>, b: Option<bool>, forcing: bool, out: bool) -> Option<bool> {
-    (a == Some(forcing) || b == Some(forcing)).then_some(out)
-}
-
-fn binop(a: Option<bool>, b: Option<bool>, f: impl Fn(bool, bool) -> bool) -> Option<bool> {
-    Some(f(a?, b?))
 }
 
 /// Reverse reachability from the alarm nets through gate reads,

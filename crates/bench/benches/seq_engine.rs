@@ -10,14 +10,17 @@
 //! * `seq_mcycles_per_sec` — absolute throughput (million gate-netlist
 //!   cycles simulated per second), informational across machines
 //!   (`*_per_sec` metrics demote to warnings in `--cross-machine`
-//!   mode).
+//!   mode);
+//! * `seq_gate_evals_per_situation` — the exact work count
+//!   (`seq.gate_evals / seq.situations`), gated by `bench_check`'s
+//!   hard ceiling.
 
 use scdp_bench::Bench;
 use scdp_campaign::{reduce, DatapathScenario, DfgSource, ExecPolicy};
 use scdp_core::Technique;
 use scdp_netlist::{FaultDuration, SeqStuckAt};
 use scdp_obs::Recorder;
-use scdp_sim::{par, InputPlan, SeqCampaign, SeqEngine, SeqFaultGroup};
+use scdp_sim::{par, InputPlan, SeqCampaign, SeqEngine};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,10 +41,6 @@ fn main() {
     // whole machine for `cycles` clock cycles.
     let netlist_cycles = situations * u64::from(cycles);
 
-    let seq_groups: Vec<SeqFaultGroup> = groups
-        .iter()
-        .map(|lines| SeqFaultGroup::new(lines.clone(), FaultDuration::Permanent))
-        .collect();
     let engine = SeqEngine::new(&dp.netlist);
 
     let mut bench = Bench::new("seq_engine");
@@ -76,7 +75,7 @@ fn main() {
 
     let packed_ns = bench.sample_elements("seq_1thread_w4", 5, situations, &mut || {
         black_box(
-            SeqCampaign::new(&engine, seq_groups.clone(), cycles)
+            SeqCampaign::new(&engine, &groups, cycles, FaultDuration::Permanent)
                 .plan(plan)
                 .threads(1)
                 .run()
@@ -89,7 +88,7 @@ fn main() {
     let threads = par::default_threads().max(4);
     bench.sample_elements("seq_parallel_w4", 5, situations, &mut || {
         black_box(
-            SeqCampaign::new(&engine, seq_groups.clone(), cycles)
+            SeqCampaign::new(&engine, &groups, cycles, FaultDuration::Permanent)
                 .plan(plan)
                 .threads(threads)
                 .run()
@@ -98,7 +97,7 @@ fn main() {
     });
     bench.sample_elements("seq_dropping_w4", 5, situations, &mut || {
         black_box(
-            SeqCampaign::new(&engine, seq_groups.clone(), cycles)
+            SeqCampaign::new(&engine, &groups, cycles, FaultDuration::Permanent)
                 .plan(plan)
                 .drop_policy(scdp_sim::DropPolicy::OnDetect)
                 .threads(1)
@@ -114,17 +113,12 @@ fn main() {
     let pruned_run = || {
         reduce(
             &dp.netlist,
-            groups.clone(),
+            &groups,
             None,
             plan,
             &ExecPolicy::new().threads(1).prune(true),
-            |g| {
-                let g = g
-                    .into_iter()
-                    .map(|lines| SeqFaultGroup::new(lines, FaultDuration::Permanent))
-                    .collect();
-                SeqCampaign::new(&engine, g, cycles)
-            },
+            &engine,
+            |e, g| SeqCampaign::new(e, g, cycles, FaultDuration::Permanent),
         )
         .expect("valid universe")
     };
@@ -155,22 +149,29 @@ fn main() {
     // (threads × wall) is the parallel utilisation.
     let recorder = Arc::new(Recorder::new());
     let start = Instant::now();
-    let summary = SeqCampaign::new(&engine, seq_groups.clone(), cycles)
+    let summary = SeqCampaign::new(&engine, &groups, cycles, FaultDuration::Permanent)
         .plan(plan)
         .threads(threads)
         .recorder(Arc::clone(&recorder))
         .run();
     black_box(summary.simulated);
     let wall_ns = start.elapsed().as_nanos() as f64;
-    let busy_ns = recorder.snapshot().counter("seq.busy_ns").unwrap_or(0) as f64;
+    let telemetry = recorder.snapshot();
+    let busy_ns = telemetry.counter("seq.busy_ns").unwrap_or(0) as f64;
+    // Gates × cycles per tallied limb over situations: an exact work
+    // count, so `bench_check` holds it under a ceiling host noise
+    // cannot trip.
+    let seq_gate_evals_per_situation = telemetry.counter("seq.gate_evals").unwrap_or(0) as f64
+        / telemetry.counter("seq.situations").unwrap_or(1).max(1) as f64;
     let busy_fraction = busy_ns / (threads as f64 * wall_ns);
-    let faults_per_sec = seq_groups.len() as f64 * 1e9 / wall_ns;
+    let faults_per_sec = groups.len() as f64 * 1e9 / wall_ns;
     eprintln!("parallel run: busy fraction {busy_fraction:.2}, {faults_per_sec:.0} faults/s");
 
     bench.metric("seq_speedup_1thread_vs_scalar", speedup);
     bench.metric("seq_mcycles_per_sec", mcycles_per_sec);
     bench.metric("seq_parallel_busy_fraction", busy_fraction);
     bench.metric("seq_faults_per_sec", faults_per_sec);
+    bench.metric("seq_gate_evals_per_situation", seq_gate_evals_per_situation);
     bench.metric("parallel_threads", threads as f64);
     bench.metric("simd_lanes", scdp_sim::Lanes::Auto.limbs() as f64);
     bench.metric("seq_prune_ratio", seq_prune_ratio);

@@ -59,7 +59,7 @@ fn main() {
         .collect();
     bench.sample_elements("bitparallel_dropping_w4", 10, situations, &mut || {
         black_box(
-            EngineCampaign::over(&engine, groups.clone())
+            EngineCampaign::over(&engine, &groups)
                 .drop_policy(scdp_sim::DropPolicy::OnDetect)
                 .threads(1)
                 .run()
@@ -79,7 +79,7 @@ fn main() {
         &mut [
             ("campaign_uncollapsed_w4", &mut || {
                 black_box(
-                    EngineCampaign::over(&engine, groups.clone())
+                    EngineCampaign::over(&engine, &groups)
                         .threads(1)
                         .run()
                         .simulated,
@@ -87,7 +87,7 @@ fn main() {
             }),
             ("campaign_collapsed_w4", &mut || {
                 black_box(
-                    EngineCampaign::over(&engine, rep_groups.clone())
+                    EngineCampaign::over(&engine, &rep_groups)
                         .threads(1)
                         .run()
                         .simulated,
@@ -132,7 +132,7 @@ fn main() {
         .collect();
     let lane1_w8 = bench.sample_elements("bitparallel_lanes1_w8", 5, situations8, &mut || {
         black_box(
-            EngineCampaign::over(&engine8, groups8.clone())
+            EngineCampaign::over(&engine8, &groups8)
                 .lanes(Lanes::L1)
                 .threads(1)
                 .run()
@@ -141,7 +141,7 @@ fn main() {
     });
     let lane8_w8 = bench.sample_elements("bitparallel_lanes8_w8", 5, situations8, &mut || {
         black_box(
-            EngineCampaign::over(&engine8, groups8.clone())
+            EngineCampaign::over(&engine8, &groups8)
                 .lanes(Lanes::L8)
                 .threads(1)
                 .run()
@@ -172,11 +172,12 @@ fn main() {
     let fir_run = |prune: bool| {
         reduce(
             &fir.netlist,
-            fir_groups.clone(),
+            &fir_groups,
             None,
             fir_plan,
             &ExecPolicy::new().threads(1).prune(prune),
-            |g| EngineCampaign::over(&fir_engine, g),
+            &fir_engine,
+            |e, g| EngineCampaign::over(e, g),
         )
         .expect("valid universe")
     };
@@ -190,7 +191,7 @@ fn main() {
     // plus nothing else), so `bench_check` can hold it under a tight
     // ceiling that host noise cannot trip.
     let fir_recorder = Arc::new(Recorder::new());
-    let reference: Vec<FaultRecord> = EngineCampaign::over(&fir_engine, fir_groups.clone())
+    let reference: Vec<FaultRecord> = EngineCampaign::over(&fir_engine, &fir_groups)
         .plan(fir_plan)
         .threads(1)
         .recorder(Arc::clone(&fir_recorder))
@@ -243,7 +244,7 @@ fn main() {
     // warnings in `bench_check --cross-machine`.
     let recorder = Arc::new(Recorder::new());
     let start = Instant::now();
-    let summary = EngineCampaign::over(&engine, groups.clone())
+    let summary = EngineCampaign::over(&engine, &groups)
         .threads(threads)
         .recorder(Arc::clone(&recorder))
         .run();

@@ -14,7 +14,9 @@
 //!   acceptance),
 //! * a **hard ceiling** violation on an exact work count —
 //!   `gate_evals_per_situation` above its 1.35 ceiling means the
-//!   engine's faulty passes grew past their fanout cones,
+//!   engine's faulty passes grew past their fanout cones, and
+//!   `seq_gate_evals_per_situation` above its measured value means the
+//!   sequential engine evaluates more gates per situation,
 //! * baseline ids or files missing from the fresh run.
 //!
 //! Improvements beyond the tolerance are reported as warnings (the
@@ -174,12 +176,22 @@ pub struct CheckConfig {
     pub metric_floors: Vec<(String, f64)>,
 }
 
-/// Hard ceiling on the w8 FIR line universe's gate evaluations per
-/// situation, checked on the *fresh* file regardless of tolerance
-/// (measured 1.294; a full faulty pass per batch would be
-/// 2,814 / 64 ≈ 44). It is an exact count, so host noise cannot trip
-/// it.
-const GATE_EVALS_CEILING: (&str, f64) = ("gate_evals_per_situation", 1.35);
+/// Hard ceilings on exact work counts, checked on the *fresh* file
+/// regardless of tolerance. They are exact counts, so host noise cannot
+/// trip them:
+///
+/// * `gate_evals_per_situation` — the w8 FIR line universe's gate
+///   evaluations per situation (measured 1.294; a full faulty pass per
+///   batch would be 2,814 / 64 ≈ 44);
+/// * `seq_gate_evals_per_situation` — the w4 sequential FIR machine's
+///   gates × cycles per situation, held at exactly its measured value
+///   (65.875: 4,216 gate-cycles per 64-situation limb): every situation
+///   replays the whole machine, so any rise is work added to the
+///   sequential engine.
+const WORK_CEILINGS: [(&str, f64); 2] = [
+    ("gate_evals_per_situation", 1.35),
+    ("seq_gate_evals_per_situation", 65.875),
+];
 
 impl Default for CheckConfig {
     /// The committed gate: ±30% tolerance, combinational engine speedup
@@ -316,12 +328,13 @@ pub fn check(baseline: &BenchFile, fresh: &BenchFile, cfg: &CheckConfig) -> Vec<
             }
         }
     }
-    let (id, ceiling) = GATE_EVALS_CEILING;
-    if let Some(v) = fresh.metric_of(id) {
-        if v > ceiling {
-            findings.push(Finding::fail(format!(
-                "{group}/{id}: {v:.3} above the hard ceiling {ceiling:.3}"
-            )));
+    for (id, ceiling) in WORK_CEILINGS {
+        if let Some(v) = fresh.metric_of(id) {
+            if v > ceiling {
+                findings.push(Finding::fail(format!(
+                    "{group}/{id}: {v:.3} above the hard ceiling {ceiling:.3}"
+                )));
+            }
         }
     }
     findings
@@ -593,6 +606,18 @@ mod tests {
         // Within the tolerance but over the ceiling still fails.
         let creeping = file(&[], &[("gate_evals_per_situation", 1.4)]);
         assert_eq!(fails(&check(&base, &creeping, &CheckConfig::default())), 1);
+    }
+
+    #[test]
+    fn seq_gate_eval_ceiling_is_exact() {
+        let base = file(&[], &[("seq_gate_evals_per_situation", 65.875)]);
+        // Today's count passes; one more gate-cycle per limb fails,
+        // well inside the tolerance.
+        assert_eq!(fails(&check(&base, &base, &CheckConfig::default())), 0);
+        let one_more = file(&[], &[("seq_gate_evals_per_situation", 4217.0 / 64.0)]);
+        let findings = check(&base, &one_more, &CheckConfig::default());
+        assert_eq!(fails(&findings), 1, "{findings:?}");
+        assert!(findings[0].message.contains("hard ceiling"));
     }
 
     #[test]

@@ -53,7 +53,6 @@ use scdp_netlist::gen::{
 use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
 use scdp_sim::{Campaign, Engine, EngineCampaign, FaultEngine, InputPlan};
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::fmt;
 
@@ -303,8 +302,8 @@ impl DatapathScenario {
 /// The builder methods and plumbing both datapath campaign specs
 /// share: they carry the same `scenario`, `space`, `exec`, `shard` and
 /// `events` fields and differ only in the machine they grade
-/// (`$machine`), its engine (`$engine`) and how they run it
-/// (`run_with`).
+/// (`$machine`), its engine (`$engine`) and how they grade it
+/// (`grade_on`).
 macro_rules! datapath_spec_common {
     ($machine:ty, $engine:ty) => {
         /// Selects the input space.
@@ -355,12 +354,7 @@ macro_rules! datapath_spec_common {
         /// As [`Self::run`], minus the width check the elaboration
         /// already enforced.
         pub fn run_on(&self, dp: &$machine) -> Result<CampaignReport, CampaignError> {
-            $crate::reduce::validate_exec(&self.exec, self.shard)?;
-            self.run_with(
-                dp,
-                $crate::reduce::start_ctx(&self.events, &self.exec),
-                None,
-            )
+            self.run_shared(dp, &std::cell::OnceCell::new())
         }
 
         /// As [`Self::run_on`], but takes `dp`'s analysis from
@@ -373,7 +367,7 @@ macro_rules! datapath_spec_common {
         ) -> Result<CampaignReport, CampaignError> {
             $crate::reduce::validate_exec(&self.exec, self.shard)?;
             let ctx = $crate::reduce::start_ctx(&self.events, &self.exec);
-            self.run_with(dp, ctx, Some(analysis))
+            self.grade_on(dp, ctx, analysis)
         }
 
         /// How [`grade`](crate::datapath::grade) runs this spec on
@@ -474,21 +468,22 @@ impl DatapathCampaignSpec {
         let span = ctx.span("elaborate");
         let dp = s.elaborate();
         span.close();
-        self.run_with(&dp, ctx, None)
+        self.grade_on(&dp, ctx, &OnceCell::new())
     }
 
-    /// The back half of `run`/`run_on`/`run_shared`.
-    fn run_with(
+    /// The back half of `run`/`run_on`/`run_shared`: grades `dp` with
+    /// the analysis in `analysis`.
+    fn grade_on(
         &self,
         dp: &ElaboratedDatapath,
         ctx: RunCtx,
-        shared: Option<&OnceCell<Analysis<Engine>>>,
+        analysis: &OnceCell<Analysis<Engine>>,
     ) -> Result<CampaignReport, CampaignError> {
         let plan = datapath_input_plan(self.space, dp.netlist.input_bits())?;
         grade(
             ctx,
             self.grading(dp, plan),
-            shared,
+            analysis,
             || (dp.fault_universe(), Engine::new(&dp.netlist)),
             |engine, groups| EngineCampaign::over(engine, groups),
             None,
@@ -527,23 +522,22 @@ pub(crate) struct Analysis<E> {
 }
 
 /// The back half both datapath campaign specs share: get the machine's
-/// [`Analysis`] — from `shared` when an earlier run of the same runner
-/// invocation built it, else by `compile` (its fault universe and
-/// engine) under the `campaign/compile` span, stored in `shared` when
-/// given — reduce the universe through the campaign `campaign` builds,
-/// fold the per-FU tallies and assemble the report under `ctx`. The
-/// sequential spec passes its `sequential` section; the run fills its
-/// histogram.
+/// [`Analysis`] from `analysis` — built there by `compile` (its fault
+/// universe and engine) under the `campaign/compile` span unless an
+/// earlier run of the same runner invocation did — reduce the universe
+/// through the campaign `campaign` builds, fold the per-FU tallies and
+/// assemble the report under `ctx`. The sequential spec passes its
+/// `sequential` section; the run fills its histogram.
 pub(crate) fn grade<E: FaultEngine>(
     ctx: RunCtx,
     run: Grading<'_>,
-    shared: Option<&OnceCell<Analysis<E>>>,
+    analysis: &OnceCell<Analysis<E>>,
     compile: impl FnOnce() -> ((Vec<Vec<StuckAtLine>>, Vec<FuFaultRange>), E),
-    campaign: impl for<'e> FnOnce(&'e E, Vec<Vec<StuckAtLine>>) -> Campaign<'e, E>,
+    campaign: impl for<'a> FnOnce(&'a E, &'a [Vec<StuckAtLine>]) -> Campaign<'a, E>,
     sequential: Option<SequentialDetails>,
 ) -> Result<CampaignReport, CampaignError> {
     let s = run.scenario;
-    let build = || {
+    let analysis = analysis.get_or_init(|| {
         let span = ctx.span("compile");
         let ((groups, ranges), engine) = compile();
         span.close();
@@ -554,21 +548,8 @@ pub(crate) fn grade<E: FaultEngine>(
             engine,
             classes: OnceCell::new(),
         }
-    };
-    // A run with no runner to share with owns its analysis and hands
-    // the universe to the engine whole.
-    let mut fresh;
-    let (analysis, groups) = match shared {
-        Some(cell) => {
-            let analysis = cell.get_or_init(build);
-            (analysis, Cow::Borrowed(analysis.groups.as_slice()))
-        }
-        None => {
-            fresh = build();
-            let groups = std::mem::take(&mut fresh.groups);
-            (&fresh, Cow::Owned(groups))
-        }
-    };
+    });
+    let groups = &analysis.groups;
     let netlist = run.netlist;
     ctx.netlist_compiled(netlist.name(), netlist.gate_count(), groups.len());
 
@@ -581,7 +562,8 @@ pub(crate) fn grade<E: FaultEngine>(
         shard,
         run.plan,
         run.exec,
-        |g| campaign(&analysis.engine, g),
+        &analysis.engine,
+        campaign,
     )?;
     let per_fu: Vec<FuTally> = analysis
         .ranges

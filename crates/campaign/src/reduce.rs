@@ -12,16 +12,15 @@
 //!    for every slice, so a caller that runs several slices of one
 //!    universe (the runner's shards) hands every run the same lazily
 //!    built classes. The slice step keeps one representative group per
-//!    class that intersects the covered slice. Representatives are
-//!    passed to the engine as explicit groups, never via `fault_range`,
-//!    so a class whose representative lives outside the shard still
-//!    simulates;
+//!    class that intersects the covered slice, so a class whose
+//!    representative lives outside the shard still simulates;
 //! 2. **prunes** (`exec.prune`): groups with an untestability proof
 //!    ([`PrunedUniverse`]) skip simulation and take the fault-free
 //!    baseline probe outcome, which the driver computes over the exact
 //!    batch stream a simulated group would see — valid per cycle, so on
 //!    combinational and sequential netlists alike;
-//! 3. **runs** the campaign driver on what is left;
+//! 3. **runs** the campaign driver on what is left — the covered slice
+//!    itself, borrowed, or the representatives;
 //! 4. **fans out** each engine group's verdict to every covered member,
 //!    recomputes the aggregates from the fanned rows, and lists the rows
 //!    whose verdict was deduced.
@@ -48,7 +47,6 @@ use scdp_netlist::gen::FuFaultRange;
 use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
 use scdp_sim::{Campaign, FaultEngine, InputPlan};
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -94,34 +92,31 @@ impl Reduced {
 
 /// Runs the covered slice of `groups` (the shard's range, or the whole
 /// universe when `shard` is `None`) through collapse, prune, the
-/// campaign `campaign` builds over the surviving groups, and fan-out —
-/// the pipeline every gate-level spec shape runs. `exec` supplies the
-/// threads, lanes, drop policy and the collapse/prune switches; its
-/// `telemetry` flag is ignored here (spec runs record telemetry).
+/// campaign `campaign` builds on `engine` over the surviving groups,
+/// and fan-out — the pipeline every gate-level spec shape runs. `exec`
+/// supplies the threads, lanes, drop policy and the collapse/prune
+/// switches; its `telemetry` flag is ignored here (spec runs record
+/// telemetry).
 ///
 /// # Errors
 ///
 /// [`CampaignError::FaultSpec`] when a group names a gate or pin the
-/// engine's netlist does not have.
-pub fn reduce<'e, E: FaultEngine + 'e>(
+/// engine's netlist does not have, or lists its lines out of gate
+/// order.
+#[allow(clippy::too_many_arguments)]
+pub fn reduce<E: FaultEngine>(
     netlist: &Netlist,
-    groups: Vec<Vec<StuckAtLine>>,
+    groups: &[Vec<StuckAtLine>],
     shard: Option<ShardInfo>,
     plan: InputPlan,
     exec: &ExecPolicy,
-    campaign: impl FnOnce(Vec<Vec<StuckAtLine>>) -> Campaign<'e, E>,
+    engine: &E,
+    campaign: impl for<'a> FnOnce(&'a E, &'a [Vec<StuckAtLine>]) -> Campaign<'a, E>,
 ) -> Result<Reduced, CampaignError> {
     let ctx = RunCtx::start(Backend::GateLevel, FaultModel::Structural, None, false);
     let classes = OnceCell::new();
     reduce_in(
-        &ctx,
-        netlist,
-        Cow::Owned(groups),
-        &classes,
-        shard,
-        plan,
-        exec,
-        campaign,
+        &ctx, netlist, groups, &classes, shard, plan, exec, engine, campaign,
     )
 }
 
@@ -130,61 +125,54 @@ pub fn reduce<'e, E: FaultEngine + 'e>(
 /// `campaign/tally`, plus the `collapse.*`/`deduce.*` counters and the
 /// driver's telemetry when the run records it.
 ///
-/// `groups` is the whole universe: owned when this run is its only
-/// user (the uncollapsed engine then takes it whole, scoped by
-/// `fault_range`), borrowed when several runs share it (the engine then
-/// gets a copy of the covered slice). `classes` caches the universe's
-/// collapse classes; a collapsed run builds them, inside its
+/// `groups` is the whole universe, borrowed: the uncollapsed engine
+/// grades the covered slice of it in place. `classes` caches the
+/// universe's collapse classes; a collapsed run builds them, inside its
 /// `campaign/collapse` span, only if no earlier run sharing the cell
 /// did (`pool.collapse_builds` counts the builds).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn reduce_in<'e, E: FaultEngine + 'e>(
+pub(crate) fn reduce_in<E: FaultEngine>(
     ctx: &RunCtx,
     netlist: &Netlist,
-    groups: Cow<'_, [Vec<StuckAtLine>]>,
+    groups: &[Vec<StuckAtLine>],
     classes: &OnceCell<CollapsedGroups>,
     shard: Option<ShardInfo>,
     plan: InputPlan,
     exec: &ExecPolicy,
-    campaign: impl FnOnce(Vec<Vec<StuckAtLine>>) -> Campaign<'e, E>,
+    engine: &E,
+    campaign: impl for<'a> FnOnce(&'a E, &'a [Vec<StuckAtLine>]) -> Campaign<'a, E>,
 ) -> Result<Reduced, CampaignError> {
     let universe = groups.len();
     let covered = shard.map_or(0..universe as u64, |s| s.fault_start..s.fault_end);
     let slice = covered.start as usize..covered.end as usize;
-    let (sim_groups, slot_of, scope) = if exec.collapse {
+    let reps;
+    let (sim_groups, collapsed): (&[Vec<StuckAtLine>], _) = if exec.collapse {
         let span = ctx.span("collapse");
         let cg = classes.get_or_init(|| {
             ctx.record_build("pool.collapse_builds");
-            CollapsedUniverse::build(netlist).collapse_groups(&groups)
+            CollapsedUniverse::build(netlist).collapse_groups(groups)
         });
-        let (reps, slot_of) = representatives(cg, slice);
+        let (r, slot_of) = representatives(cg, slice.clone());
+        reps = r;
         span.close();
         ctx.record_collapse(universe, reps.len(), cg.rep_groups.len());
-        let scope = 0..reps.len();
-        (reps, Some(slot_of), scope)
+        (&reps, Some((cg, slot_of)))
     } else {
-        match groups {
-            Cow::Owned(all) => (all, None, slice),
-            Cow::Borrowed(all) => (all[slice.clone()].to_vec(), None, 0..slice.len()),
-        }
+        (&groups[slice.clone()], None)
     };
     let untestable: Vec<usize> = if exec.prune {
         let span = ctx.span("deduce");
-        let pu = PrunedUniverse::build(netlist, &sim_groups[scope.clone()]);
+        let pu = PrunedUniverse::build(netlist, sim_groups);
         span.close();
-        pu.untestable_indices()
-            .iter()
-            .map(|&i| i + scope.start)
-            .collect()
+        pu.untestable_indices().to_vec()
     } else {
         Vec::new()
     };
 
-    let mut run = campaign(sim_groups)
+    let mut run = campaign(engine, sim_groups)
         .plan(plan)
         .drop_policy(exec.drop)
         .lanes(exec.lanes)
-        .fault_range(scope.clone())
         .skip_resolved(untestable.clone());
     if let Some(rec) = ctx.recorder() {
         run = run.recorder(rec);
@@ -200,15 +188,25 @@ pub(crate) fn reduce_in<'e, E: FaultEngine + 'e>(
     sim.close();
 
     let tally_span = ctx.span("tally");
-    let slot = |i: usize| slot_of.as_ref().map_or(i, |s| s[i]);
+    let slot = |i: usize| collapsed.as_ref().map_or(i, |(_, slot_of)| slot_of[i]);
     let covered_len = (covered.end - covered.start) as usize;
     let deduce = exec.prune.then(|| {
-        let mut deduced = vec![false; scope.len()];
+        let mut deduced = vec![false; sim_groups.len()];
         for &u in &untestable {
-            deduced[u - scope.start] = true;
+            deduced[u] = true;
         }
-        let untestable = untestable.len() as u64;
-        let simulated = scope.len() as u64 - untestable;
+        // Each engine group counts once across the shards of a
+        // universe: a class in the shard holding its first member.
+        let leads: Vec<usize> = (0..covered_len)
+            .filter(|&i| {
+                let u = slice.start + i;
+                collapsed
+                    .as_ref()
+                    .is_none_or(|(cg, _)| cg.rep_index[cg.class_of[u]] == u)
+            })
+            .collect();
+        let untestable = leads.iter().filter(|&&i| deduced[slot(i)]).count() as u64;
+        let simulated = leads.len() as u64 - untestable;
         ctx.record_deduce(untestable, simulated);
         DeduceDetails {
             untestable,

@@ -130,6 +130,12 @@ pub struct DeduceDetails {
     /// Engine fault groups settled by an untestability proof.
     pub untestable: u64,
     /// Engine fault groups that were actually simulated.
+    ///
+    /// In a collapsed run an engine group is an equivalence class, and
+    /// a shard may simulate classes whose first member lies in another
+    /// shard. Each class counts, in both counts, only in the shard
+    /// holding its first member, so the merged counts of a sharded run
+    /// equal the unsharded run's.
     pub simulated: u64,
     /// Indices into `per_fault` (shard-local) whose verdicts were
     /// deduced rather than simulated. With collapsing on top, a row is
@@ -928,8 +934,10 @@ impl CampaignReport {
         }
         // Telemetry aggregates over whichever shards carried it:
         // counters and span accumulators sum, histograms sum
-        // bucket-wise, so the merged counters equal an unsharded run's
-        // for every count-typed metric.
+        // bucket-wise. For a plain run the merged count-typed counters
+        // equal an unsharded run's; pruned shards each replay their own
+        // baseline probe and collapsed shards each record the
+        // whole-universe `collapse.*` counts, so theirs exceed it.
         let mut telemetry: Option<TelemetrySnapshot> = None;
         for r in &ordered {
             if let Some(t) = &r.telemetry {

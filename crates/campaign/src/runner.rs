@@ -338,8 +338,11 @@ impl CampaignRunner {
     }
 
     /// Asks every shard run (and thus the merged report) to carry a
-    /// telemetry section. The merged section aggregates the shards'
-    /// — count-typed counters then equal an unsharded run's.
+    /// telemetry section. The merged section aggregates the shards':
+    /// for a plain run its count-typed counters equal an unsharded
+    /// run's, while pruned and collapsed shards repeat per-shard work
+    /// (baseline probes, whole-universe `collapse.*` counts) that the
+    /// sums then count more than once.
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.job = self.job.telemetry(enabled);
@@ -589,7 +592,7 @@ mod tests {
             "shard campaigns stream their spans through the same sink"
         );
 
-        // The merged telemetry's count-typed counters equal an
+        // A plain run's merged count-typed counters equal an
         // unsharded run's — sharding only splits the work.
         let tel = merged.telemetry.expect("merged telemetry");
         let full = job().telemetry(true).run().expect("unsharded");

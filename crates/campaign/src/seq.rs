@@ -43,7 +43,7 @@ use crate::spec::{check_width, ExecPolicy};
 use scdp_netlist::gen::{elaborate_seq_datapath, SeqDatapath};
 use scdp_netlist::FaultDuration;
 use scdp_obs::EventSink;
-use scdp_sim::{SeqCampaign, SeqEngine, SeqFaultGroup};
+use scdp_sim::{SeqCampaign, SeqEngine};
 use std::cell::OnceCell;
 use std::fmt;
 
@@ -164,15 +164,16 @@ impl SeqDatapathCampaignSpec {
         let elaborate = ctx.span("elaborate");
         let dp = s.elaborate_seq();
         elaborate.close();
-        self.run_with(&dp, ctx, None)
+        self.grade_on(&dp, ctx, &OnceCell::new())
     }
 
-    /// The back half of `run`/`run_on`/`run_shared`.
-    fn run_with(
+    /// The back half of `run`/`run_on`/`run_shared`: grades `dp` with
+    /// the analysis in `analysis`.
+    fn grade_on(
         &self,
         dp: &SeqDatapath,
         ctx: RunCtx,
-        shared: Option<&OnceCell<Analysis<SeqEngine>>>,
+        analysis: &OnceCell<Analysis<SeqEngine>>,
     ) -> Result<CampaignReport, CampaignError> {
         let plan = datapath_input_plan(self.space, dp.netlist.input_bits())?;
         if let FaultDuration::Transient { cycle } = self.duration {
@@ -191,15 +192,9 @@ impl SeqDatapathCampaignSpec {
         grade(
             ctx,
             self.grading(dp, plan),
-            shared,
+            analysis,
             || (dp.fault_universe(), SeqEngine::new(&dp.netlist)),
-            |engine, groups| {
-                let groups = groups
-                    .into_iter()
-                    .map(|lines| SeqFaultGroup::new(lines, self.duration))
-                    .collect();
-                SeqCampaign::new(engine, groups, dp.total_cycles)
-            },
+            |engine, groups| SeqCampaign::new(engine, groups, dp.total_cycles, self.duration),
             Some(sequential),
         )
     }

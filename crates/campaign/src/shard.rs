@@ -4,8 +4,8 @@
 //! and, without partitioning, an all-or-nothing run — one crash loses
 //! everything. A [`ShardPlan`] splits any fault universe (gate,
 //! datapath, sequential) into `N` contiguous, balanced shards; each
-//! shard runs as an ordinary campaign restricted to its range
-//! (`fault_range` on the engine drivers) and is checkpointed as a
+//! shard runs as an ordinary campaign over its range (the engine
+//! driver is handed that slice of the universe) and is checkpointed as a
 //! `scdp.campaign.report/v4` document carrying a [`ShardInfo`] section.
 //! Because every fault replays the same deterministic input stream
 //! independently of its neighbours, re-merging the partial reports

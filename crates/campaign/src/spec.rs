@@ -13,7 +13,6 @@ use scdp_coverage::{AdderFaultModel, InputSpace, OperatorKind, Tally, TechIndex}
 use scdp_netlist::gen::AdderRealisation;
 use scdp_obs::EventSink;
 use scdp_sim::{DropPolicy, Engine, EngineCampaign, InputPlan, Lanes};
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::fmt;
 
@@ -491,12 +490,13 @@ impl CampaignSpec {
         let reduced = reduce_in(
             ctx,
             &dp.netlist,
-            Cow::Owned(groups),
+            &groups,
             &OnceCell::new(),
             shard,
             InputPlan::from_space(self.space),
             &self.exec,
-            |g| EngineCampaign::over(&engine, g),
+            &engine,
+            |engine, g| EngineCampaign::over(engine, g),
         )?;
         let selected = s.tech_index();
         let mut tally = Tally::default();

@@ -33,21 +33,6 @@ fn canonical(report: &CampaignReport) -> String {
     r.to_json()
 }
 
-/// [`canonical`], except that a collapsed and pruned run also drops
-/// its `deduce` counts. Those count engine groups, and each shard
-/// simulates the representatives of its own slice, so sharded counts
-/// sum over overlapping classes; the deduced rows must still match.
-fn canonical_for(report: &CampaignReport, exec: ExecPolicy) -> String {
-    let mut r = report.clone();
-    if exec.collapse {
-        if let Some(d) = r.deduce.as_mut() {
-            d.untestable = 0;
-            d.simulated = 0;
-        }
-    }
-    canonical(&r)
-}
-
 fn scenario() -> DatapathScenario {
     DatapathScenario::new(DfgSource::Fir, 3).technique(Technique::Both)
 }
@@ -118,11 +103,7 @@ fn assert_shared_and_identical(make: impl Fn(ExecPolicy) -> CampaignJob, what: &
             assert_eq!(outcome.counts(), (0, shards as usize, 0), "{case}");
             let merged = outcome.report.expect("complete");
             assert!(merged.same_results(&full), "{case}");
-            assert_eq!(
-                canonical_for(&merged, exec),
-                canonical_for(&full, exec),
-                "{case}"
-            );
+            assert_eq!(canonical(&merged), canonical(&full), "{case}");
             let tel = merged.telemetry.as_ref().expect("merged telemetry");
             assert_builds(tel, 1, exec.collapse, &case);
             if !exec.collapse && !exec.prune {
@@ -265,7 +246,7 @@ fn self_heal_reruns_on_the_invocations_analysis() {
     assert_eq!(healed.shards, vec![ShardState::Ran; 4]);
     let merged = healed.report.expect("complete");
     assert!(merged.same_results(&full));
-    assert_eq!(canonical_for(&merged, exec), canonical_for(&full, exec));
+    assert_eq!(canonical(&merged), canonical(&full));
     // Shard 2 built the analysis; shards 3, 0 and 1 reused it.
     let tel = merged.telemetry.as_ref().expect("merged telemetry");
     assert_builds(tel, 1, true, "self-heal invocation");

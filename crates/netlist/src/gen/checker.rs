@@ -177,11 +177,12 @@ impl SelfCheckingDatapath {
     /// stuck-at-1) expressed as netlist fault groups, in exactly the
     /// enumeration order of `scdp_arith::RippleCarryAdder::gate_faults`.
     ///
-    /// Each group is one multiple-stuck-at fault: the structural sites
-    /// equivalent to the functional [`FaSite`] ([`FaCells::sites`]),
-    /// replicated across the nominal and every checking instance when
-    /// `correlated` (the shared-physical-unit worst case) or confined to
-    /// the nominal instance otherwise (dedicated checkers).
+    /// Each group is one multiple-stuck-at fault, its lines in gate
+    /// order: the structural sites equivalent to the functional
+    /// [`FaSite`] ([`FaCells::sites`]), replicated across the nominal
+    /// and every checking instance when `correlated` (the
+    /// shared-physical-unit worst case) or confined to the nominal
+    /// instance otherwise (dedicated checkers).
     ///
     /// Returns `None` when the datapath does not retain full-adder cell
     /// maps (multiplier datapaths, CLA/CSA realisations) — those only
@@ -202,6 +203,7 @@ impl SelfCheckingDatapath {
                             }
                         }
                     }
+                    group.sort_by_key(|f| (f.site.gate, f.site.pin));
                     groups.push(group);
                 }
             }

@@ -182,7 +182,8 @@ impl SeqStuckAt {
 ///
 /// [`NetlistBuilder::finish`] derives the structure every analysis and
 /// engine asks about once, and the netlist never changes after it: the
-/// reader table ([`Netlist::readers`]) and the output roles — buses
+/// reader table ([`Netlist::readers`]), the constant nets
+/// ([`Netlist::constants`]) and the output roles — buses
 /// named `error` are *alarms*, every other output bus is part of the
 /// *result* ([`Netlist::alarm_nets`], [`Netlist::result_nets`],
 /// [`Netlist::is_output_net`]).
@@ -193,6 +194,7 @@ pub struct Netlist {
     inputs: Vec<(String, Vec<NetId>)>,
     outputs: Vec<(String, Vec<NetId>)>,
     readers: ReaderTable,
+    constants: Vec<Option<bool>>,
     result_nets: Vec<NetId>,
     alarm_nets: Vec<NetId>,
     is_output: Vec<bool>,
@@ -317,6 +319,15 @@ impl Netlist {
     #[must_use]
     pub fn readers(&self, n: usize) -> &[(u32, u8)] {
         self.readers.of(n)
+    }
+
+    /// `constants()[n]` — the value net `n` holds for every input, when
+    /// forward constant propagation proves one. Dff outputs count as
+    /// unknown (state starts at 0 but may change), so sticky alarms stay
+    /// non-constant. Derived once by [`NetlistBuilder::finish`].
+    #[must_use]
+    pub fn constants(&self) -> &[Option<bool>] {
+        &self.constants
     }
 
     /// The nets of every output bus not named `error`, in declaration
@@ -777,6 +788,7 @@ impl NetlistBuilder {
         }
         Netlist {
             readers: ReaderTable::new(&self.gates),
+            constants: propagate_constants(&self.gates),
             name: self.name,
             gates: self.gates,
             inputs: self.inputs,
@@ -786,6 +798,36 @@ impl NetlistBuilder {
             is_output,
         }
     }
+}
+
+/// Forward constant propagation over `gates`, in topological order
+/// (see [`Netlist::constants`]).
+fn propagate_constants(gates: &[Gate]) -> Vec<Option<bool>> {
+    /// `Some(out)` when either operand holds the forcing value.
+    fn force(a: Option<bool>, b: Option<bool>, forcing: bool, out: bool) -> Option<bool> {
+        (a == Some(forcing) || b == Some(forcing)).then_some(out)
+    }
+    fn binop(a: Option<bool>, b: Option<bool>, f: impl Fn(bool, bool) -> bool) -> Option<bool> {
+        Some(f(a?, b?))
+    }
+    let mut consts: Vec<Option<bool>> = vec![None; gates.len()];
+    for (i, g) in gates.iter().enumerate() {
+        let a = g.a.and_then(|n| consts.get(n.0).copied().flatten());
+        let b = g.b.and_then(|n| consts.get(n.0).copied().flatten());
+        consts[i] = match g.kind {
+            GateKind::Const(v) => Some(v),
+            GateKind::Input | GateKind::Dff => None,
+            GateKind::And => force(a, b, false, false).or(binop(a, b, |x, y| x & y)),
+            GateKind::Or => force(a, b, true, true).or(binop(a, b, |x, y| x | y)),
+            GateKind::Nand => force(a, b, false, true).or(binop(a, b, |x, y| !(x & y))),
+            GateKind::Nor => force(a, b, true, false).or(binop(a, b, |x, y| !(x | y))),
+            GateKind::Xor => binop(a, b, |x, y| x ^ y),
+            GateKind::Xnor => binop(a, b, |x, y| !(x ^ y)),
+            GateKind::Not => a.map(|x| !x),
+            GateKind::Buf => a,
+        };
+    }
+    consts
 }
 
 #[cfg(test)]
@@ -855,6 +897,27 @@ mod tests {
         let nets = nl.eval_nets(&[false], &[fault]);
         assert!(!nets[1]);
         assert!(!nets[2]);
+    }
+
+    #[test]
+    fn constants_propagate_forward_and_stop_at_state() {
+        let mut b = NetlistBuilder::new("consts");
+        let x = b.input_bus("x", 1);
+        let zero = b.constant(false);
+        let forced = b.and(x[0], zero);
+        let free = b.or(x[0], forced);
+        let inverted = b.not(forced);
+        let s = b.dff();
+        b.connect_dff(s, inverted);
+        b.output("y", &[free, s]);
+        let nl = b.finish();
+        let c = nl.constants();
+        assert_eq!(c[zero.index()], Some(false));
+        assert_eq!(c[forced.index()], Some(false), "a controlling 0 forces AND");
+        assert_eq!(c[inverted.index()], Some(true));
+        assert_eq!(c[free.index()], None);
+        assert_eq!(c[x[0].index()], None);
+        assert_eq!(c[s.index()], None, "state is never constant");
     }
 
     #[test]

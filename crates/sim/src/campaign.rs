@@ -7,14 +7,12 @@ use crate::batch::InputPlan;
 use crate::engine::{Engine, WideOutcome};
 use crate::error::SimError;
 use crate::par;
-use crate::seq::{mean_detection_latency, SeqEngine, SeqFaultGroup};
+use crate::seq::{mean_detection_latency, SeqEngine};
 use crate::words::{Lanes, Words};
 use scdp_coverage::TechTally;
 use scdp_netlist::gen::SelfCheckingDatapath;
-use scdp_netlist::StuckAtLine;
+use scdp_netlist::{FaultDuration, StuckAtLine};
 use scdp_obs::Recorder;
-use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -131,56 +129,67 @@ pub struct BlockWork {
     pub cones_built: u64,
 }
 
-/// A compiled netlist the campaign driver grades fault groups on.
+/// A compiled netlist the campaign driver grades fault groups on. A
+/// fault group — the unit of injection — is one multiple-stuck-at
+/// fault: stuck lines forced together, in gate order.
 ///
-/// The driver owns everything around the simulation — scoping, skip
-/// mask and baseline probe, lane dispatch, block scheduling, the
-/// per-limb tally and drop step, and telemetry — and calls
+/// The driver owns everything around the simulation — skip mask and
+/// baseline probe, lane dispatch, block scheduling, the per-limb tally
+/// and drop step, and telemetry — and calls
 /// [`FaultEngine::simulate_block`] once per block with the lane width
 /// as a constant, so the hot loop is statically dispatched.
 pub trait FaultEngine: Sync {
-    /// One fault group: the unit of injection.
-    type Group: Clone + fmt::Debug + Send + Sync;
     /// Telemetry namespace of the driver's per-campaign counters.
     const PREFIX: &'static str;
     /// Whether verdicts carry a per-cycle first-detection axis.
     const TRACKS_LATENCY: bool;
 
-    /// The empty group replayed as the fault-free baseline probe.
-    fn fault_free() -> Self::Group;
-
-    /// Validates one fault group against the compiled netlist.
+    /// Validates one fault group against the compiled netlist: every
+    /// line must name an existing gate and, for pin faults, an input
+    /// pin the gate actually has, and the lines must be in gate order.
+    /// Campaign drivers call this for every group *before* simulation,
+    /// so a malformed spec becomes a typed error instead of aborting a
+    /// running (possibly sharded) campaign.
     ///
     /// # Errors
     ///
     /// The first [`SimError`] found, in line order.
-    fn check(&self, group: &Self::Group) -> Result<(), SimError>;
+    fn check(&self, group: &[StuckAtLine]) -> Result<(), SimError>;
 
     /// Simulates the groups of `chunk` listed in `live` (ascending
     /// indices into `chunk`) over `plan`'s deterministic batch stream,
-    /// each situation running `cycles` clock cycles. Every live group's
+    /// each situation running `cycles` clock cycles with the lines
+    /// forced in the cycles `duration` is active in. Every live group's
     /// verdict on every batch goes to `tally`, which returns `false`
     /// once the group is dropped; the engine then stops simulating it
     /// and removes it from `live`. Returns the block's
     /// schedule-dependent work.
     fn simulate_block<const L: usize, F>(
         &self,
-        chunk: &[Self::Group],
+        chunk: &[Vec<StuckAtLine>],
         live: &mut Vec<usize>,
         plan: InputPlan,
         cycles: u32,
+        duration: FaultDuration,
         tally: F,
     ) -> BlockWork
     where
         F: FnMut(usize, &Verdict<'_, L>) -> bool;
 }
 
-/// A configured bit-parallel campaign: a compiled engine, a universe of
-/// fault groups (each group is one multiple-stuck-at fault — e.g. the
-/// correlated copies of one local site across unit instances), an input
-/// plan, a drop policy and a lane width.
+/// A configured bit-parallel campaign: a compiled engine, the borrowed
+/// slice of fault groups it grades (each group is one multiple-stuck-at
+/// fault — e.g. the correlated copies of one local site across unit
+/// instances — with its lines in gate order), an input plan, a drop
+/// policy and a lane width.
 ///
-/// The driver splits the universe into fault blocks scheduled by the
+/// A shard of a partitioned campaign is graded by handing the driver
+/// that shard's slice: because every group replays the same
+/// deterministic batch stream independently, per-fault outcomes are
+/// bit-identical to the corresponding slice of a run over the whole
+/// universe.
+///
+/// The driver splits its groups into fault blocks scheduled by the
 /// work-stealing pool ([`par::run_blocks`]). Every block re-generates
 /// the same deterministic batch stream and shares one good-machine
 /// evaluation per (wide) batch across its groups; each live group's
@@ -190,13 +199,13 @@ pub trait FaultEngine: Sync {
 #[derive(Clone, Debug)]
 pub struct Campaign<'a, E: FaultEngine> {
     engine: &'a E,
-    groups: Vec<E::Group>,
+    groups: &'a [Vec<StuckAtLine>],
     cycles: u32,
+    duration: FaultDuration,
     plan: InputPlan,
     drop: DropPolicy,
     threads: usize,
     lanes: Lanes,
-    range: Option<Range<usize>>,
     skip: Vec<usize>,
     recorder: Option<Arc<Recorder>>,
 }
@@ -206,8 +215,8 @@ pub struct Campaign<'a, E: FaultEngine> {
 /// machine, bit-identical to full faulty passes.
 pub type EngineCampaign<'a> = Campaign<'a, Engine>;
 
-/// A cycle-accurate campaign on [`SeqEngine`]: duration-qualified fault
-/// groups, a fixed cycle count per situation, and a per-cycle
+/// A cycle-accurate campaign on [`SeqEngine`]: a fixed cycle count per
+/// situation, one fault duration for every group, and a per-cycle
 /// first-detection histogram.
 pub type SeqCampaign<'a> = Campaign<'a, SeqEngine>;
 
@@ -217,41 +226,48 @@ impl<'a> Campaign<'a, Engine> {
     /// unified `scdp_campaign::{Scenario, CampaignSpec}` surface drives
     /// after validating the configuration with typed errors.
     #[must_use]
-    pub fn over(engine: &'a Engine, groups: Vec<Vec<StuckAtLine>>) -> Self {
-        let mut groups = groups;
-        for g in &mut groups {
-            g.sort_by_key(|f| (f.site.gate, f.site.pin));
-        }
-        Self::with_engine(engine, groups, 1)
+    pub fn over(engine: &'a Engine, groups: &'a [Vec<StuckAtLine>]) -> Self {
+        Self::with_engine(engine, groups, 1, FaultDuration::Permanent)
     }
 }
 
 impl<'a> Campaign<'a, SeqEngine> {
     /// Starts a campaign over `groups`, each run for `cycles` clock
-    /// cycles per input vector, with exhaustive inputs, no dropping and
+    /// cycles per input vector with its lines forced in the cycles
+    /// `duration` is active in, with exhaustive inputs, no dropping and
     /// all available cores.
     ///
     /// # Panics
     ///
     /// Panics if `cycles` is 0.
     #[must_use]
-    pub fn new(engine: &'a SeqEngine, groups: Vec<SeqFaultGroup>, cycles: u32) -> Self {
+    pub fn new(
+        engine: &'a SeqEngine,
+        groups: &'a [Vec<StuckAtLine>],
+        cycles: u32,
+        duration: FaultDuration,
+    ) -> Self {
         assert!(cycles > 0, "at least one cycle required");
-        Self::with_engine(engine, groups, cycles)
+        Self::with_engine(engine, groups, cycles, duration)
     }
 }
 
 impl<'a, E: FaultEngine> Campaign<'a, E> {
-    fn with_engine(engine: &'a E, groups: Vec<E::Group>, cycles: u32) -> Self {
+    fn with_engine(
+        engine: &'a E,
+        groups: &'a [Vec<StuckAtLine>],
+        cycles: u32,
+        duration: FaultDuration,
+    ) -> Self {
         Self {
             engine,
             groups,
             cycles,
+            duration,
             plan: InputPlan::Exhaustive,
             drop: DropPolicy::Never,
             threads: par::default_threads(),
             lanes: Lanes::Auto,
-            range: None,
             skip: Vec::new(),
             recorder: None,
         }
@@ -292,36 +308,17 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
         self
     }
 
-    /// Restricts simulation to the universe subrange `range` — the
-    /// shard-scoped iteration of a partitioned campaign. The summary's
-    /// `per_fault` then covers only `range`, in universe order; because
-    /// every fault replays the same deterministic batch stream
-    /// independently, per-fault outcomes are bit-identical to the
-    /// corresponding slice of an unrestricted run.
-    ///
-    /// # Panics
-    ///
-    /// `run` panics if the range exceeds the universe (campaign
-    /// front-ends validate shard plans before reaching this driver).
-    #[must_use]
-    pub fn fault_range(mut self, range: Range<usize>) -> Self {
-        self.range = Some(range);
-        self
-    }
-
-    /// Marks fault groups as **pre-resolved**: the given indices (into
-    /// the universe the campaign was built over, before any
-    /// [`Campaign::fault_range`] scoping) are never simulated. Instead,
-    /// the driver replays the batch stream once with an *empty* fault
-    /// group — the fault-free baseline probe — and fills each skipped
-    /// entry of `per_fault` with a copy of that outcome. For a fault
+    /// Marks fault groups as **pre-resolved**: the given indices into
+    /// the campaign's groups are never simulated. Instead, the driver
+    /// replays the batch stream once with an *empty* fault group — the
+    /// fault-free baseline probe — and fills each skipped entry of
+    /// `per_fault` with a copy of that outcome. For a fault
     /// proven to behave exactly like the fault-free machine in every
     /// cycle (see `scdp-analyze`'s `PrunedUniverse`), this is
     /// bit-identical to simulating it under every drop policy: the
     /// baseline is silent by construction wherever the good machine
-    /// is, and a silent fault is never dropped. Indices outside the
-    /// scoped range are ignored, so shard geometry composes with
-    /// skipping.
+    /// is, and a silent fault is never dropped. Indices past the last
+    /// group are ignored.
     #[must_use]
     pub fn skip_resolved(mut self, skip: Vec<usize>) -> Self {
         self.skip = skip;
@@ -332,8 +329,10 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
     /// groups, per-fault batch evaluations, faulty-pass gate
     /// evaluations, dropped faults and simulated situations (plus
     /// evaluated cycles on a sequential engine) under the engine's
-    /// prefix (`engine.*` or `seq.*`; all thread-count and shard
-    /// invariant), per-worker busy time under `<prefix>.busy_ns`, and
+    /// prefix (`engine.*` or `seq.*`; all thread-count invariant, and
+    /// additive over campaigns on disjoint slices, except for the
+    /// baseline probe each campaign with skipped groups replays),
+    /// per-worker busy time under `<prefix>.busy_ns`, and
     /// the schedule itself — blocks, steals, good-machine batch
     /// evaluations — under `pool.*`.
     #[must_use]
@@ -342,31 +341,17 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
         self
     }
 
-    /// The universe subrange that will be simulated.
-    fn scoped(&self) -> &[E::Group] {
-        match &self.range {
-            None => &self.groups,
-            Some(r) => {
-                assert!(
-                    r.start <= r.end && r.end <= self.groups.len(),
-                    "fault range {r:?} exceeds the {}-group universe",
-                    self.groups.len()
-                );
-                &self.groups[r.clone()]
-            }
-        }
-    }
-
-    /// Validates every in-scope fault group against the compiled
-    /// netlist — call before [`Campaign::run`] to surface malformed
-    /// specs as typed errors instead of feeding them to the packed
+    /// Validates every fault group against the compiled netlist — call
+    /// before [`Campaign::run`] to surface malformed specs (a line on a
+    /// gate or pin the netlist does not have, or lines out of gate
+    /// order) as typed errors instead of feeding them to the packed
     /// evaluator.
     ///
     /// # Errors
     ///
-    /// Returns the first [`SimError`] found, in universe order.
+    /// Returns the first [`SimError`] found, in group order.
     pub fn check(&self) -> Result<(), SimError> {
-        self.scoped().iter().try_for_each(|g| self.engine.check(g))
+        self.groups.iter().try_for_each(|g| self.engine.check(g))
     }
 
     /// Runs the campaign.
@@ -374,10 +359,10 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
     /// # Panics
     ///
     /// Panics if a fault group names a gate or pin the compiled
-    /// netlist does not have — validate with [`Campaign::check`] first
-    /// for a typed error (the unified `scdp-campaign` surface does);
-    /// silently dropping such lines would produce plausible but wrong
-    /// tallies. Also re-raises a worker panic (see
+    /// netlist does not have, or lists its lines out of gate order —
+    /// validate with [`Campaign::check`] first for a typed error (the
+    /// unified `scdp-campaign` surface does); silently dropping such
+    /// lines would produce plausible but wrong tallies. Also re-raises a worker panic (see
     /// [`Campaign::try_run`] for the typed-error form).
     #[must_use]
     pub fn run(&self) -> CampaignSummary {
@@ -397,16 +382,15 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
     /// [`SimError::WorkerPanicked`] if a pool worker panicked.
     pub fn try_run(&self) -> Result<CampaignSummary, SimError> {
         self.check()?;
-        let scoped = self.scoped();
-        let start = self.range.as_ref().map_or(0, |r| r.start);
-        let mut skip = vec![false; scoped.len()];
+        let groups = self.groups;
+        let mut skip = vec![false; groups.len()];
         for &i in &self.skip {
-            if let Some(s) = i.checked_sub(start).filter(|&s| s < scoped.len()) {
-                skip[s] = true;
+            if let Some(s) = skip.get_mut(i) {
+                *s = true;
             }
         }
         let work = WorkCounters::default();
-        let run = |chunk: &[E::Group], skip: &[bool]| match self.lanes.limbs() {
+        let run = |chunk: &[Vec<StuckAtLine>], skip: &[bool]| match self.lanes.limbs() {
             1 => self.run_block::<1>(chunk, skip, &work),
             4 => self.run_block::<4>(chunk, skip, &work),
             _ => self.run_block::<8>(chunk, skip, &work),
@@ -415,13 +399,13 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
         // limbs count toward `fault_batches` exactly like a simulated
         // group's, keeping the counter deterministic.
         let baseline = skip.contains(&true).then(|| {
-            run(&[E::fault_free()], &[false])
+            run(&[Vec::new()], &[false])
                 .pop()
                 .expect("probe block yields one outcome")
         });
-        let block = par::auto_block(scoped.len(), self.threads);
-        let (mut per_fault, stats) = par::run_blocks(scoped.len(), self.threads, block, |r| {
-            run(&scoped[r.clone()], &skip[r])
+        let block = par::auto_block(groups.len(), self.threads);
+        let (mut per_fault, stats) = par::run_blocks(groups.len(), self.threads, block, |r| {
+            run(&groups[r.clone()], &skip[r])
         })?;
         if let Some(b) = &baseline {
             for (o, &skipped) in per_fault.iter_mut().zip(&skip) {
@@ -505,7 +489,7 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
     /// invariant.
     fn run_block<const L: usize>(
         &self,
-        chunk: &[E::Group],
+        chunk: &[Vec<StuckAtLine>],
         skip: &[bool],
         work: &WorkCounters,
     ) -> Vec<FaultOutcome> {
@@ -522,6 +506,7 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
             &mut live,
             self.plan,
             self.cycles,
+            self.duration,
             |k, v: &Verdict<'_, L>| {
                 let o = &mut outcomes[k];
                 for limb in 0..v.limbs {
@@ -615,7 +600,7 @@ fn datapath_coverage(
             });
         }
     }
-    let summary = EngineCampaign::over(&engine, groups)
+    let summary = EngineCampaign::over(&engine, &groups)
         .plan(plan)
         .threads(threads)
         .run();
@@ -700,11 +685,11 @@ mod tests {
                 groups.push(dp.correlated_fault(site, value));
             }
         }
-        let full = EngineCampaign::over(&engine, groups.clone())
+        let full = EngineCampaign::over(&engine, &groups)
             .drop_policy(DropPolicy::Never)
             .threads(2)
             .run();
-        let dropped = EngineCampaign::over(&engine, groups)
+        let dropped = EngineCampaign::over(&engine, &groups)
             .drop_policy(DropPolicy::OnDetect)
             .threads(2)
             .run();
@@ -735,7 +720,7 @@ mod tests {
         }
         let run = |threads: usize| {
             let rec = Arc::new(Recorder::new());
-            let summary = EngineCampaign::over(&engine, groups.clone())
+            let summary = EngineCampaign::over(&engine, &groups)
                 .drop_policy(DropPolicy::OnDetect)
                 .threads(threads)
                 .recorder(Arc::clone(&rec))
@@ -808,7 +793,7 @@ mod tests {
             DropPolicy::OnEscape,
         ] {
             let run = |lanes: Lanes| {
-                EngineCampaign::over(&engine, groups.clone())
+                EngineCampaign::over(&engine, &groups)
                     .drop_policy(drop)
                     .threads(2)
                     .lanes(lanes)
@@ -846,11 +831,11 @@ mod tests {
         let mid = groups.len() / 2;
         groups.insert(mid, Vec::new());
         for drop in [DropPolicy::Never, DropPolicy::OnDetect] {
-            let plain = EngineCampaign::over(&engine, groups.clone())
+            let plain = EngineCampaign::over(&engine, &groups)
                 .drop_policy(drop)
                 .threads(2)
                 .run();
-            let skipped = EngineCampaign::over(&engine, groups.clone())
+            let skipped = EngineCampaign::over(&engine, &groups)
                 .drop_policy(drop)
                 .threads(2)
                 .skip_resolved(vec![0, mid])
@@ -865,10 +850,11 @@ mod tests {
         }
     }
 
-    /// Skip indices address the pre-range universe; out-of-range ones
-    /// are ignored, so shard scoping composes with skipping.
+    /// Skip indices address the campaign's own groups, so a campaign
+    /// over a sub-slice skips by slice index; indices past the last
+    /// group are ignored.
     #[test]
-    fn skip_indices_compose_with_fault_range() {
+    fn skip_indices_address_the_borrowed_slice() {
         let dp = add_dp(4, Technique::Tech1);
         let engine = Engine::new(&dp.netlist);
         let mut groups = Vec::new();
@@ -878,19 +864,16 @@ mod tests {
             }
         }
         groups.insert(3, Vec::new());
-        let range = 2..groups.len().min(8);
-        let plain = EngineCampaign::over(&engine, groups.clone())
-            .fault_range(range.clone())
+        let slice = &groups[2..groups.len().min(8)];
+        let plain = EngineCampaign::over(&engine, slice).threads(2).run();
+        let skipped = EngineCampaign::over(&engine, slice)
             .threads(2)
-            .run();
-        let skipped = EngineCampaign::over(&engine, groups.clone())
-            .fault_range(range)
-            .threads(2)
-            // 3 is the empty group (in range); 0 is out of range.
-            .skip_resolved(vec![0, 3])
+            // 1 is the empty group (universe index 3); 99 is past the end.
+            .skip_resolved(vec![1, 99])
             .run();
         assert_eq!(plain.per_fault, skipped.per_fault);
         assert_eq!(plain.simulated, skipped.simulated);
+        assert!(skipped.baseline.is_some());
     }
 
     #[test]
@@ -904,7 +887,7 @@ mod tests {
             },
             true,
         )]];
-        let err = EngineCampaign::over(&engine, bogus).try_run().unwrap_err();
+        let err = EngineCampaign::over(&engine, &bogus).try_run().unwrap_err();
         assert!(matches!(err, SimError::GateOutOfRange { .. }));
     }
 

@@ -21,7 +21,7 @@ use crate::batch::{InputBatch, InputPlan, WideBatch};
 use crate::campaign::{BlockWork, FaultEngine, Verdict};
 use crate::error::SimError;
 use crate::words::{LaneWord, Words};
-use scdp_netlist::{GateKind, Netlist, ReaderTable, StuckAtLine};
+use scdp_netlist::{FaultDuration, GateKind, Netlist, ReaderTable, StuckAtLine};
 
 /// A combinational netlist compiled for bit-parallel evaluation.
 ///
@@ -144,24 +144,11 @@ impl Engine {
         self.core.input_bits()
     }
 
-    /// Validates a fault list against the compiled netlist: every line
-    /// must name an existing gate and, for pin faults, an input pin the
-    /// gate actually has. Campaign drivers call this once per fault
-    /// group *before* simulation so a malformed spec becomes a typed
-    /// error instead of aborting a running (possibly sharded) campaign.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] found, in fault-list order.
-    pub fn check_faults(&self, faults: &[StuckAtLine]) -> Result<(), SimError> {
-        self.core.check(faults)
-    }
-
     /// Evaluates one packed batch under `faults` into `values` (one
     /// word per net, reused across calls to avoid allocation).
     ///
-    /// `faults` must be sorted by gate index (fault groups produced by
-    /// [`crate::EngineCampaign`] are; assert-checked in debug builds).
+    /// `faults` must be sorted by gate index ([`FaultEngine::check`]
+    /// rejects a list that is not; assert-checked in debug builds).
     /// This is a full forward pass over every gate: the good-machine
     /// evaluator of the campaign driver, and the reference its cone
     /// passes are tested against. The fault-free fast path costs one
@@ -398,11 +385,18 @@ impl Compiled {
         (self.wrong(good, faulty, mask), self.alarm(faulty, mask))
     }
 
-    /// Validates a fault list: every line must name an existing gate
-    /// and, for pin faults, an input pin the gate actually has.
+    /// Validates a fault list — both engines' [`FaultEngine::check`]:
+    /// every line must name an existing gate and, for pin faults, an
+    /// input pin the gate actually has, and the lines must be in gate
+    /// order (the evaluator's single sweep).
     pub(crate) fn check(&self, faults: &[StuckAtLine]) -> Result<(), SimError> {
+        let mut previous = 0;
         for f in faults {
             let gate = f.site.gate;
+            if gate < previous {
+                return Err(SimError::LinesOutOfOrder { gate, previous });
+            }
+            previous = gate;
             let Some(g) = self.gates.get(gate) else {
                 return Err(SimError::GateOutOfRange {
                     gate,
@@ -421,16 +415,11 @@ impl Compiled {
 }
 
 impl FaultEngine for Engine {
-    type Group = Vec<StuckAtLine>;
     const PREFIX: &'static str = "engine";
     const TRACKS_LATENCY: bool = false;
 
-    fn fault_free() -> Self::Group {
-        Vec::new()
-    }
-
-    fn check(&self, group: &Self::Group) -> Result<(), SimError> {
-        self.check_faults(group)
+    fn check(&self, group: &[StuckAtLine]) -> Result<(), SimError> {
+        self.core.check(group)
     }
 
     /// The block's cones are built into one arena, each once per run
@@ -442,10 +431,11 @@ impl FaultEngine for Engine {
     /// sits on another one.
     fn simulate_block<const L: usize, F>(
         &self,
-        chunk: &[Self::Group],
+        chunk: &[Vec<StuckAtLine>],
         live: &mut Vec<usize>,
         plan: InputPlan,
         _cycles: u32,
+        _duration: FaultDuration,
         mut tally: F,
     ) -> BlockWork
     where
@@ -642,7 +632,7 @@ fn overrides(faults: &[StuckAtLine], fi: &mut usize, gate: usize, pins: u8) -> [
         match f.site.pin {
             None => out[2] = Some(f.value),
             Some(pin) if pin < pins => out[usize::from(pin)] = Some(f.value),
-            // Rejected by `check_faults`; ignored here so a line
+            // Rejected by `FaultEngine::check`; ignored here so a line
             // smuggled past validation through the raw batch API
             // cannot abort a campaign.
             Some(_) => {}

@@ -5,11 +5,10 @@
 //! malformed fault group would then abort a whole campaign — fatal for
 //! sharded sweeps where one shard's bad spec must not lose the other
 //! shards' work. Validation now happens *before* simulation
-//! ([`crate::Engine::check_faults`], [`crate::FaultEngine::check`])
-//! and reports failures as values; the evaluation loops themselves are
-//! total (an out-of-range pin can no longer be reached after
-//! validation, and is ignored defensively if one is injected through
-//! the raw batch API).
+//! ([`crate::FaultEngine::check`]) and reports failures as values; the
+//! evaluation loops themselves are total (an out-of-range pin can no
+//! longer be reached after validation, and is ignored defensively if
+//! one is injected through the raw batch API).
 
 use std::error::Error;
 use std::fmt;
@@ -34,6 +33,15 @@ pub enum SimError {
         /// Number of input pins the gate actually has.
         pins: u8,
     },
+    /// A fault group lists its lines out of gate order: the packed
+    /// evaluator applies a group's lines in one sweep over the gates,
+    /// so producers emit them sorted by gate.
+    LinesOutOfOrder {
+        /// The gate of the line that is out of order.
+        gate: usize,
+        /// The larger gate of the line before it.
+        previous: usize,
+    },
     /// A worker thread in the parallel pool panicked. The pool stops
     /// handing out work, joins the remaining workers, and surfaces the
     /// first panic payload here instead of re-panicking on the caller's
@@ -57,6 +65,12 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "fault pin {pin} out of range: gate {gate} has {pins} input pins"
+                )
+            }
+            SimError::LinesOutOfOrder { gate, previous } => {
+                write!(
+                    f,
+                    "fault lines out of gate order: gate {gate} follows gate {previous}"
                 )
             }
             SimError::WorkerPanicked { message } => {

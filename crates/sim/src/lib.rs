@@ -105,5 +105,5 @@ pub use engine::{BatchOutcome, Engine, WideOutcome};
 pub use error::SimError;
 pub use par::PoolStats;
 pub use scdp_netlist::FaultDuration;
-pub use seq::{mean_detection_latency, SeqBatchOutcome, SeqEngine, SeqFaultGroup};
+pub use seq::{mean_detection_latency, SeqBatchOutcome, SeqEngine};
 pub use words::{LaneWord, Lanes, Words};

@@ -31,26 +31,6 @@ use crate::error::SimError;
 use crate::words::LaneWord;
 use scdp_netlist::{FaultDuration, GateKind, Netlist, StuckAtLine};
 
-/// One multiple-stuck-at fault with a duration: the unit of injection
-/// of a sequential campaign.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeqFaultGroup {
-    /// The stuck lines (forced together while active), sorted by gate.
-    pub lines: Vec<StuckAtLine>,
-    /// When the lines are forced.
-    pub duration: FaultDuration,
-}
-
-impl SeqFaultGroup {
-    /// A fault group with `duration`, sorting the lines by gate as the
-    /// evaluator requires.
-    #[must_use]
-    pub fn new(mut lines: Vec<StuckAtLine>, duration: FaultDuration) -> Self {
-        lines.sort_by_key(|f| (f.site.gate, f.site.pin));
-        Self { lines, duration }
-    }
-}
-
 /// Packed verdict of one faulty multi-cycle batch against the good
 /// machine.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -80,6 +60,9 @@ impl SeqBatchOutcome {
         .counts()
     }
 }
+
+/// The good machine: no line forced in any cycle.
+const FAULT_FREE: (&[StuckAtLine], FaultDuration) = (&[], FaultDuration::Permanent);
 
 /// A sequential netlist compiled for packed cycle-accurate evaluation.
 ///
@@ -154,10 +137,11 @@ impl SeqEngine {
         }
     }
 
-    /// Runs one batch for `cycles` clock cycles under `fault` (pass
-    /// `None` for the good machine), leaving the **final cycle's** net
-    /// values in `values`. `state` and `values` are scratch buffers
-    /// reused across calls.
+    /// Runs one batch for `cycles` clock cycles under `fault` — stuck
+    /// lines in gate order, forced in the cycles their duration is
+    /// active in (pass `None` for the good machine) — leaving the
+    /// **final cycle's** net values in `values`. `state` and `values`
+    /// are scratch buffers reused across calls.
     ///
     /// Returns the per-cycle packed alarm masks folded into a
     /// [`SeqBatchOutcome`] — except `wrong`, which the caller fills by
@@ -170,11 +154,12 @@ impl SeqEngine {
     pub fn run_batch_into(
         &self,
         batch: &InputBatch,
-        fault: Option<&SeqFaultGroup>,
+        fault: Option<(&[StuckAtLine], FaultDuration)>,
         cycles: u32,
         values: &mut Vec<u64>,
         state: &mut Vec<u64>,
     ) -> SeqBatchOutcome {
+        let fault = fault.unwrap_or(FAULT_FREE);
         let (alarm, first_detect) =
             self.run_words_into(&batch.bits, batch.mask(), fault, cycles, values, state);
         SeqBatchOutcome {
@@ -187,21 +172,18 @@ impl SeqEngine {
 
     /// The generic multi-cycle run shared by the scalar and wide paths:
     /// returns the sticky alarm word and the per-cycle first-detection
-    /// words, leaving the final cycle's net values in `values`.
+    /// words, leaving the final cycle's net values in `values`. The
+    /// fault's lines are forced in the cycles its duration is active in.
     fn run_words_into<W: LaneWord>(
         &self,
         bits: &[W],
         mask: W,
-        fault: Option<&SeqFaultGroup>,
+        (lines, duration): (&[StuckAtLine], FaultDuration),
         cycles: u32,
         values: &mut Vec<W>,
         state: &mut Vec<W>,
     ) -> (W, Vec<W>) {
         assert!(cycles > 0, "at least one cycle required");
-        debug_assert!(
-            fault.is_none_or(|f| f.lines.windows(2).all(|w| w[0].site.gate <= w[1].site.gate)),
-            "fault lines must be sorted by gate"
-        );
         // Every net is written before any gate uses it (a Dff's D pin
         // is read but never used), so the buffer needs the right
         // length, not clearing.
@@ -211,9 +193,10 @@ impl SeqEngine {
         let mut alarm_seen = W::ZERO;
         let mut first_detect = vec![W::ZERO; cycles as usize];
         for cycle in 0..cycles {
-            let active: &[StuckAtLine] = match fault {
-                Some(f) if f.duration.active_at(cycle) => &f.lines,
-                _ => &[],
+            let active = if duration.active_at(cycle) {
+                lines
+            } else {
+                &[]
             };
             self.eval_cycle(bits, active, state, values);
             let alarm = self.core.alarm(values, mask);
@@ -250,16 +233,11 @@ pub fn mean_detection_latency(hist: &[u64]) -> Option<f64> {
 }
 
 impl FaultEngine for SeqEngine {
-    type Group = SeqFaultGroup;
     const PREFIX: &'static str = "seq";
     const TRACKS_LATENCY: bool = true;
 
-    fn fault_free() -> Self::Group {
-        SeqFaultGroup::new(Vec::new(), FaultDuration::Permanent)
-    }
-
-    fn check(&self, group: &Self::Group) -> Result<(), SimError> {
-        self.core.check(&group.lines)
+    fn check(&self, group: &[StuckAtLine]) -> Result<(), SimError> {
+        self.core.check(group)
     }
 
     /// The good machine runs once per wide batch, shared across every
@@ -268,10 +246,11 @@ impl FaultEngine for SeqEngine {
     /// cycles).
     fn simulate_block<const L: usize, F>(
         &self,
-        chunk: &[Self::Group],
+        chunk: &[Vec<StuckAtLine>],
         live: &mut Vec<usize>,
         plan: InputPlan,
         cycles: u32,
+        duration: FaultDuration,
         mut tally: F,
     ) -> BlockWork
     where
@@ -286,13 +265,15 @@ impl FaultEngine for SeqEngine {
             if live.is_empty() {
                 break;
             }
-            let _ = self.run_words_into(&wide.bits, wide.mask, None, cycles, &mut good, &mut state);
+            let _ = self.run_words_into(
+                &wide.bits, wide.mask, FAULT_FREE, cycles, &mut good, &mut state,
+            );
             good_evals += wide.limbs as u64;
             live.retain(|&k| {
                 let (alarm, first_detect) = self.run_words_into(
                     &wide.bits,
                     wide.mask,
-                    Some(&chunk[k]),
+                    (&chunk[k], duration),
                     cycles,
                     &mut faulty,
                     &mut state,
@@ -345,37 +326,29 @@ mod tests {
         let engine = SeqEngine::new(&nl);
         assert_eq!(engine.dff_count(), 2);
         let cycles = 4u32;
+        let stem = [StuckAtLine::new(StuckSite { gate: 1, pin: None }, true)];
+        let d_pin = [StuckAtLine::new(
+            StuckSite {
+                gate: 2,
+                pin: Some(0),
+            },
+            true,
+        )];
         let faults = [
             None,
-            Some(SeqFaultGroup::new(
-                vec![StuckAtLine::new(StuckSite { gate: 1, pin: None }, true)],
-                FaultDuration::Permanent,
-            )),
-            Some(SeqFaultGroup::new(
-                vec![StuckAtLine::new(
-                    StuckSite {
-                        gate: 2,
-                        pin: Some(0),
-                    },
-                    true,
-                )],
-                FaultDuration::Transient { cycle: 1 },
-            )),
+            Some((&stem[..], FaultDuration::Permanent)),
+            Some((&d_pin[..], FaultDuration::Transient { cycle: 1 })),
         ];
-        for fault in &faults {
+        for fault in faults {
             for batch in InputPlan::Exhaustive.stream(1) {
                 let mut values = Vec::new();
                 let mut state = Vec::new();
-                let _ =
-                    engine.run_batch_into(&batch, fault.as_ref(), cycles, &mut values, &mut state);
+                let _ = engine.run_batch_into(&batch, fault, cycles, &mut values, &mut state);
                 for lane in 0..batch.len {
                     let scalar_faults: Vec<SeqStuckAt> = fault
                         .iter()
-                        .flat_map(|f| {
-                            f.lines.iter().map(|&line| SeqStuckAt {
-                                line,
-                                duration: f.duration,
-                            })
+                        .flat_map(|&(lines, duration)| {
+                            lines.iter().map(move |&line| SeqStuckAt { line, duration })
                         })
                         .collect();
                     let trace = nl.eval_seq_nets(&batch.lane_bits(lane), cycles, &scalar_faults);
@@ -439,18 +412,15 @@ mod tests {
         b.output("error", &[s1]);
         let nl = b.finish();
         let engine = SeqEngine::new(&nl);
-        let stuck = SeqFaultGroup::new(
-            vec![StuckAtLine::new(
-                StuckSite {
-                    gate: 0,
-                    pin: Some(0),
-                },
-                true,
-            )],
-            FaultDuration::Permanent,
-        );
+        let stuck = [vec![StuckAtLine::new(
+            StuckSite {
+                gate: 0,
+                pin: Some(0),
+            },
+            true,
+        )]];
         let rec = std::sync::Arc::new(scdp_obs::Recorder::new());
-        let summary = SeqCampaign::new(&engine, vec![stuck], 4)
+        let summary = SeqCampaign::new(&engine, &stuck, 4, FaultDuration::Permanent)
             .threads(1)
             .recorder(std::sync::Arc::clone(&rec))
             .run();
@@ -472,25 +442,25 @@ mod tests {
         let mut groups = Vec::new();
         for gate in 0..nl.gate_count() {
             for value in [false, true] {
-                groups.push(SeqFaultGroup::new(
-                    vec![StuckAtLine::new(StuckSite { gate, pin: None }, value)],
-                    FaultDuration::Permanent,
-                ));
-                groups.push(SeqFaultGroup::new(
-                    vec![StuckAtLine::new(StuckSite { gate, pin: None }, value)],
-                    FaultDuration::Transient { cycle: 1 },
-                ));
+                groups.push(vec![StuckAtLine::new(StuckSite { gate, pin: None }, value)]);
             }
         }
-        let a = SeqCampaign::new(&engine, groups.clone(), 5)
-            .threads(1)
-            .run();
-        let b = SeqCampaign::new(&engine, groups, 5).threads(3).run();
-        assert_eq!(a.tally, b.tally);
-        assert_eq!(a.first_detect, b.first_detect);
-        for (x, y) in a.per_fault.iter().zip(&b.per_fault) {
-            assert_eq!(x.tally, y.tally);
-            assert_eq!(x.first_detect, y.first_detect);
+        for duration in [
+            FaultDuration::Permanent,
+            FaultDuration::Transient { cycle: 1 },
+        ] {
+            let a = SeqCampaign::new(&engine, &groups, 5, duration)
+                .threads(1)
+                .run();
+            let b = SeqCampaign::new(&engine, &groups, 5, duration)
+                .threads(3)
+                .run();
+            assert_eq!(a.tally, b.tally);
+            assert_eq!(a.first_detect, b.first_detect);
+            for (x, y) in a.per_fault.iter().zip(&b.per_fault) {
+                assert_eq!(x.tally, y.tally);
+                assert_eq!(x.first_detect, y.first_detect);
+            }
         }
     }
 
@@ -501,19 +471,16 @@ mod tests {
     fn skipping_resolved_groups_is_bit_identical() {
         let nl = shift_netlist();
         let engine = SeqEngine::new(&nl);
-        let mut groups = vec![SeqFaultGroup::new(Vec::new(), FaultDuration::Permanent)];
+        let mut groups = vec![Vec::new()];
         for gate in 0..nl.gate_count() {
             for value in [false, true] {
-                groups.push(SeqFaultGroup::new(
-                    vec![StuckAtLine::new(StuckSite { gate, pin: None }, value)],
-                    FaultDuration::Permanent,
-                ));
+                groups.push(vec![StuckAtLine::new(StuckSite { gate, pin: None }, value)]);
             }
         }
-        let plain = SeqCampaign::new(&engine, groups.clone(), 5)
+        let plain = SeqCampaign::new(&engine, &groups, 5, FaultDuration::Permanent)
             .threads(2)
             .run();
-        let skipped = SeqCampaign::new(&engine, groups, 5)
+        let skipped = SeqCampaign::new(&engine, &groups, 5, FaultDuration::Permanent)
             .threads(2)
             .skip_resolved(vec![0])
             .run();
@@ -532,13 +499,14 @@ mod tests {
         let nl = shift_netlist();
         let engine = SeqEngine::new(&nl);
         // Transient at a cycle >= cycles: never active.
-        let harmless = SeqFaultGroup::new(
-            vec![StuckAtLine::new(StuckSite { gate: 1, pin: None }, true)],
-            FaultDuration::Transient { cycle: 9 },
-        );
-        let summary = SeqCampaign::new(&engine, vec![harmless], 3)
-            .threads(1)
-            .run();
+        let harmless = [vec![StuckAtLine::new(
+            StuckSite { gate: 1, pin: None },
+            true,
+        )]];
+        let summary =
+            SeqCampaign::new(&engine, &harmless, 3, FaultDuration::Transient { cycle: 9 })
+                .threads(1)
+                .run();
         assert_eq!(summary.tally.error_detected, 0);
         assert_eq!(summary.tally.error_undetected, 0);
         assert_eq!(summary.tally.correct_silent, summary.simulated);
@@ -564,22 +532,17 @@ mod tests {
     fn dropping_preserves_verdicts() {
         let nl = quiet_alarm_netlist();
         let engine = SeqEngine::new(&nl);
-        let groups: Vec<SeqFaultGroup> = (0..nl.gate_count())
-            .map(|gate| {
-                SeqFaultGroup::new(
-                    vec![StuckAtLine::new(StuckSite { gate, pin: None }, true)],
-                    FaultDuration::Permanent,
-                )
-            })
+        let groups: Vec<_> = (0..nl.gate_count())
+            .map(|gate| vec![StuckAtLine::new(StuckSite { gate, pin: None }, true)])
             .collect();
-        let full = SeqCampaign::new(&engine, groups.clone(), 4)
+        let full = SeqCampaign::new(&engine, &groups, 4, FaultDuration::Permanent)
             .plan(InputPlan::Sampled {
                 vectors: 256,
                 seed: 7,
             })
             .threads(2)
             .run();
-        let dropped = SeqCampaign::new(&engine, groups, 4)
+        let dropped = SeqCampaign::new(&engine, &groups, 4, FaultDuration::Permanent)
             .plan(InputPlan::Sampled {
                 vectors: 256,
                 seed: 7,
@@ -597,36 +560,35 @@ mod tests {
     fn lane_width_does_not_change_seq_results() {
         let nl = quiet_alarm_netlist();
         let engine = SeqEngine::new(&nl);
-        let groups: Vec<SeqFaultGroup> = (0..nl.gate_count())
+        let groups: Vec<_> = (0..nl.gate_count())
             .flat_map(|gate| {
-                [
-                    SeqFaultGroup::new(
-                        vec![StuckAtLine::new(StuckSite { gate, pin: None }, true)],
-                        FaultDuration::Permanent,
-                    ),
-                    SeqFaultGroup::new(
-                        vec![StuckAtLine::new(StuckSite { gate, pin: None }, false)],
-                        FaultDuration::Transient { cycle: 1 },
-                    ),
-                ]
+                [true, false]
+                    .map(|value| vec![StuckAtLine::new(StuckSite { gate, pin: None }, value)])
             })
             .collect();
         let plan = InputPlan::Sampled {
             vectors: 300,
             seed: 0x5EED,
         };
-        let run = |lanes: Lanes, drop: DropPolicy| {
-            SeqCampaign::new(&engine, groups.clone(), 4)
+        let run = |lanes: Lanes, drop: DropPolicy, duration: FaultDuration| {
+            SeqCampaign::new(&engine, &groups, 4, duration)
                 .plan(plan)
                 .drop_policy(drop)
                 .threads(2)
                 .lanes(lanes)
                 .run()
         };
-        for drop in [DropPolicy::Never, DropPolicy::OnDetect] {
-            let reference = run(Lanes::L1, drop);
+        let durations = [
+            FaultDuration::Permanent,
+            FaultDuration::Transient { cycle: 1 },
+        ];
+        for (drop, duration) in [DropPolicy::Never, DropPolicy::OnDetect]
+            .into_iter()
+            .flat_map(|d| durations.map(|t| (d, t)))
+        {
+            let reference = run(Lanes::L1, drop, duration);
             for lanes in [Lanes::L4, Lanes::L8] {
-                let wide = run(lanes, drop);
+                let wide = run(lanes, drop, duration);
                 assert_eq!(reference.tally, wide.tally, "{drop:?} {lanes:?}");
                 assert_eq!(
                     reference.first_detect, wide.first_detect,

@@ -106,7 +106,7 @@ fn assert_cone_equivalent_skipping(
             .collect();
         for lanes in LANES {
             for &t in threads {
-                let campaign = EngineCampaign::over(engine, groups.to_vec())
+                let campaign = EngineCampaign::over(engine, groups)
                     .plan(plan)
                     .drop_policy(drop)
                     .lanes(lanes)
@@ -186,7 +186,7 @@ fn shaped_groups(rng: &mut impl Rng, nl: &Netlist) -> Vec<Vec<StuckAtLine>> {
             line(g, Some(1), rng.gen_bool()),
             line(g, None, rng.gen_bool()),
         ]);
-        groups.push(vec![line(g, Some(1), true), line(0, None, false)]);
+        groups.push(vec![line(0, None, false), line(g, Some(1), true)]);
     }
     let input = rng.gen_range(nl.input_bits() as u64) as usize;
     groups.push(vec![line(input, None, rng.gen_bool())]);
@@ -376,7 +376,7 @@ fn groups_on_one_site_set_build_one_cone_per_block() {
     let engine = Engine::new(&dp.netlist);
     let (groups, _) = dp.fault_universe();
     let rec = Arc::new(Recorder::new());
-    let summary = EngineCampaign::over(&engine, groups.clone())
+    let summary = EngineCampaign::over(&engine, &groups)
         .plan(InputPlan::Sampled {
             vectors: 64,
             seed: 0xC0_4E,

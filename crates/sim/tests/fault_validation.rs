@@ -1,18 +1,17 @@
-//! Typed fault-spec validation and shard-scoped iteration.
+//! Typed fault-spec validation and slice-scoped campaigns.
 //!
 //! Malformed fault specs used to `panic!` from inside the packed
 //! evaluation loop, aborting whole campaigns; they are now rejected up
-//! front as [`SimError`]s and the evaluation loops are total. The
-//! `fault_range` knob restricts a campaign to a universe subrange and
-//! must reproduce the corresponding slice of an unrestricted run bit
-//! for bit — the engine-level basis of sharded campaigns.
+//! front as [`SimError`]s and the evaluation loops are total. A
+//! campaign over a sub-slice of a universe must reproduce the
+//! corresponding slice of a run over the whole universe bit for bit —
+//! the engine-level basis of sharded campaigns.
 
 use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::{self_checking, SelfCheckingSpec};
 use scdp_netlist::{FaultDuration, NetlistBuilder, StuckAtLine, StuckSite};
 use scdp_sim::{
-    DropPolicy, Engine, EngineCampaign, FaultEngine, InputPlan, SeqCampaign, SeqEngine,
-    SeqFaultGroup, SimError,
+    DropPolicy, Engine, EngineCampaign, FaultEngine, InputPlan, SeqCampaign, SeqEngine, SimError,
 };
 
 fn add_engine() -> (Engine, Vec<Vec<StuckAtLine>>) {
@@ -42,7 +41,7 @@ fn malformed_pin_specs_are_typed_errors_not_panics() {
         true,
     );
     assert_eq!(
-        engine.check_faults(&[bad_pin]),
+        engine.check(&[bad_pin]),
         Err(SimError::PinOutOfRange {
             gate: 10,
             pin: 7,
@@ -57,13 +56,13 @@ fn malformed_pin_specs_are_typed_errors_not_panics() {
         false,
     );
     assert!(matches!(
-        engine.check_faults(&[bad_gate]),
+        engine.check(&[bad_gate]),
         Err(SimError::GateOutOfRange { .. })
     ));
     // The campaign-level check finds the bad group wherever it hides.
     let mut groups = add_engine().1;
     groups.insert(groups.len() / 2, vec![bad_pin]);
-    let campaign = EngineCampaign::over(&engine, groups);
+    let campaign = EngineCampaign::over(&engine, &groups);
     assert!(matches!(
         campaign.check(),
         Err(SimError::PinOutOfRange { pin: 7, .. })
@@ -85,7 +84,7 @@ fn pin_faults_on_one_input_gates_are_rejected() {
         true,
     );
     assert_eq!(
-        engine.check_faults(&[bad]),
+        engine.check(&[bad]),
         Err(SimError::PinOutOfRange {
             gate: 1,
             pin: 1,
@@ -109,16 +108,13 @@ fn sequential_groups_are_validated_too() {
     b.output("y", &[s0]);
     let nl = b.finish();
     let engine = SeqEngine::new(&nl);
-    let bad = SeqFaultGroup::new(
-        vec![StuckAtLine::new(
-            StuckSite {
-                gate: 1,
-                pin: Some(3),
-            },
-            true,
-        )],
-        FaultDuration::Permanent,
-    );
+    let bad = vec![StuckAtLine::new(
+        StuckSite {
+            gate: 1,
+            pin: Some(3),
+        },
+        true,
+    )];
     assert_eq!(
         engine.check(&bad),
         Err(SimError::PinOutOfRange {
@@ -127,27 +123,63 @@ fn sequential_groups_are_validated_too() {
             pins: 1,
         })
     );
-    let campaign = SeqCampaign::new(&engine, vec![bad.clone()], 3);
+    let groups = [bad.clone()];
+    let campaign = SeqCampaign::new(&engine, &groups, 3, FaultDuration::Permanent);
     assert!(campaign.check().is_err());
     // Defensive totality on the sequential path as well.
     let batch = InputPlan::Exhaustive.stream(1).next().unwrap();
     let (mut values, mut state) = (Vec::new(), Vec::new());
-    let out = engine.run_batch_into(&batch, Some(&bad), 3, &mut values, &mut state);
+    let fault = Some((&bad[..], FaultDuration::Permanent));
+    let out = engine.run_batch_into(&batch, fault, 3, &mut values, &mut state);
     assert_eq!(out.alarm, 0, "impossible pin never fires an alarm");
 }
 
+/// A group whose lines are out of gate order is rejected as a typed
+/// error by both engines' campaigns, before any simulation.
 #[test]
-fn fault_range_matches_the_slice_of_a_full_run() {
+fn groups_out_of_gate_order_are_typed_errors() {
+    let (engine, mut groups) = add_engine();
+    let k = groups
+        .iter()
+        .position(|g| g.len() > 1)
+        .expect("a multi-line group");
+    groups[k].reverse();
+    let (gate, previous) = (groups[k][1].site.gate, groups[k][0].site.gate);
+    let want = SimError::LinesOutOfOrder { gate, previous };
+    let campaign = EngineCampaign::over(&engine, &groups);
+    assert_eq!(campaign.check(), Err(want.clone()));
+    assert_eq!(campaign.try_run().unwrap_err(), want);
+
+    let mut b = NetlistBuilder::new("shift");
+    let x = b.input_bus("x", 1);
+    let s0 = b.dff();
+    let s1 = b.dff();
+    b.connect_dff(s0, x[0]);
+    b.connect_dff(s1, s0);
+    b.output("y", &[s1]);
+    let engine = SeqEngine::new(&b.finish());
+    let line = |gate| StuckAtLine::new(StuckSite { gate, pin: None }, true);
+    let groups = [vec![line(1)], vec![line(2), line(1)]];
+    let campaign = SeqCampaign::new(&engine, &groups, 3, FaultDuration::Permanent);
+    let want = SimError::LinesOutOfOrder {
+        gate: 1,
+        previous: 2,
+    };
+    assert_eq!(campaign.check(), Err(want.clone()));
+    assert_eq!(campaign.try_run().unwrap_err(), want);
+}
+
+#[test]
+fn sub_slice_campaign_matches_the_slice_of_a_full_run() {
     let (engine, groups) = add_engine();
     let n = groups.len();
-    let full = EngineCampaign::over(&engine, groups.clone())
+    let full = EngineCampaign::over(&engine, &groups)
         .drop_policy(DropPolicy::OnDetect)
         .threads(2)
         .run();
     for (start, end) in [(0, n / 3), (n / 3, n - 1), (n - 1, n), (n, n)] {
-        let shard = EngineCampaign::over(&engine, groups.clone())
+        let shard = EngineCampaign::over(&engine, &groups[start..end])
             .drop_policy(DropPolicy::OnDetect)
-            .fault_range(start..end)
             .threads(3)
             .run();
         assert_eq!(shard.per_fault.len(), end - start);
@@ -161,7 +193,7 @@ fn fault_range_matches_the_slice_of_a_full_run() {
 }
 
 #[test]
-fn seq_fault_range_matches_the_slice_of_a_full_run() {
+fn seq_sub_slice_campaign_matches_the_slice_of_a_full_run() {
     let mut b = NetlistBuilder::new("quiet");
     let s0 = b.dff();
     let s1 = b.dff();
@@ -174,20 +206,14 @@ fn seq_fault_range_matches_the_slice_of_a_full_run() {
     b.output("error", &[s1]);
     let nl = b.finish();
     let engine = SeqEngine::new(&nl);
-    let groups: Vec<SeqFaultGroup> = (0..nl.gate_count())
-        .map(|gate| {
-            SeqFaultGroup::new(
-                vec![StuckAtLine::new(StuckSite { gate, pin: None }, true)],
-                FaultDuration::Permanent,
-            )
-        })
+    let groups: Vec<_> = (0..nl.gate_count())
+        .map(|gate| vec![StuckAtLine::new(StuckSite { gate, pin: None }, true)])
         .collect();
-    let full = SeqCampaign::new(&engine, groups.clone(), 4)
+    let full = SeqCampaign::new(&engine, &groups, 4, FaultDuration::Permanent)
         .threads(2)
         .run();
     let (start, end) = (2, groups.len() - 1);
-    let shard = SeqCampaign::new(&engine, groups, 4)
-        .fault_range(start..end)
+    let shard = SeqCampaign::new(&engine, &groups[start..end], 4, FaultDuration::Permanent)
         .threads(3)
         .run();
     assert_eq!(shard.per_fault.len(), end - start);
