@@ -31,6 +31,14 @@
 //! which is what lets campaign engines simulate representatives only
 //! and fan verdicts back out (see `scdp-campaign`'s `.collapse(true)`).
 //!
+//! Every rewrite moves a fault downstream (pin → own stem, stem → the
+//! single reader pin on a later gate; a Dff D pin reading a later net
+//! ends the chase), so [`CollapsedUniverse::build`] resolves the whole
+//! universe in **one pass over the gates in descending index order**,
+//! into dense `u32` tables keyed by line — linear in the netlist, with
+//! no per-line walk. The class-member table and the dominance edges
+//! below are built on first use: no campaign path reads them.
+//!
 //! Dominance relations (e.g. AND stem s-a-1 is detected by any test for
 //! an input s-a-1) only preserve detectability, not the four-way
 //! silent/detected taxonomy this project reports, so they cannot fan a
@@ -46,9 +54,11 @@
 //! survive for the benchmark harness alone.
 
 use scdp_netlist::{GateKind, Netlist, StuckAtLine, StuckSite};
-use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Dense key for a [`StuckAtLine`]: `(gate, pin∈{stem,0,1}, value)`.
+/// Ascending keys enumerate a netlist's lines in
+/// [`Netlist::fault_lines`] order.
 pub(crate) fn line_key(line: &StuckAtLine) -> usize {
     let pin_code = match line.site.pin {
         None => 0,
@@ -57,43 +67,122 @@ pub(crate) fn line_key(line: &StuckAtLine) -> usize {
     (line.site.gate * 3 + pin_code) * 2 + usize::from(line.value)
 }
 
+/// The line a dense key names — the inverse of [`line_key`].
+fn key_line(key: u32) -> StuckAtLine {
+    let site = key as usize >> 1;
+    let pin = match site % 3 {
+        0 => None,
+        code => Some(code as u8 - 1),
+    };
+    StuckAtLine::new(
+        StuckSite {
+            gate: site / 3,
+            pin,
+        },
+        key & 1 != 0,
+    )
+}
+
+/// A key slot naming no line of the universe (a pin its gate lacks).
+const NONE: u32 = u32::MAX;
+
 /// The result of collapsing a netlist's single-stuck-at line universe.
 ///
 /// Maps every original [`StuckAtLine`] to its equivalence-class
-/// representative and keeps the reverse fan-out table (representative →
-/// all members), plus informational dominance edges.
+/// representative; the reverse fan-out table (representative → all
+/// members) and the informational dominance edges are built on first
+/// use.
 #[derive(Clone, Debug)]
 pub struct CollapsedUniverse {
-    /// `rep[line_key]` — representative of each line in the universe
-    /// (chase rewrites plus constant-redundancy folding).
-    rep: Vec<Option<StuckAtLine>>,
+    /// `rep[line_key]` — key of each line's representative (chase
+    /// rewrites plus constant-redundancy folding), [`NONE`] for slots
+    /// outside the universe.
+    rep: Vec<u32>,
     /// Chase-only representatives — used for multi-line groups, where
     /// redundancy folding would be unsound (a co-injected fault can
     /// un-constant the cone a "redundant" line sits on).
-    rep_chase: Vec<Option<StuckAtLine>>,
-    /// All lines of the universe, in [`Netlist::fault_lines`] order.
-    lines: Vec<StuckAtLine>,
+    chased: Vec<u32>,
+    /// Lines in the universe.
+    lines: usize,
+    /// Distinct representatives.
+    classes: usize,
+    /// Gate kinds, for the dominance edges.
+    kinds: Vec<GateKind>,
     /// Representative → every member of its class (fan-out table).
-    members: HashMap<usize, Vec<StuckAtLine>>,
+    members: OnceLock<ClassTable>,
     /// `(dominator, dominated)` pairs from local gate rules.
-    dominance: Vec<(StuckAtLine, StuckAtLine)>,
+    dominance: OnceLock<Vec<(StuckAtLine, StuckAtLine)>>,
+}
+
+/// The class-member table in compressed form: the members of the class
+/// whose representative has key `k` are `lines[off[k]..off[k + 1]]`, in
+/// [`Netlist::fault_lines`] order.
+#[derive(Clone, Debug)]
+struct ClassTable {
+    off: Vec<u32>,
+    lines: Vec<StuckAtLine>,
 }
 
 impl CollapsedUniverse {
     /// Collapses the full stuck-at universe of `netlist`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has so many gates that its line keys
+    /// overflow `u32`.
     #[must_use]
     pub fn build(netlist: &Netlist) -> Self {
         let gates = netlist.gates();
-        let lines = netlist.fault_lines();
-        let consts = netlist.constants();
+        let slots = gates.len() * 6;
+        assert!(slots < NONE as usize, "too many gates for u32 line keys");
+        let key = |gate: usize, pin: Option<u8>, value: bool| {
+            line_key(&StuckAtLine::new(StuckSite { gate, pin }, value)) as u32
+        };
+        // Every chase step moves a fault downstream — pin → own stem,
+        // stem → its single reader pin on a later gate — so one pass in
+        // descending gate order finds each target already resolved. The
+        // exception is a stem read only by a Dff D pin at or before it:
+        // that target is unresolved here, and since Dff pins never
+        // rewrite, it is its own representative.
+        let mut chased = vec![NONE; slots];
+        for (g, gate) in gates.iter().enumerate().rev() {
+            // Stem fault: with structural fanout 1 and no output
+            // observer, only the single reader pin sees the net.
+            let reader = match netlist.readers(g) {
+                &[(h, p)] if !netlist.is_output_net(g) => Some((h as usize, p)),
+                _ => None,
+            };
+            for value in [false, true] {
+                let stem = key(g, None, value);
+                chased[stem as usize] = reader.map_or(stem, |(h, p)| {
+                    let target = key(h, Some(p), value);
+                    match chased[target as usize] {
+                        NONE => target,
+                        rep => rep,
+                    }
+                });
+            }
+            // Input-pin fault: fold into the gate's own stem (resolved
+            // just above) when the pin value forces or transfers to it.
+            for p in 0..gate.kind.pins() {
+                for value in [false, true] {
+                    let pin = key(g, Some(p), value);
+                    chased[pin as usize] = pin_rewrite(gate.kind, value)
+                        .map_or(pin, |v| chased[key(g, None, v) as usize]);
+                }
+            }
+        }
         // A line is redundant when the net it forces already constantly
         // holds the stuck value — the faulty function is the fault-free
-        // function, so all such lines share one class. The check runs on
-        // the *chased* form; every chase rewrite of a syntactically
-        // redundant line is syntactically redundant again (a forced
-        // const input makes the output const at the forced value), so
-        // nothing is missed.
-        let redundant = |line: &StuckAtLine| -> bool {
+        // function, so all such lines share one class, represented by
+        // the first redundant chased line in `fault_lines` order. The
+        // check runs on the *chased* form; every chase rewrite of a
+        // syntactically redundant line is syntactically redundant again
+        // (a forced const input makes the output const at the forced
+        // value), so nothing is missed.
+        let consts = netlist.constants();
+        let redundant = |k: u32| -> bool {
+            let line = key_line(k);
             let src = match line.site.pin {
                 None => Some(line.site.gate),
                 Some(p) => {
@@ -102,52 +191,33 @@ impl CollapsedUniverse {
                     net.map(scdp_netlist::NetId::index)
                 }
             };
-            src.and_then(|n| consts[n]).is_some_and(|v| v == line.value)
+            src.and_then(|n| consts[n]) == Some(line.value)
         };
-        let mut rep = vec![None; gates.len() * 6];
-        let mut rep_chase = vec![None; gates.len() * 6];
-        let mut members: HashMap<usize, Vec<StuckAtLine>> = HashMap::new();
-        let mut redundant_rep: Option<StuckAtLine> = None;
-        for &line in &lines {
-            let chased = chase(netlist, line);
-            let r = if redundant(&chased) {
-                *redundant_rep.get_or_insert(chased)
-            } else {
-                chased
-            };
-            rep[line_key(&line)] = Some(r);
-            rep_chase[line_key(&line)] = Some(chased);
-            members.entry(line_key(&r)).or_default().push(line);
-        }
-        let mut dominance = Vec::new();
-        for (g, gate) in gates.iter().enumerate() {
-            // `stem s-a-v` is detected by any test for `pin s-a-w`:
-            // (AND,1,1), (OR,0,0), (NAND,0,1), (NOR,1,0).
-            let (stem_v, pin_v) = match gate.kind {
-                GateKind::And => (true, true),
-                GateKind::Or => (false, false),
-                GateKind::Nand => (false, true),
-                GateKind::Nor => (true, false),
-                _ => continue,
-            };
-            let stem = StuckAtLine::new(StuckSite { gate: g, pin: None }, stem_v);
-            for pin in 0..gate.kind.pins() {
-                let dominated = StuckAtLine::new(
-                    StuckSite {
-                        gate: g,
-                        pin: Some(pin),
-                    },
-                    pin_v,
-                );
-                dominance.push((stem, dominated));
+        let mut rep = chased.clone();
+        let mut shared = NONE;
+        let mut is_rep = vec![false; slots];
+        let (mut lines, mut classes) = (0, 0);
+        for r in rep.iter_mut().filter(|r| **r != NONE) {
+            if redundant(*r) {
+                if shared == NONE {
+                    shared = *r;
+                }
+                *r = shared;
+            }
+            lines += 1;
+            if !is_rep[*r as usize] {
+                is_rep[*r as usize] = true;
+                classes += 1;
             }
         }
         CollapsedUniverse {
             rep,
-            rep_chase,
+            chased,
             lines,
-            members,
-            dominance,
+            classes,
+            kinds: gates.iter().map(|g| g.kind).collect(),
+            members: OnceLock::new(),
+            dominance: OnceLock::new(),
         }
     }
 
@@ -155,43 +225,60 @@ impl CollapsedUniverse {
     /// the netlist's universe are their own representative.
     #[must_use]
     pub fn representative(&self, line: StuckAtLine) -> StuckAtLine {
-        self.rep
-            .get(line_key(&line))
-            .copied()
-            .flatten()
-            .unwrap_or(line)
+        lookup(&self.rep, line)
     }
 
     /// Every member of the class represented by `rep` (empty if `rep`
-    /// is not a representative).
+    /// is not a representative), in [`Netlist::fault_lines`] order.
     #[must_use]
     pub fn class_members(&self, rep: StuckAtLine) -> &[StuckAtLine] {
-        self.members.get(&line_key(&rep)).map_or(&[], Vec::as_slice)
+        let table = self.members.get_or_init(|| {
+            // Counting sort of the lines by representative key.
+            let mut off = vec![0u32; self.rep.len() + 1];
+            for &r in self.rep.iter().filter(|&&r| r != NONE) {
+                off[r as usize + 1] += 1;
+            }
+            for k in 0..self.rep.len() {
+                off[k + 1] += off[k];
+            }
+            let mut next = off.clone();
+            let mut lines = vec![key_line(0); self.lines];
+            for (k, &r) in self.rep.iter().enumerate().filter(|&(_, &r)| r != NONE) {
+                lines[next[r as usize] as usize] = key_line(k as u32);
+                next[r as usize] += 1;
+            }
+            ClassTable { off, lines }
+        });
+        let k = line_key(&rep);
+        if k >= self.rep.len() {
+            return &[];
+        }
+        &table.lines[table.off[k] as usize..table.off[k + 1] as usize]
     }
 
     /// Number of lines in the original universe (sites × 2 polarities).
     #[must_use]
     pub fn sites_before(&self) -> usize {
-        self.lines.len()
+        self.lines
     }
 
     /// Number of equivalence classes — lines left after collapsing.
     #[must_use]
     pub fn sites_after(&self) -> usize {
-        self.members.len()
+        self.classes
     }
 
     /// Alias for [`CollapsedUniverse::sites_after`].
     #[must_use]
     pub fn classes(&self) -> usize {
-        self.members.len()
+        self.classes
     }
 
     /// `sites_after / sites_before` — the collapse ratio (lower is
     /// better; classic circuits land around 0.4–0.6).
     #[must_use]
     pub fn ratio(&self) -> f64 {
-        if self.lines.is_empty() {
+        if self.lines == 0 {
             return 1.0;
         }
         self.sites_after() as f64 / self.sites_before() as f64
@@ -206,10 +293,35 @@ impl CollapsedUniverse {
     /// chains: a dominator whose simulated outcome is completely silent
     /// settles every line it dominates without simulating it. No
     /// campaign path uses them; `scdp-campaign`'s `.prune(true)` relies
-    /// on [`crate::PrunedUniverse`] proofs alone.
+    /// on [`crate::PrunedUniverse`] proofs alone. Built on first use.
     #[must_use]
     pub fn dominance_edges(&self) -> &[(StuckAtLine, StuckAtLine)] {
-        &self.dominance
+        self.dominance.get_or_init(|| {
+            let mut dominance = Vec::new();
+            for (g, &kind) in self.kinds.iter().enumerate() {
+                // `stem s-a-v` is detected by any test for `pin s-a-w`:
+                // (AND,1,1), (OR,0,0), (NAND,0,1), (NOR,1,0).
+                let (stem_v, pin_v) = match kind {
+                    GateKind::And => (true, true),
+                    GateKind::Or => (false, false),
+                    GateKind::Nand => (false, true),
+                    GateKind::Nor => (true, false),
+                    _ => continue,
+                };
+                let stem = StuckAtLine::new(StuckSite { gate: g, pin: None }, stem_v);
+                for pin in 0..kind.pins() {
+                    let dominated = StuckAtLine::new(
+                        StuckSite {
+                            gate: g,
+                            pin: Some(pin),
+                        },
+                        pin_v,
+                    );
+                    dominance.push((stem, dominated));
+                }
+            }
+            dominance
+        })
     }
 
     /// The *chase-only* representative of `line` — equivalence rewrites
@@ -218,18 +330,15 @@ impl CollapsedUniverse {
     /// groups. Lines outside the universe map to themselves.
     #[must_use]
     pub fn chased(&self, line: StuckAtLine) -> StuckAtLine {
-        self.rep_chase
-            .get(line_key(&line))
-            .copied()
-            .flatten()
-            .unwrap_or(line)
+        lookup(&self.chased, line)
     }
 
     /// Collapses a campaign's fault-group universe: groups whose
     /// *canonical forms* (every line mapped to its representative,
     /// sorted, deduplicated) coincide are equivalent as a whole, so
     /// simulating one per class reproduces every member's verdict
-    /// bit-for-bit.
+    /// bit-for-bit. Classes are numbered in order of their first
+    /// member.
     ///
     /// A group whose canonical form would place conflicting values on
     /// one site (e.g. `{pin0 s-a-0, stem s-a-1}` on one AND — the
@@ -237,22 +346,49 @@ impl CollapsedUniverse {
     /// its own singleton class rather than risk a wrong merge.
     #[must_use]
     pub fn collapse_groups(&self, groups: &[Vec<StuckAtLine>]) -> CollapsedGroups {
-        #[derive(PartialEq, Eq, Hash)]
-        enum Key {
-            Canon(Vec<usize>),
-            Unique(usize),
+        /// A canonical form seen before: its keys `arena[start..end]`,
+        /// its class, and the next form in its bucket.
+        struct Form {
+            start: usize,
+            end: usize,
+            class: usize,
+            next: u32,
         }
-        let mut seen: HashMap<Key, usize> = HashMap::new();
+        // Forms are bucketed by their smallest key, which is dense and
+        // nearly unique per form (a singleton's key is its form).
+        let buckets = self.rep.len().max(1);
+        let mut head = vec![NONE; buckets];
+        let mut forms: Vec<Form> = Vec::new();
+        let mut arena: Vec<u32> = Vec::new();
+        let mut canon: Vec<u32> = Vec::new();
         let mut rep_groups = Vec::new();
         let mut rep_index = Vec::new();
         let mut class_of = Vec::with_capacity(groups.len());
         for (i, group) in groups.iter().enumerate() {
-            let key = self.canonical(group).map_or(Key::Unique(i), Key::Canon);
-            let class = *seen.entry(key).or_insert_with(|| {
+            let mut class = rep_groups.len();
+            if self.canonical(group, &mut canon) {
+                let bucket = canon.first().map_or(0, |&k| k as usize % buckets);
+                let mut f = head[bucket];
+                while f != NONE && arena[forms[f as usize].start..forms[f as usize].end] != canon {
+                    f = forms[f as usize].next;
+                }
+                if f == NONE {
+                    forms.push(Form {
+                        start: arena.len(),
+                        end: arena.len() + canon.len(),
+                        class,
+                        next: head[bucket],
+                    });
+                    arena.extend_from_slice(&canon);
+                    head[bucket] = (forms.len() - 1) as u32;
+                } else {
+                    class = forms[f as usize].class;
+                }
+            }
+            if class == rep_groups.len() {
                 rep_groups.push(group.clone());
                 rep_index.push(i);
-                rep_groups.len() - 1
-            });
+            }
             class_of.push(class);
         }
         CollapsedGroups {
@@ -262,37 +398,58 @@ impl CollapsedUniverse {
         }
     }
 
-    /// Canonical form of a fault group: each line mapped to its
-    /// representative, sorted, deduplicated. `None` if two lines land
-    /// on the same site with conflicting values. Singleton groups use
-    /// the full mapping; multi-line groups use chase-only rewrites,
-    /// because constant-redundancy folding assumes the fault-free
-    /// constant cone — which a co-injected group member can break.
-    fn canonical(&self, group: &[StuckAtLine]) -> Option<Vec<usize>> {
-        let mut keys: Vec<usize> = if group.len() == 1 {
-            vec![line_key(&self.representative(group[0]))]
+    /// Writes the canonical form of a fault group into `out`: each line
+    /// mapped to its representative's key, sorted, deduplicated.
+    /// `false` if two lines land on the same site with conflicting
+    /// values (or a line outside the universe has no `u32` key).
+    /// Singleton groups use the full mapping; multi-line groups use
+    /// chase-only rewrites, because constant-redundancy folding assumes
+    /// the fault-free constant cone — which a co-injected group member
+    /// can break.
+    fn canonical(&self, group: &[StuckAtLine], out: &mut Vec<u32>) -> bool {
+        let table = if group.len() == 1 {
+            &self.rep
         } else {
-            group
-                .iter()
-                .map(|&l| {
-                    let chased = self
-                        .rep_chase
-                        .get(line_key(&l))
-                        .copied()
-                        .flatten()
-                        .unwrap_or(l);
-                    line_key(&chased)
-                })
-                .collect()
+            &self.chased
         };
-        keys.sort_unstable();
-        keys.dedup();
-        for w in keys.windows(2) {
-            if w[0] >> 1 == w[1] >> 1 {
-                return None; // same site, both polarities
+        out.clear();
+        for line in group {
+            let k = line_key(line);
+            match table.get(k) {
+                Some(&r) if r != NONE => out.push(r),
+                _ => match u32::try_from(k) {
+                    Ok(k) if k != NONE => out.push(k),
+                    _ => return false,
+                },
             }
         }
-        Some(keys)
+        out.sort_unstable();
+        out.dedup();
+        // Same site, both polarities.
+        !out.windows(2).any(|w| w[0] >> 1 == w[1] >> 1)
+    }
+}
+
+/// `table[line_key(line)]` as a line; `line` itself outside the table.
+fn lookup(table: &[u32], line: StuckAtLine) -> StuckAtLine {
+    match table.get(line_key(&line)) {
+        Some(&r) if r != NONE => key_line(r),
+        _ => line,
+    }
+}
+
+/// The stem value an input-pin fault folds into, if any: the
+/// constant-forcing rules (AND/NAND input s-a-0, OR/NOR input s-a-1)
+/// and the NOT/BUF transfer rules. XOR/XNOR and Dff pins never rewrite.
+fn pin_rewrite(kind: GateKind, value: bool) -> Option<bool> {
+    match (kind, value) {
+        (GateKind::And, false) => Some(false),
+        (GateKind::Or, true) => Some(true),
+        (GateKind::Nand, false) => Some(true),
+        (GateKind::Nor, true) => Some(false),
+        (GateKind::Not, v) => Some(!v),
+        (GateKind::Buf, v) => Some(v),
+        _ => None,
     }
 }
 
@@ -322,60 +479,292 @@ impl CollapsedGroups {
     }
 }
 
-/// Chases local equivalence rewrites to a fixpoint. Each step moves the
-/// fault strictly downstream (pin → own stem, stem → single reader
-/// pin), so the chase terminates; the visited guard makes that robust
-/// even for hand-built IR with Dff back-edges.
-fn chase(netlist: &Netlist, mut line: StuckAtLine) -> StuckAtLine {
-    let gates = netlist.gates();
-    let mut visited = vec![line_key(&line)];
-    loop {
-        let next = match line.site.pin {
-            Some(_) => {
-                // Input-pin fault: fold into the gate's own stem when
-                // the pin value forces (or transfers to) the output.
-                let g = line.site.gate;
-                let stem = |v: bool| Some(StuckAtLine::new(StuckSite { gate: g, pin: None }, v));
-                match (gates[g].kind, line.value) {
-                    (GateKind::And, false) => stem(false),
-                    (GateKind::Or, true) => stem(true),
-                    (GateKind::Nand, false) => stem(true),
-                    (GateKind::Nor, true) => stem(false),
-                    (GateKind::Not, v) => stem(!v),
-                    (GateKind::Buf, v) => stem(v),
-                    _ => None,
-                }
-            }
-            None => {
-                // Stem fault: with structural fanout 1 and no output
-                // observer, only the single reader pin sees the net.
-                let n = line.site.gate;
-                match netlist.readers(n) {
-                    &[(h, p)] if !netlist.is_output_net(n) => Some(StuckAtLine::new(
-                        StuckSite {
-                            gate: h as usize,
-                            pin: Some(p),
-                        },
-                        line.value,
-                    )),
-                    _ => None,
-                }
-            }
-        };
-        match next {
-            Some(l) if !visited.contains(&line_key(&l)) => {
-                visited.push(line_key(&l));
-                line = l;
-            }
-            _ => return line,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use scdp_netlist::NetlistBuilder;
+    use std::collections::BTreeMap;
+
+    /// Chases local equivalence rewrites from one line to a fixpoint —
+    /// the per-line walk [`CollapsedUniverse::build`] replaced, kept as
+    /// its differential oracle. Each step moves the fault strictly
+    /// downstream (pin → own stem, stem → single reader pin), so the
+    /// chase terminates; the visited guard makes that robust even for
+    /// hand-built IR with Dff back-edges.
+    fn chase(netlist: &Netlist, mut line: StuckAtLine) -> StuckAtLine {
+        let gates = netlist.gates();
+        let mut visited = vec![line_key(&line)];
+        loop {
+            let next = match line.site.pin {
+                Some(_) => {
+                    let g = line.site.gate;
+                    let stem =
+                        |v: bool| Some(StuckAtLine::new(StuckSite { gate: g, pin: None }, v));
+                    match (gates[g].kind, line.value) {
+                        (GateKind::And, false) => stem(false),
+                        (GateKind::Or, true) => stem(true),
+                        (GateKind::Nand, false) => stem(true),
+                        (GateKind::Nor, true) => stem(false),
+                        (GateKind::Not, v) => stem(!v),
+                        (GateKind::Buf, v) => stem(v),
+                        _ => None,
+                    }
+                }
+                None => {
+                    let n = line.site.gate;
+                    match netlist.readers(n) {
+                        &[(h, p)] if !netlist.is_output_net(n) => Some(StuckAtLine::new(
+                            StuckSite {
+                                gate: h as usize,
+                                pin: Some(p),
+                            },
+                            line.value,
+                        )),
+                        _ => None,
+                    }
+                }
+            };
+            match next {
+                Some(l) if !visited.contains(&line_key(&l)) => {
+                    visited.push(line_key(&l));
+                    line = l;
+                }
+                _ => return line,
+            }
+        }
+    }
+
+    /// The per-line collapse over [`chase`]: representatives, chase-only
+    /// representatives and the member table, keyed by [`line_key`].
+    struct Oracle {
+        rep: BTreeMap<usize, StuckAtLine>,
+        chased: BTreeMap<usize, StuckAtLine>,
+        members: BTreeMap<usize, Vec<StuckAtLine>>,
+    }
+
+    impl Oracle {
+        fn build(netlist: &Netlist) -> Self {
+            let gates = netlist.gates();
+            let consts = netlist.constants();
+            let redundant = |line: &StuckAtLine| -> bool {
+                let src = match line.site.pin {
+                    None => Some(line.site.gate),
+                    Some(p) => {
+                        let g = &gates[line.site.gate];
+                        let net = if p == 0 { g.a } else { g.b };
+                        net.map(scdp_netlist::NetId::index)
+                    }
+                };
+                src.and_then(|n| consts[n]).is_some_and(|v| v == line.value)
+            };
+            let mut oracle = Oracle {
+                rep: BTreeMap::new(),
+                chased: BTreeMap::new(),
+                members: BTreeMap::new(),
+            };
+            let mut redundant_rep: Option<StuckAtLine> = None;
+            for line in netlist.fault_lines() {
+                let chased = chase(netlist, line);
+                let r = if redundant(&chased) {
+                    *redundant_rep.get_or_insert(chased)
+                } else {
+                    chased
+                };
+                oracle.rep.insert(line_key(&line), r);
+                oracle.chased.insert(line_key(&line), chased);
+                oracle.members.entry(line_key(&r)).or_default().push(line);
+            }
+            oracle
+        }
+
+        fn collapse_groups(&self, groups: &[Vec<StuckAtLine>]) -> CollapsedGroups {
+            #[derive(PartialEq, Eq, PartialOrd, Ord)]
+            enum Key {
+                Canon(Vec<usize>),
+                Unique(usize),
+            }
+            let mut seen: BTreeMap<Key, usize> = BTreeMap::new();
+            let mut rep_groups = Vec::new();
+            let mut rep_index = Vec::new();
+            let mut class_of = Vec::new();
+            for (i, group) in groups.iter().enumerate() {
+                let table = if group.len() == 1 {
+                    &self.rep
+                } else {
+                    &self.chased
+                };
+                let mut keys: Vec<usize> = group
+                    .iter()
+                    .map(|l| line_key(table.get(&line_key(l)).unwrap_or(l)))
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                let conflict = keys.windows(2).any(|w| w[0] >> 1 == w[1] >> 1);
+                let key = if conflict {
+                    Key::Unique(i)
+                } else {
+                    Key::Canon(keys)
+                };
+                let class = *seen.entry(key).or_insert_with(|| {
+                    rep_groups.push(group.clone());
+                    rep_index.push(i);
+                    rep_groups.len() - 1
+                });
+                class_of.push(class);
+            }
+            CollapsedGroups {
+                rep_groups,
+                rep_index,
+                class_of,
+            }
+        }
+    }
+
+    /// The one-pass tables agree with the per-line oracle on every line
+    /// of `netlist`, and group collapsing agrees on `groups` and on the
+    /// singleton line universe. Returns the class count.
+    fn assert_matches_oracle(netlist: &Netlist, groups: &[Vec<StuckAtLine>]) -> usize {
+        let cu = CollapsedUniverse::build(netlist);
+        let oracle = Oracle::build(netlist);
+        let lines = netlist.fault_lines();
+        for &line in &lines {
+            let k = line_key(&line);
+            let rep = cu.representative(line);
+            assert_eq!(rep, oracle.rep[&k], "representative of {line:?}");
+            assert_eq!(cu.chased(line), oracle.chased[&k], "chased {line:?}");
+            for probe in [line, rep] {
+                let expect = oracle
+                    .members
+                    .get(&line_key(&probe))
+                    .map_or(&[][..], Vec::as_slice);
+                assert_eq!(cu.class_members(probe), expect, "members of {probe:?}");
+            }
+        }
+        assert_eq!(cu.sites_before(), lines.len());
+        assert_eq!(cu.classes(), oracle.members.len());
+        let singletons: Vec<Vec<StuckAtLine>> = lines.iter().map(|&l| vec![l]).collect();
+        for groups in [groups, &singletons] {
+            let (got, want) = (cu.collapse_groups(groups), oracle.collapse_groups(groups));
+            assert_eq!(got.rep_groups, want.rep_groups);
+            assert_eq!(got.rep_index, want.rep_index);
+            assert_eq!(got.class_of, want.class_of);
+        }
+        cu.classes()
+    }
+
+    /// The FIR loop body with both checking techniques, synthesised
+    /// with the campaign defaults, elaborated unrolled or sequential.
+    fn fir_both(width: u32, seq: bool) -> (Netlist, Vec<Vec<StuckAtLine>>) {
+        use scdp_hls::{bind, expand_sck, sched, BindOptions, ComponentLibrary, ResourceSet};
+        let dfg = expand_sck(
+            &scdp_fir::fir_body_dfg(),
+            scdp_core::Technique::Both,
+            scdp_hls::SckStyle::Full,
+        );
+        let lib = ComponentLibrary::virtex16();
+        let schedule = sched::list_schedule(&dfg, &lib, &ResourceSet::min_area());
+        let opts = BindOptions {
+            separate_checkers: false,
+            no_sharing: false,
+        };
+        let binding = bind(&dfg, &schedule, &lib, opts);
+        if seq {
+            let dp = scdp_netlist::gen::elaborate_seq_datapath(&dfg, &schedule, &binding, width);
+            let groups = dp.fault_universe().0;
+            (dp.netlist, groups)
+        } else {
+            let dp = scdp_netlist::gen::elaborate_datapath(&dfg, &schedule, &binding, width);
+            let groups = dp.fault_universe().0;
+            (dp.netlist, groups)
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_oracle_on_unrolled_fir() {
+        for width in [4, 8] {
+            let (netlist, groups) = fir_both(width, false);
+            let classes = assert_matches_oracle(&netlist, &groups);
+            if width == 8 {
+                // The count `scdp lint --workload fir --width 8` prints.
+                assert_eq!(classes, 9_602);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_oracle_on_sequential_fir() {
+        for width in [4, 8] {
+            let (netlist, groups) = fir_both(width, true);
+            assert!(netlist.is_sequential());
+            let classes = assert_matches_oracle(&netlist, &groups);
+            if width == 4 {
+                // The count `scdp lint --workload fir --seq --width 4` prints.
+                assert_eq!(classes, 1_613);
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_oracle_on_an_operator() {
+        let dp = scdp_netlist::gen::self_checking(scdp_netlist::gen::SelfCheckingSpec {
+            op: scdp_core::Operator::Mul,
+            technique: scdp_core::Technique::Both,
+            width: 4,
+        });
+        let groups: Vec<Vec<StuckAtLine>> = dp
+            .local_sites()
+            .iter()
+            .flat_map(|s| [false, true].map(|v| dp.correlated_fault(*s, v)))
+            .collect();
+        assert_matches_oracle(&dp.netlist, &groups);
+    }
+
+    /// Hand-built registers: a two-Dff loop through logic, a stem whose
+    /// single reader is an *earlier* Dff's D pin (unresolved when the
+    /// descending pass reaches it), self-looped Dffs, and a constant
+    /// feeding redundant lines.
+    #[test]
+    fn one_pass_matches_oracle_on_dff_loops() {
+        let mut b = NetlistBuilder::new("loops");
+        let a = b.input_bus("a", 2);
+        let q0 = b.dff();
+        let q1 = b.dff();
+        let s = b.dff();
+        let zero = b.constant(false);
+        let x = b.and(q0, a[0]);
+        let y = b.not(x);
+        b.connect_dff(q1, y); // `y`'s only reader is the earlier q1
+        let z = b.or(q1, a[1]);
+        let w = b.buf(z);
+        b.connect_dff(q0, w); // q0 → x → y → q1 → z → w → q0
+        b.connect_dff(s, s);
+        let t = b.dff();
+        b.connect_dff(t, t); // `t`'s only reader is itself
+        let m = b.and(s, zero);
+        let o = b.or(m, a[0]);
+        let r = b.or(a[1], zero);
+        let e = b.xor(q1, s);
+        b.output("y", &[o, r]);
+        b.output("error", &[e]);
+        let n = b.finish();
+        let cu = CollapsedUniverse::build(&n);
+        assert_eq!(
+            cu.representative(stem(y.index(), true)),
+            pin(q1.index(), 0, true)
+        );
+        assert_eq!(cu.chased(stem(t.index(), false)), pin(t.index(), 0, false));
+        // Three distinct chased lines stick a constant-0 net at 0.
+        let noop = cu.representative(stem(zero.index(), false));
+        assert_eq!(cu.representative(pin(o.index(), 0, false)), noop);
+        assert_eq!(cu.representative(pin(r.index(), 1, false)), noop);
+        let lines = n.fault_lines();
+        let groups: Vec<Vec<StuckAtLine>> = lines
+            .chunks(3)
+            .map(<[StuckAtLine]>::to_vec)
+            .chain(lines.windows(2).map(<[StuckAtLine]>::to_vec))
+            .collect();
+        assert_matches_oracle(&n, &groups);
+    }
 
     fn stem(gate: usize, value: bool) -> StuckAtLine {
         StuckAtLine::new(StuckSite { gate, pin: None }, value)

@@ -8,7 +8,9 @@
 //!   an equivalence-class representative whose *complete faulty
 //!   function* matches, so campaign engines can simulate
 //!   representatives only and fan verdicts back out bit-identically
-//!   (`scdp-campaign`'s `.collapse(true)`).
+//!   (`scdp-campaign`'s `.collapse(true)`). One pass over the gates in
+//!   descending index order resolves every line; the class-member table
+//!   and the dominance edges are built on first use.
 //! * [`deduce`] — deductive untestability proofs. [`PrunedUniverse`]
 //!   classifies fault groups that provably behave like the fault-free
 //!   machine on every vector (constant-redundant, blocked-path, or

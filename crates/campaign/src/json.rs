@@ -155,6 +155,7 @@ pub const MAX_DEPTH: usize = 128;
 /// when containers nest deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, CampaignError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -169,6 +170,7 @@ pub fn parse(text: &str) -> Result<Json, CampaignError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -296,6 +298,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte as one slice: both ends sit on
+            // ASCII bytes (or the end of input), so the run is whole
+            // UTF-8 scalars.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -325,20 +337,11 @@ impl Parser<'_> {
                     s.push(c);
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
+                Some(_) => {
                     // RFC 8259: control characters must be escaped. Raw
                     // ones in untrusted input are rejected, not smuggled
                     // into a string that would not round-trip.
                     return Err(self.error("raw control character in string"));
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).expect("input was a str");
-                    let c = text.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -620,6 +623,88 @@ mod tests {
             write_f64(&mut s, f64::INFINITY);
             assert_eq!(parse(&s).unwrap(), Json::Null);
         }
+    }
+
+    /// Multi-byte scalars are copied in runs between escapes; each run
+    /// must end exactly on the ASCII byte that stops it.
+    #[test]
+    fn multi_byte_runs_next_to_escapes_and_string_ends() {
+        for (text, want) in [
+            ("\"\u{e9}\"", "\u{e9}"),
+            ("\"\u{20ac}\"", "\u{20ac}"),
+            ("\"\u{1f600}\"", "\u{1f600}"),
+            (
+                "\"\u{e9}\\n\u{20ac}\\t\u{1f600}\"",
+                "\u{e9}\n\u{20ac}\t\u{1f600}",
+            ),
+            (
+                "\"\\\"\u{e9}\u{20ac}\u{1f600}\\\\\"",
+                "\"\u{e9}\u{20ac}\u{1f600}\\",
+            ),
+            (
+                "\"\\u00e9\u{e9}\\u20ac\u{20ac}\"",
+                "\u{e9}\u{e9}\u{20ac}\u{20ac}",
+            ),
+            ("\"a\u{1f600}\\/\u{10ffff}\"", "a\u{1f600}/\u{10ffff}"),
+        ] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.as_str(), Some(want), "{text}");
+            assert_eq!(parse(&v.write_compact()).unwrap(), v, "{text}");
+        }
+        // Multi-byte keys and a scalar right before the closing quote
+        // of a key.
+        let v = parse("{\"k\u{e9}\u{1f600}\":\"\u{20ac}\"}").unwrap();
+        assert_eq!(
+            v.get("k\u{e9}\u{1f600}").and_then(Json::as_str),
+            Some("\u{20ac}")
+        );
+    }
+
+    /// A raw control byte is still reported at its own byte offset,
+    /// after multi-byte runs and after escapes alike.
+    #[test]
+    fn raw_control_offsets_count_bytes() {
+        for (text, offset) in [
+            ("\"\u{1}\"", 1),
+            ("\"\u{e9}\u{20ac}\u{1}x\"", 6),
+            ("\"\u{1f600}\\n\u{1f}\"", 7),
+            ("[\"ok\",\"\u{e9}\n\"]", 9),
+        ] {
+            match parse(text) {
+                Err(CampaignError::Parse {
+                    offset: at,
+                    message,
+                }) => {
+                    assert_eq!(at, offset, "{text:?}");
+                    assert!(message.contains("control"), "{message}");
+                }
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        // Unterminated strings still point at the end of input.
+        match parse("\"\u{e9}\u{20ac}") {
+            Err(CampaignError::Parse { offset, .. }) => assert_eq!(offset, 6),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_between_raw_scalars() {
+        let v = parse("\"\u{1f600}\\ud83d\\ude00\u{e9}\"").unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f600}\u{1f600}\u{e9}"));
+    }
+
+    /// A 256 KiB string parses to itself. Scanning the rest of the
+    /// document once per character would be ~1e10 byte checks here.
+    #[test]
+    fn quarter_mebibyte_string_parses() {
+        let unit = "ab\u{e9}\u{20ac}\u{1f600}"; // 11 bytes
+        let body = unit.repeat(256 * 1024 / unit.len() + 1);
+        assert!(body.len() >= 256 * 1024);
+        let doc = format!("{{\"s\":\"{body}\",\"n\":1}}");
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(body.as_str()));
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
