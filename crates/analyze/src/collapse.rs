@@ -466,12 +466,6 @@ pub struct CollapsedGroups {
 }
 
 impl CollapsedGroups {
-    /// Original universe size.
-    #[must_use]
-    pub fn groups_before(&self) -> usize {
-        self.class_of.len()
-    }
-
     /// Number of groups that actually need simulating.
     #[must_use]
     pub fn groups_after(&self) -> usize {

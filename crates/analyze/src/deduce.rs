@@ -5,9 +5,10 @@
 //! constant-propagation lattice (see [`mod@crate::lint`]) and the netlist
 //! DAG structure. A group proven untestable behaves exactly like the
 //! fault-free machine on **every** input vector (and, for sequential
-//! netlists, on every cycle), so a campaign can skip it and fill in the
-//! fault-free baseline outcome verbatim — bit-identical to simulating
-//! it, at zero cost (`scdp-campaign`'s `.prune(true)`).
+//! netlists, on every cycle), so a campaign can grade one empty group —
+//! the fault-free machine — in place of every such group and copy its
+//! outcome verbatim, bit-identical to simulating each
+//! (`scdp-campaign`'s `.prune(true)`).
 //!
 //! Two proof tiers run per group:
 //!
@@ -57,7 +58,7 @@ pub enum UntestableReason {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The group provably behaves like the fault-free machine on every
-    /// vector; campaigns may settle it with the baseline outcome.
+    /// vector; campaigns may settle it with the empty group's outcome.
     ProvenUntestable(UntestableReason),
     /// No proof found — the group must be simulated.
     MustSimulate,

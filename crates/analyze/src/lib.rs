@@ -14,8 +14,8 @@
 //! * [`deduce`] — deductive untestability proofs. [`PrunedUniverse`]
 //!   classifies fault groups that provably behave like the fault-free
 //!   machine on every vector (constant-redundant, blocked-path, or
-//!   unobservable-cone), so campaigns can settle them from a baseline
-//!   probe without simulating (`scdp-campaign`'s `.prune(true)`).
+//!   unobservable-cone), so campaigns can settle them all with one
+//!   empty group's outcome (`scdp-campaign`'s `.prune(true)`).
 //! * [`dominance`] — [`DominatorChains`] closes
 //!   [`CollapsedUniverse::dominance_edges`] into per-line dominator
 //!   chains: a dominator that simulates completely silent settles

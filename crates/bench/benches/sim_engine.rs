@@ -152,7 +152,8 @@ fn main() {
 
     // Deductive pruning on the width-8 FIR datapath's full stuck-at
     // line universe, through the product pipeline: untestability proofs
-    // settle groups from the fault-free baseline probe without vectors.
+    // map groups onto one empty group, the fault-free machine, that the
+    // engine grades in their place.
     // Campaign cost is linear in the simulated group count, so the wall
     // clock should follow `prune_ratio` (bench_check floor: >= 1.15x).
     // Both timed runs go through `reduce`, the pruned one with the

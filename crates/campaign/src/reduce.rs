@@ -14,14 +14,13 @@
 //!    built classes. The slice step keeps one representative group per
 //!    class that intersects the covered slice, so a class whose
 //!    representative lives outside the shard still simulates;
-//! 2. **prunes** (`exec.prune`): groups with an untestability proof
-//!    ([`PrunedUniverse`]) skip simulation and take the fault-free
-//!    baseline probe outcome, which the driver computes over the exact
-//!    batch stream a simulated group would see — valid per cycle, so on
-//!    combinational and sequential netlists alike;
-//! 3. **runs** the campaign driver on what is left — the covered slice
-//!    itself, borrowed, or the representatives;
-//! 4. **fans out** each engine group's verdict to every covered member,
+//! 2. **prunes** (`exec.prune`): untestability is one more class. Every
+//!    row whose group [`PrunedUniverse`] proves untestable maps to one
+//!    empty group — the fault-free machine — appended to the groups
+//!    the engine grades, a map composed onto collapse's row→slot map;
+//! 3. **runs** the campaign driver on the graded groups — the covered
+//!    slice itself, borrowed, or what the steps above kept;
+//! 4. **fans out** each engine group's verdict to every covered row,
 //!    recomputes the aggregates from the fanned rows, and lists the rows
 //!    whose verdict was deduced.
 //!
@@ -30,7 +29,9 @@
 //! batch stream for every group: a group's outcome depends only on its
 //! faulty circuit function, which canonicalisation preserves (see
 //! `scdp_analyze::collapse`), and an untestable group's function *is*
-//! the fault-free one. Shard geometry is computed on the original
+//! the fault-free one — valid per cycle, so on combinational and
+//! sequential netlists alike. The driver's telemetry counts only the
+//! groups it graded. Shard geometry is computed on the original
 //! universe before any of this, so collapse-then-shard,
 //! shard-then-collapse and prune-then-shard all coincide, and the
 //! configuration fingerprint never depends on `collapse` or `prune`.
@@ -41,14 +42,14 @@ use crate::report::{DeduceDetails, FaultRecord, FuTally};
 use crate::scenario::{Backend, FaultModel};
 use crate::shard::ShardInfo;
 use crate::spec::ExecPolicy;
-use scdp_analyze::{CollapsedGroups, CollapsedUniverse, PrunedUniverse};
+use scdp_analyze::{CollapsedGroups, CollapsedUniverse, PrunedUniverse, Verdict};
 use scdp_coverage::TechTally;
 use scdp_netlist::gen::FuFaultRange;
 use scdp_netlist::{Netlist, StuckAtLine};
 use scdp_obs::EventSink;
 use scdp_sim::{Campaign, FaultEngine, InputPlan};
+use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// What one reduced run produced for the covered slice of a universe.
@@ -145,35 +146,57 @@ pub(crate) fn reduce_in<E: FaultEngine>(
     let universe = groups.len();
     let covered = shard.map_or(0..universe as u64, |s| s.fault_start..s.fault_end);
     let slice = covered.start as usize..covered.end as usize;
-    let reps;
-    let (sim_groups, collapsed): (&[Vec<StuckAtLine>], _) = if exec.collapse {
+    let covered_len = slice.len();
+    // The groups the engine grades and each covered row's slot among
+    // them: the covered slice itself, borrowed, until a reduction step
+    // maps rows onto fewer groups.
+    let (mut graded, mut slot_of, collapsed) = if exec.collapse {
         let span = ctx.span("collapse");
         let cg = classes.get_or_init(|| {
             ctx.record_build("pool.collapse_builds");
             CollapsedUniverse::build(netlist).collapse_groups(groups)
         });
-        let (r, slot_of) = representatives(cg, slice.clone());
-        reps = r;
+        let (reps, slot_of) = representatives(cg, slice.clone());
         span.close();
         ctx.record_collapse(universe, reps.len(), cg.rep_groups.len());
-        (&reps, Some((cg, slot_of)))
+        (Cow::Owned(reps), slot_of, Some(cg))
     } else {
-        (&groups[slice.clone()], None)
+        (
+            Cow::Borrowed(&groups[slice.clone()]),
+            (0..covered_len).collect(),
+            None,
+        )
     };
-    let untestable: Vec<usize> = if exec.prune {
+    // The engine slot of the one empty group every untestable row maps
+    // to, when pruning found any.
+    let mut empty_slot = None;
+    if exec.prune {
         let span = ctx.span("deduce");
-        let pu = PrunedUniverse::build(netlist, sim_groups);
+        let pu = PrunedUniverse::build(netlist, &graded);
         span.close();
-        pu.untestable_indices().to_vec()
-    } else {
-        Vec::new()
-    };
+        if pu.untestable_count() > 0 {
+            // Testable groups keep their order; the empty group goes last.
+            let empty = graded.len() - pu.untestable_count();
+            let mut remap = vec![empty; graded.len()];
+            let mut kept: Vec<_> = (0..graded.len())
+                .filter(|&s| pu.verdict(s) == Verdict::MustSimulate)
+                .enumerate()
+                .map(|(k, s)| {
+                    remap[s] = k;
+                    graded[s].clone()
+                })
+                .collect();
+            kept.push(Vec::new());
+            slot_of.iter_mut().for_each(|s| *s = remap[*s]);
+            graded = Cow::Owned(kept);
+            empty_slot = Some(empty);
+        }
+    }
 
-    let mut run = campaign(engine, sim_groups)
+    let mut run = campaign(engine, &graded)
         .plan(plan)
         .drop_policy(exec.drop)
-        .lanes(exec.lanes)
-        .skip_resolved(untestable.clone());
+        .lanes(exec.lanes);
     if let Some(rec) = ctx.recorder() {
         run = run.recorder(rec);
     }
@@ -188,31 +211,23 @@ pub(crate) fn reduce_in<E: FaultEngine>(
     sim.close();
 
     let tally_span = ctx.span("tally");
-    let slot = |i: usize| collapsed.as_ref().map_or(i, |(_, slot_of)| slot_of[i]);
-    let covered_len = (covered.end - covered.start) as usize;
+    let deduced = |i: usize| Some(slot_of[i]) == empty_slot;
     let deduce = exec.prune.then(|| {
-        let mut deduced = vec![false; sim_groups.len()];
-        for &u in &untestable {
-            deduced[u] = true;
-        }
-        // Each engine group counts once across the shards of a
-        // universe: a class in the shard holding its first member.
-        let leads: Vec<usize> = (0..covered_len)
+        // Each class counts once across the shards of a universe: in
+        // the shard holding its first member.
+        let (untestable, simulated): (Vec<_>, Vec<_>) = (0..covered_len)
             .filter(|&i| {
                 let u = slice.start + i;
-                collapsed
-                    .as_ref()
-                    .is_none_or(|(cg, _)| cg.rep_index[cg.class_of[u]] == u)
+                collapsed.is_none_or(|cg| cg.rep_index[cg.class_of[u]] == u)
             })
-            .collect();
-        let untestable = leads.iter().filter(|&&i| deduced[slot(i)]).count() as u64;
-        let simulated = leads.len() as u64 - untestable;
+            .partition(|&i| deduced(i));
+        let (untestable, simulated) = (untestable.len() as u64, simulated.len() as u64);
         ctx.record_deduce(untestable, simulated);
         DeduceDetails {
             untestable,
             simulated,
             rows: (0..covered_len)
-                .filter(|&i| deduced[slot(i)])
+                .filter(|&i| deduced(i))
                 .map(|i| i as u64)
                 .collect(),
         }
@@ -225,8 +240,8 @@ pub(crate) fn reduce_in<E: FaultEngine>(
         deduce,
         covered,
     };
-    for i in 0..covered_len {
-        let o = &summary.per_fault[slot(i)];
+    for &s in &slot_of {
+        let o = &summary.per_fault[s];
         reduced.tally += o.tally;
         reduced.simulated += o.tally.total();
         for (h, n) in reduced.first_detect.iter_mut().zip(&o.first_detect) {
@@ -245,12 +260,12 @@ fn representatives(
     cg: &CollapsedGroups,
     covered: Range<usize>,
 ) -> (Vec<Vec<StuckAtLine>>, Vec<usize>) {
-    let mut slot: HashMap<usize, usize> = HashMap::new();
+    let mut slot = vec![None; cg.rep_groups.len()];
     let mut reps = Vec::new();
     let slot_of = covered
         .map(|i| {
             let class = cg.class_of[i];
-            *slot.entry(class).or_insert_with(|| {
+            *slot[class].get_or_insert_with(|| {
                 reps.push(cg.rep_groups[class].clone());
                 reps.len() - 1
             })

@@ -935,8 +935,8 @@ impl CampaignReport {
         // Telemetry aggregates over whichever shards carried it:
         // counters and span accumulators sum, histograms sum
         // bucket-wise. For a plain run the merged count-typed counters
-        // equal an unsharded run's; pruned shards each replay their own
-        // baseline probe and collapsed shards each record the
+        // equal an unsharded run's; pruned shards each grade their own
+        // empty group and collapsed shards each record the
         // whole-universe `collapse.*` counts, so theirs exceed it.
         let mut telemetry: Option<TelemetrySnapshot> = None;
         for r in &ordered {

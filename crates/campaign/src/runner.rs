@@ -341,8 +341,9 @@ impl CampaignRunner {
     /// telemetry section. The merged section aggregates the shards':
     /// for a plain run its count-typed counters equal an unsharded
     /// run's, while pruned and collapsed shards repeat per-shard work
-    /// (baseline probes, whole-universe `collapse.*` counts) that the
-    /// sums then count more than once.
+    /// (each pruned shard's empty group, collapse representatives
+    /// shared across shards, whole-universe `collapse.*` counts) that
+    /// the sums then count more than once.
     #[must_use]
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.job = self.job.telemetry(enabled);

@@ -59,10 +59,11 @@ pub struct ExecPolicy {
     /// back out — reports stay bit-identical, wall clock shrinks.
     pub collapse: bool,
     /// When `true`, faults with an untestability proof (`scdp-analyze`'s
-    /// `PrunedUniverse`) are not simulated: each takes the fault-free
-    /// baseline probe's outcome — reports stay bit-identical, and the
-    /// report carries a presence-driven `deduce` section with the
-    /// breakdown.
+    /// `PrunedUniverse`) are not simulated one by one: each takes the
+    /// outcome of one empty fault group (the fault-free machine) that
+    /// the engine grades in their place — reports stay bit-identical,
+    /// and the report carries a presence-driven `deduce` section with
+    /// the breakdown.
     pub prune: bool,
     /// When `true`, the report carries a presence-driven `telemetry`
     /// section ([`scdp_obs::TelemetrySnapshot`]): engine counters and
@@ -121,13 +122,16 @@ impl ExecPolicy {
     }
 
     /// Enables deductive pruning (gate-level backends only): fault
-    /// groups proven untestable take the outcome of one fault-free
-    /// baseline probe — the same batch stream replayed with no fault —
-    /// instead of being simulated, on combinational and sequential
-    /// netlists alike. Reports (tallies, per-fault rows, shard
-    /// geometry, fingerprints) stay bit-identical to the unpruned run;
-    /// the `deduce.*` telemetry counters and the report's `deduce`
-    /// section record what was saved.
+    /// groups proven untestable are not simulated one by one; all of
+    /// them take the outcome of one empty group — the fault-free
+    /// machine over the same batch stream — that the engine grades in
+    /// their place, on combinational and sequential netlists alike.
+    /// Reports (tallies, per-fault rows, shard geometry, fingerprints)
+    /// stay bit-identical to the unpruned run; the `deduce.*` telemetry
+    /// counters and the report's `deduce` section record what was
+    /// saved, and the engine counters count only what was graded
+    /// (`engine.faults` = `deduce.simulated` + 1 on an unsharded
+    /// collapsed or uncollapsed run with any untestable group).
     #[must_use]
     pub fn prune(mut self, enabled: bool) -> Self {
         self.prune = enabled;

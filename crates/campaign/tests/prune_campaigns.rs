@@ -342,3 +342,64 @@ fn w8_fir_both_analysis_counts_are_pinned() {
     assert_eq!(count(UntestableReason::Unobservable), 6_037);
     assert_eq!(lines.len() - pu.untestable_count(), 16_078);
 }
+
+/// Pruning maps every untestable row onto one empty group, so a pruned
+/// run's engine counters count only what the engine graded: the
+/// testable groups plus that empty group when any row maps to it —
+/// never one entry per untestable row.
+#[test]
+fn pruned_telemetry_counts_only_graded_groups() {
+    const SAMPLES: u64 = 32;
+    let space = InputSpace::Sampled {
+        per_fault: SAMPLES,
+        seed: 0x7E,
+    };
+    let run = |seq: bool, collapse: bool, shard: Option<u32>| {
+        let exec = ExecPolicy::new()
+            .threads(2)
+            .collapse(collapse)
+            .prune(true)
+            .telemetry(true);
+        let scenario = DatapathScenario::new(DfgSource::Fir, 2).technique(Technique::Tech1);
+        let report = match (seq, shard) {
+            (false, None) => scenario.campaign().input_space(space).exec(exec).run(),
+            (false, Some(i)) => scenario
+                .campaign()
+                .input_space(space)
+                .exec(exec)
+                .shard(i, 64)
+                .run(),
+            (true, None) => scenario.seq_campaign().input_space(space).exec(exec).run(),
+            (true, Some(i)) => scenario
+                .seq_campaign()
+                .input_space(space)
+                .exec(exec)
+                .shard(i, 64)
+                .run(),
+        };
+        let report = report.expect("pruned run");
+        let d = report.deduce.clone().expect("deduce section");
+        let tel = report.telemetry.as_ref().expect("telemetry section");
+        let prefix = if seq { "seq" } else { "engine" };
+        let faults = tel.counter(&format!("{prefix}.faults")).expect("faults");
+        let situations = tel.counter(&format!("{prefix}.situations"));
+        assert_eq!(situations, Some(faults * SAMPLES), "{prefix} {collapse}");
+        (d, faults)
+    };
+    for seq in [false, true] {
+        for collapse in [false, true] {
+            let (d, faults) = run(seq, collapse, None);
+            assert!(d.untestable > 0, "seq {seq}, collapse {collapse}");
+            assert_eq!(faults, d.simulated + 1, "seq {seq}, collapse {collapse}");
+        }
+        // Shard 45 of 64 holds no untestable row: no empty group.
+        let (d, faults) = run(seq, false, Some(45));
+        assert_eq!(d.untestable, 0, "seq {seq}");
+        assert_eq!(faults, d.simulated, "seq {seq}");
+        // Shard 49 of 64 holds only untestable rows: the empty group is
+        // all the engine grades.
+        let (d, faults) = run(seq, false, Some(49));
+        assert_eq!((d.simulated, d.untestable > 0), (0, true), "seq {seq}");
+        assert_eq!(faults, 1, "seq {seq}");
+    }
+}

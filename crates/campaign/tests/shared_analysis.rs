@@ -109,7 +109,7 @@ fn assert_shared_and_identical(make: impl Fn(ExecPolicy) -> CampaignJob, what: &
             if !exec.collapse && !exec.prune {
                 // Plain shards split the work exactly. Collapsed ones
                 // each simulate their own representatives, and pruned
-                // ones each replay their own fault-free probe.
+                // ones each grade their own empty group.
                 assert_eq!(
                     tel.deterministic_counters(),
                     full_tel.deterministic_counters(),

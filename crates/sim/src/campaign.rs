@@ -66,11 +66,6 @@ pub struct CampaignSummary {
     pub first_detect: Vec<u64>,
     /// Cycles each situation ran (1 for combinational campaigns).
     pub cycles: u32,
-    /// The fault-free **baseline probe**: the outcome of replaying the
-    /// batch stream with an empty fault group, computed once when any
-    /// group was skipped via [`Campaign::skip_resolved`] (`None`
-    /// otherwise). Skipped entries of `per_fault` hold a copy of it.
-    pub baseline: Option<FaultOutcome>,
 }
 
 impl CampaignSummary {
@@ -133,9 +128,9 @@ pub struct BlockWork {
 /// fault group — the unit of injection — is one multiple-stuck-at
 /// fault: stuck lines forced together, in gate order.
 ///
-/// The driver owns everything around the simulation — skip mask and
-/// baseline probe, lane dispatch, block scheduling, the per-limb tally
-/// and drop step, and telemetry — and calls
+/// The driver owns everything around the simulation — lane dispatch,
+/// block scheduling, the per-limb tally and drop step, and telemetry —
+/// and calls
 /// [`FaultEngine::simulate_block`] once per block with the lane width
 /// as a constant, so the hot loop is statically dispatched.
 pub trait FaultEngine: Sync {
@@ -156,18 +151,17 @@ pub trait FaultEngine: Sync {
     /// The first [`SimError`] found, in line order.
     fn check(&self, group: &[StuckAtLine]) -> Result<(), SimError>;
 
-    /// Simulates the groups of `chunk` listed in `live` (ascending
-    /// indices into `chunk`) over `plan`'s deterministic batch stream,
-    /// each situation running `cycles` clock cycles with the lines
-    /// forced in the cycles `duration` is active in. Every live group's
-    /// verdict on every batch goes to `tally`, which returns `false`
-    /// once the group is dropped; the engine then stops simulating it
-    /// and removes it from `live`. Returns the block's
+    /// Simulates every group of `chunk` over `plan`'s deterministic
+    /// batch stream, each situation running `cycles` clock cycles with
+    /// the lines forced in the cycles `duration` is active in. Every
+    /// live group's verdict on every batch goes to `tally` with the
+    /// group's index in `chunk`; `tally` returns `false` once the group
+    /// is dropped, and the engine then stops simulating it. An empty
+    /// group is the fault-free machine. Returns the block's
     /// schedule-dependent work.
     fn simulate_block<const L: usize, F>(
         &self,
         chunk: &[Vec<StuckAtLine>],
-        live: &mut Vec<usize>,
         plan: InputPlan,
         cycles: u32,
         duration: FaultDuration,
@@ -206,7 +200,6 @@ pub struct Campaign<'a, E: FaultEngine> {
     drop: DropPolicy,
     threads: usize,
     lanes: Lanes,
-    skip: Vec<usize>,
     recorder: Option<Arc<Recorder>>,
 }
 
@@ -268,7 +261,6 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
             drop: DropPolicy::Never,
             threads: par::default_threads(),
             lanes: Lanes::Auto,
-            skip: Vec::new(),
             recorder: None,
         }
     }
@@ -308,31 +300,12 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
         self
     }
 
-    /// Marks fault groups as **pre-resolved**: the given indices into
-    /// the campaign's groups are never simulated. Instead, the driver
-    /// replays the batch stream once with an *empty* fault group — the
-    /// fault-free baseline probe — and fills each skipped entry of
-    /// `per_fault` with a copy of that outcome. For a fault
-    /// proven to behave exactly like the fault-free machine in every
-    /// cycle (see `scdp-analyze`'s `PrunedUniverse`), this is
-    /// bit-identical to simulating it under every drop policy: the
-    /// baseline is silent by construction wherever the good machine
-    /// is, and a silent fault is never dropped. Indices past the last
-    /// group are ignored.
-    #[must_use]
-    pub fn skip_resolved(mut self, skip: Vec<usize>) -> Self {
-        self.skip = skip;
-        self
-    }
-
     /// Attaches a telemetry recorder. The driver then counts fault
     /// groups, per-fault batch evaluations, faulty-pass gate
     /// evaluations, dropped faults and simulated situations (plus
     /// evaluated cycles on a sequential engine) under the engine's
     /// prefix (`engine.*` or `seq.*`; all thread-count invariant, and
-    /// additive over campaigns on disjoint slices, except for the
-    /// baseline probe each campaign with skipped groups replays),
-    /// per-worker busy time under `<prefix>.busy_ns`, and
+    /// additive over campaigns on disjoint slices), per-worker busy time under `<prefix>.busy_ns`, and
     /// the schedule itself — blocks, steals, good-machine batch
     /// evaluations — under `pool.*`.
     #[must_use]
@@ -383,37 +356,16 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
     pub fn try_run(&self) -> Result<CampaignSummary, SimError> {
         self.check()?;
         let groups = self.groups;
-        let mut skip = vec![false; groups.len()];
-        for &i in &self.skip {
-            if let Some(s) = skip.get_mut(i) {
-                *s = true;
-            }
-        }
         let work = WorkCounters::default();
-        let run = |chunk: &[Vec<StuckAtLine>], skip: &[bool]| match self.lanes.limbs() {
-            1 => self.run_block::<1>(chunk, skip, &work),
-            4 => self.run_block::<4>(chunk, skip, &work),
-            _ => self.run_block::<8>(chunk, skip, &work),
-        };
-        // One fault-free probe stands in for every skipped group; its
-        // limbs count toward `fault_batches` exactly like a simulated
-        // group's, keeping the counter deterministic.
-        let baseline = skip.contains(&true).then(|| {
-            run(&[Vec::new()], &[false])
-                .pop()
-                .expect("probe block yields one outcome")
-        });
         let block = par::auto_block(groups.len(), self.threads);
-        let (mut per_fault, stats) = par::run_blocks(groups.len(), self.threads, block, |r| {
-            run(&groups[r.clone()], &skip[r])
-        })?;
-        if let Some(b) = &baseline {
-            for (o, &skipped) in per_fault.iter_mut().zip(&skip) {
-                if skipped {
-                    o.clone_from(b);
-                }
+        let (per_fault, stats) = par::run_blocks(groups.len(), self.threads, block, |r| {
+            let chunk = &groups[r];
+            match self.lanes.limbs() {
+                1 => self.run_block::<1>(chunk, &work),
+                4 => self.run_block::<4>(chunk, &work),
+                _ => self.run_block::<8>(chunk, &work),
             }
-        }
+        })?;
         let mut tally = TechTally::default();
         let mut simulated = 0u64;
         let mut first_detect = vec![0u64; self.hist_len()];
@@ -468,7 +420,6 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
             simulated,
             first_detect,
             cycles: self.cycles,
-            baseline,
         })
     }
 
@@ -490,7 +441,6 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
     fn run_block<const L: usize>(
         &self,
         chunk: &[Vec<StuckAtLine>],
-        skip: &[bool],
         work: &WorkCounters,
     ) -> Vec<FaultOutcome> {
         let blank = FaultOutcome {
@@ -498,12 +448,10 @@ impl<'a, E: FaultEngine> Campaign<'a, E> {
             ..FaultOutcome::default()
         };
         let mut outcomes = vec![blank; chunk.len()];
-        let mut live: Vec<usize> = (0..chunk.len()).filter(|&k| !skip[k]).collect();
         let (mut batches, mut gate_evals) = (0u64, 0u64);
         let drop = self.drop;
         let block = self.engine.simulate_block(
             chunk,
-            &mut live,
             self.plan,
             self.cycles,
             self.duration,
@@ -812,68 +760,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Skipping a group whose faulty machine *is* the fault-free
-    /// machine (here: an empty group) must reproduce the unskipped run
-    /// bit-for-bit — per-fault rows, tallies and simulated count — and
-    /// expose the baseline probe.
-    #[test]
-    fn skipping_resolved_groups_is_bit_identical() {
-        let dp = add_dp(4, Technique::Both);
-        let engine = Engine::new(&dp.netlist);
-        let mut groups = vec![Vec::new()];
-        for site in dp.local_sites() {
-            for value in [false, true] {
-                groups.push(dp.correlated_fault(site, value));
-            }
-        }
-        let mid = groups.len() / 2;
-        groups.insert(mid, Vec::new());
-        for drop in [DropPolicy::Never, DropPolicy::OnDetect] {
-            let plain = EngineCampaign::over(&engine, &groups)
-                .drop_policy(drop)
-                .threads(2)
-                .run();
-            let skipped = EngineCampaign::over(&engine, &groups)
-                .drop_policy(drop)
-                .threads(2)
-                .skip_resolved(vec![0, mid])
-                .run();
-            assert_eq!(plain.per_fault, skipped.per_fault, "{drop:?}");
-            assert_eq!(plain.tally, skipped.tally);
-            assert_eq!(plain.simulated, skipped.simulated);
-            assert!(plain.baseline.is_none());
-            let baseline = skipped.baseline.expect("probe ran");
-            assert_eq!(baseline, skipped.per_fault[0]);
-            assert!(!baseline.detected && !baseline.escaped);
-        }
-    }
-
-    /// Skip indices address the campaign's own groups, so a campaign
-    /// over a sub-slice skips by slice index; indices past the last
-    /// group are ignored.
-    #[test]
-    fn skip_indices_address_the_borrowed_slice() {
-        let dp = add_dp(4, Technique::Tech1);
-        let engine = Engine::new(&dp.netlist);
-        let mut groups = Vec::new();
-        for site in dp.local_sites() {
-            for value in [false, true] {
-                groups.push(dp.correlated_fault(site, value));
-            }
-        }
-        groups.insert(3, Vec::new());
-        let slice = &groups[2..groups.len().min(8)];
-        let plain = EngineCampaign::over(&engine, slice).threads(2).run();
-        let skipped = EngineCampaign::over(&engine, slice)
-            .threads(2)
-            // 1 is the empty group (universe index 3); 99 is past the end.
-            .skip_resolved(vec![1, 99])
-            .run();
-        assert_eq!(plain.per_fault, skipped.per_fault);
-        assert_eq!(plain.simulated, skipped.simulated);
-        assert!(skipped.baseline.is_some());
     }
 
     #[test]

@@ -423,16 +423,15 @@ impl FaultEngine for Engine {
     }
 
     /// The block's cones are built into one arena, each once per run
-    /// of consecutive groups on the same site gates (a skipped group
-    /// counts as one with no sites); per wide batch the good machine
-    /// runs once over the whole netlist, and each live group costs one
-    /// pass over its own cone (`gate_evals` = cone length). A cone is
-    /// copied back from the good machine only when the next live group
+    /// of consecutive groups on the same site gates (an empty group's
+    /// cone is empty); per wide batch the good machine runs once over
+    /// the whole netlist, and each live group costs one pass over its
+    /// own cone (`gate_evals` = cone length). A cone is copied back
+    /// from the good machine only when the next live group
     /// sits on another one.
     fn simulate_block<const L: usize, F>(
         &self,
         chunk: &[Vec<StuckAtLine>],
-        live: &mut Vec<usize>,
         plan: InputPlan,
         _cycles: u32,
         _duration: FaultDuration,
@@ -443,22 +442,17 @@ impl FaultEngine for Engine {
     {
         let mut cones = Cones::default();
         let mut cones_built = 0u64;
-        let mut listed = live.iter().peekable();
         let mut previous: Option<&[StuckAtLine]> = None;
-        for (k, group) in chunk.iter().enumerate() {
-            let sites: &[StuckAtLine] = if listed.next_if_eq(&&k).is_some() {
-                group
-            } else {
-                &[]
-            };
-            if previous.is_some_and(|p| same_gates(p, sites)) {
+        for group in chunk {
+            if previous.is_some_and(|p| same_gates(p, group)) {
                 cones.share_last();
             } else {
-                self.push_cone(sites, &mut cones);
-                cones_built += u64::from(!sites.is_empty());
+                self.push_cone(group, &mut cones);
+                cones_built += u64::from(!group.is_empty());
             }
-            previous = Some(sites);
+            previous = Some(group);
         }
+        let mut live: Vec<usize> = (0..chunk.len()).collect();
         let mut good = Vec::new();
         let mut faulty = Vec::new();
         let mut good_evals = 0u64;

@@ -85,7 +85,7 @@ pub fn auto_block(n: usize, threads: usize) -> usize {
 /// counters by the campaign drivers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Workers the pool actually ran with (1 for the inline path).
+    /// Workers the pool actually ran with, the calling thread included.
     pub threads: usize,
     /// Number of work blocks the range was split into.
     pub blocks: u64,
@@ -113,9 +113,9 @@ impl PoolStats {
 /// `f(lo..hi)` must depend only on the range, not on which worker runs
 /// it — the drivers regenerate their deterministic input streams per
 /// block — so the concatenation is bit-identical to calling
-/// `f(0..n)` ranges sequentially. Runs inline on the calling thread
-/// when one worker or one block suffices, so small workloads pay no
-/// spawn cost.
+/// `f(0..n)` ranges sequentially. The calling thread is worker 0, so
+/// one worker (or one block) spawns no thread and small workloads pay
+/// no spawn cost.
 ///
 /// # Errors
 ///
@@ -135,96 +135,55 @@ where
     let block = block.max(1);
     let nblocks = n.div_ceil(block);
     let threads = threads.max(1).min(nblocks.max(1));
-    let range_of = |b: usize| b * block..((b + 1) * block).min(n);
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let panic_msg: Mutex<Option<String>> = Mutex::new(None);
+    let fail = |payload: &(dyn std::any::Any + Send)| {
+        abort.store(true, Ordering::Relaxed);
+        let mut slot = panic_msg.lock().unwrap_or_else(|e| e.into_inner());
+        slot.get_or_insert_with(|| panic_message(payload));
+    };
 
-    if threads <= 1 {
+    // One worker's share: (block index, block output) pairs, merged by
+    // block index after the join barrier, its steals and its busy time.
+    let worker = |w: usize| {
         let start = Instant::now();
-        let mut out = Vec::new();
-        let mut result = Ok(());
-        for b in 0..nblocks {
-            match catch_unwind(AssertUnwindSafe(|| f(range_of(b)))) {
-                Ok(items) => out.extend(items),
+        let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
+        let mut steals = 0u64;
+        while !abort.load(Ordering::Relaxed) {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= nblocks {
+                break;
+            }
+            // The worker static chunking would have given this block
+            // to; executing it elsewhere is a steal.
+            if b * threads / nblocks != w {
+                steals += 1;
+            }
+            let range = b * block..((b + 1) * block).min(n);
+            match catch_unwind(AssertUnwindSafe(|| f(range))) {
+                Ok(items) => mine.push((b, items)),
                 Err(payload) => {
-                    result = Err(SimError::WorkerPanicked {
-                        message: panic_message(payload.as_ref()),
-                    });
+                    fail(payload.as_ref());
                     break;
                 }
             }
         }
-        result?;
-        let stats = PoolStats {
-            threads: 1,
-            blocks: nblocks as u64,
-            steals: 0,
-            worker_busy_ns: vec![start.elapsed().as_nanos() as u64],
-        };
-        return Ok((out, stats));
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-
-    // (block index, block output, executing worker) triples per worker,
-    // merged by block index after the join barrier.
-    type WorkerOut<R> = (Vec<(usize, Vec<R>)>, u64, u64);
-    let per_worker: Vec<WorkerOut<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let next = &next;
-                let abort = &abort;
-                let panic_msg = &panic_msg;
-                let f = &f;
-                s.spawn(move || {
-                    let start = Instant::now();
-                    let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
-                    let mut steals = 0u64;
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= nblocks {
-                            break;
-                        }
-                        // The worker static chunking would have given
-                        // this block to; executing it elsewhere is a
-                        // steal.
-                        if b * threads / nblocks != w {
-                            steals += 1;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(range_of(b)))) {
-                            Ok(items) => mine.push((b, items)),
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let msg = panic_message(payload.as_ref());
-                                let mut slot = panic_msg.lock().unwrap_or_else(|e| e.into_inner());
-                                slot.get_or_insert(msg);
-                                break;
-                            }
-                        }
-                    }
-                    (mine, steals, start.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                // Unreachable: the closure body cannot panic (f runs
-                // under catch_unwind). Degrade to an empty share so the
-                // abort path below still reports cleanly.
-                Err(payload) => {
-                    abort.store(true, Ordering::Relaxed);
-                    let msg = panic_message(payload.as_ref());
-                    let mut slot = panic_msg.lock().unwrap_or_else(|e| e.into_inner());
-                    slot.get_or_insert(msg);
-                    (Vec::new(), 0, 0)
-                }
-            })
-            .collect()
+        (mine, steals, start.elapsed().as_nanos() as u64)
+    };
+    let per_worker = std::thread::scope(|s| {
+        let worker = &worker;
+        let handles: Vec<_> = (1..threads).map(|w| s.spawn(move || worker(w))).collect();
+        let mut all = vec![worker(0)];
+        for h in handles {
+            // `f` runs under `catch_unwind`, so a failed join means the
+            // worker loop itself panicked: fail the pool all the same.
+            match h.join() {
+                Ok(out) => all.push(out),
+                Err(payload) => fail(payload.as_ref()),
+            }
+        }
+        all
     });
 
     if let Some(message) = panic_msg.lock().unwrap_or_else(|e| e.into_inner()).take() {

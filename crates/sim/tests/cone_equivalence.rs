@@ -12,7 +12,7 @@
 //! Consecutive groups on the same site gates share one cone, and run
 //! over it with no restore of the good values in between; the
 //! shared-site universes below hold runs of such groups, broken by
-//! skipped groups and decoys that share only their first site, with
+//! empty groups and decoys that share only their first site, with
 //! runs straddling the block boundaries of every thread count tested.
 
 mod common;
@@ -72,8 +72,8 @@ fn reference_row(
 
 /// Runs `groups` through the campaign at every lane width, drop policy
 /// and thread count in `threads`, and checks each per-fault row against
-/// its full-pass reference. Empty groups are also run a second time as
-/// skipped groups (the baseline probe path).
+/// its full-pass reference. An empty group's reference is the
+/// fault-free machine.
 fn assert_cone_equivalent(
     engine: &Engine,
     groups: &[Vec<StuckAtLine>],
@@ -81,54 +81,25 @@ fn assert_cone_equivalent(
     threads: &[usize],
     what: &str,
 ) {
-    let skip: Vec<usize> = (0..groups.len())
-        .filter(|&k| groups[k].is_empty())
-        .collect();
-    assert_cone_equivalent_skipping(engine, groups, &skip, plan, threads, what);
-}
-
-/// [`assert_cone_equivalent`] with an explicit skip list: the second
-/// run skips the groups in `skip`, whose rows must then equal the
-/// fault-free reference while every other row keeps its own.
-fn assert_cone_equivalent_skipping(
-    engine: &Engine,
-    groups: &[Vec<StuckAtLine>],
-    skip: &[usize],
-    plan: InputPlan,
-    threads: &[usize],
-    what: &str,
-) {
     for drop in DROPS {
-        let fault_free = reference_row(engine, &[], plan, drop);
         let reference: Vec<FaultOutcome> = groups
             .iter()
             .map(|g| reference_row(engine, g, plan, drop))
             .collect();
         for lanes in LANES {
             for &t in threads {
-                let campaign = EngineCampaign::over(engine, groups)
+                let run = EngineCampaign::over(engine, groups)
                     .plan(plan)
                     .drop_policy(drop)
                     .lanes(lanes)
-                    .threads(t);
-                let plain = campaign.clone().run();
-                for (k, (got, want)) in plain.per_fault.iter().zip(&reference).enumerate() {
+                    .threads(t)
+                    .run();
+                for (k, (got, want)) in run.per_fault.iter().zip(&reference).enumerate() {
                     assert_eq!(
                         got, want,
                         "{what}: group {k} {:?}, {drop:?} {lanes:?} {t} threads",
                         groups[k]
                     );
-                }
-                if !skip.is_empty() {
-                    let skipped = campaign.skip_resolved(skip.to_vec()).run();
-                    for (k, (got, want)) in skipped.per_fault.iter().zip(&reference).enumerate() {
-                        let want = if skip.contains(&k) { &fault_free } else { want };
-                        assert_eq!(
-                            got, want,
-                            "{what}: group {k} {:?} with skips, {drop:?} {lanes:?} {t} threads",
-                            groups[k]
-                        );
-                    }
                 }
             }
         }
@@ -277,19 +248,17 @@ fn distinct_gates(rng: &mut impl Rng, nl: &Netlist, count: usize) -> Vec<usize> 
 }
 
 /// Runs of groups that share one site set, until the universe holds at
-/// least `min_groups`, plus the skip list to test it with. Each run is
-/// one of: every single-line fault of one gate (stem stuck-at-0 and -1,
-/// each input pin at both values), multi-line groups on the same gates
-/// with random pins and values, or a decoy pair that shares only its
-/// first site. Empty groups and skipped groups fall between and inside
-/// runs.
+/// least `min_groups`. Each run is one of: every single-line fault of
+/// one gate (stem stuck-at-0 and -1, each input pin at both values),
+/// multi-line groups on the same gates with random pins and values, or
+/// a decoy pair that shares only its first site. Empty groups fall
+/// between runs.
 fn shared_site_universe(
     rng: &mut impl Rng,
     nl: &Netlist,
     min_groups: usize,
-) -> (Vec<Vec<StuckAtLine>>, Vec<usize>) {
+) -> Vec<Vec<StuckAtLine>> {
     let mut groups: Vec<Vec<StuckAtLine>> = Vec::new();
-    let mut skip = Vec::new();
     while groups.len() < min_groups {
         match rng.gen_range(3) {
             0 => {
@@ -315,15 +284,11 @@ fn shared_site_universe(
                 groups.push(vec![first, any_line(rng, nl, gates[2])]);
             }
         }
-        // Inside a run or between runs: skip a group sharing the sites
-        // of its neighbours, or insert an empty group.
-        match rng.gen_range(4) {
-            0 if groups.len() >= 2 => skip.push(groups.len() - 2),
-            1 => groups.push(Vec::new()),
-            _ => {}
+        if rng.gen_range(4) == 1 {
+            groups.push(Vec::new());
         }
     }
-    (groups, skip)
+    groups
 }
 
 /// Whether some run of consecutive groups on equal site gates crosses a
@@ -336,7 +301,7 @@ fn a_run_crosses_a_block(groups: &[Vec<StuckAtLine>], block: usize) -> bool {
 }
 
 #[test]
-fn shared_cones_equal_full_passes_across_skips_and_block_boundaries() {
+fn shared_cones_equal_full_passes_across_empty_groups_and_block_boundaries() {
     let mut rng = Xoshiro256StarStar::from_seed(0x5A_4ED);
     let threads = [1, 2, 3];
     let mut crossings = [0usize; 3];
@@ -346,7 +311,7 @@ fn shared_cones_equal_full_passes_across_skips_and_block_boundaries() {
         let nl = random_netlist(&mut rng, inputs, gates);
         let engine = Engine::new(&nl);
         // More groups than one block holds at one thread.
-        let (groups, skip) = shared_site_universe(&mut rng, &nl, 150);
+        let groups = shared_site_universe(&mut rng, &nl, 150);
         for (c, &t) in crossings.iter_mut().zip(&threads) {
             let block = par::auto_block(groups.len(), t);
             *c += usize::from(a_run_crosses_a_block(&groups, block));
@@ -360,7 +325,7 @@ fn shared_cones_equal_full_passes_across_skips_and_block_boundaries() {
             }
         };
         let what = format!("shared-site case {case}");
-        assert_cone_equivalent_skipping(&engine, &groups, &skip, plan, &threads, &what);
+        assert_cone_equivalent(&engine, &groups, plan, &threads, &what);
     }
     assert!(
         crossings.iter().all(|&c| c >= 3),
